@@ -174,7 +174,7 @@ def cmd_routing(args) -> Report:
         provenance = {"fixture": spec.name, "anchor": spec.anchor}
     inst = tio.load_routing(path)
     out = transition_costs(inst, tol=args.tol)
-    sb = stretch_bound(inst, tol=args.tol)
+    sb = stretch_bound(inst, prices=out)
     report = Report("routing", {"network": args.network, "tol": args.tol,
                                 "m": args.m},
                     provenance=provenance)

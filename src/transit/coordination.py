@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     NotTwoColour,
     ParseError,
@@ -32,6 +34,8 @@ F = Fraction
 Coloring = tuple[int, ...]
 
 DEFAULT_COLOURS = (1, 2)
+
+_SWEEP_BLOCK = 1 << 12  # colourings per block: under a megabyte of arrays
 
 
 @dataclass(frozen=True)
@@ -60,21 +64,23 @@ class GraphColoringInstance:
                 raise ParseError("one colour menu per node required")
             if any(len(menu) == 0 for menu in self.colors):
                 raise ParseError("colour menus must be nonempty")
+        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        # built once; every check reads it through neighbors()
+        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
 
     def menus(self) -> tuple[tuple[int, ...], ...]:
         if self.colors is None:
             return tuple(DEFAULT_COLOURS for _ in range(self.n_nodes))
         return self.colors
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return self._adj
 
     def degree(self, node: int) -> int:
-        return len(self.neighbors()[node])
+        return len(self._adj[node])
 
     def validate_coloring(self, col: Sequence[int]) -> Coloring:
         menus = self.menus()
@@ -109,23 +115,16 @@ def coordination_to_game(inst: GraphColoringInstance, cap: int | None = None) ->
             f"{inst.num_colorings()} colourings exceed the cap {limit}"
         )
     menus = inst.menus()
-    adj = inst.neighbors()
 
     def pay(s: Sequence[int]) -> tuple[Fraction, ...]:
         col = [menus[i][s[i]] for i in range(inst.n_nodes)]
-        return tuple(
-            F(sum(1 for j in adj[i] if col[j] == col[i])) for i in range(inst.n_nodes)
-        )
+        return tuple(F(u) for u in utilities(inst, col))
 
     return Game.from_function(
         tuple(len(m) for m in menus),
         pay,
         strategies=tuple(tuple(str(c) for c in m) for m in menus),
     )
-
-
-def _same_counts(adj: list[list[int]], col: Sequence[int]) -> list[int]:
-    return [sum(1 for j in adj[i] if col[j] == col[i]) for i in range(len(adj))]
 
 
 def best_colour_set(inst: GraphColoringInstance, col: Sequence[int], i: int) -> set[int]:
@@ -166,7 +165,7 @@ def check_stable_transition_fast(inst: GraphColoringInstance, col: Sequence[int]
         raise NotTwoColour("fast check needs exactly two colours per node")
     c = inst.validate_coloring(col)
     adj = inst.neighbors()
-    same = _same_counts(adj, c)
+    same = utilities(inst, c)
     for i in range(inst.n_nodes):
         deg = len(adj[i])
         floor_i = st_floor(deg)
@@ -382,34 +381,71 @@ def construct_st_not_ne(
 # -- efficiency -----------------------------------------------------------------
 
 
+def _colouring_sweep(inst: GraphColoringInstance) -> tuple[int, int, int]:
+    """(best welfare, worst equilibrium, worst stable transition) over every
+    colouring of a two-colour instance, in one bitmask sweep.
+
+    Bit i of a colouring picks node i's second menu colour; blocks of
+    colourings are swept as integer arrays.  Agreement is counted by colour
+    value, so menus may differ: agree[i][b] = (m0, m1) holds the neighbours
+    whose first, resp. second, colour is i's colour b, and the neighbours
+    sharing it are (m0 & ~col) | (m1 & col).  Stability follows
+    `check_stable_transition_fast` (the st_floor/ne_floor thresholds; a
+    helper holds another colour), equilibrium `is_ne_coloring` (i's own
+    colour is held by at least as many neighbours as its other one).  An
+    empty class reports 2|E| + 1.
+    """
+    n = inst.n_nodes
+    menus = inst.menus()
+    adj = inst.neighbors()
+    agree = [[tuple(sum(1 << j for j in adj[i] if menus[j][k] == menus[i][b])
+                    for k in (0, 1)) for b in (0, 1)] for i in range(n)]
+    adj_mask = [sum(1 << j for j in adj[i]) for i in range(n)]
+    best, worst_ne, worst_st = 0, 2 * len(inst.edges) + 1, 2 * len(inst.edges) + 1
+    for lo in range(0, 1 << n, _SWEEP_BLOCK):
+        col = np.arange(lo, min(lo + _SWEEP_BLOCK, 1 << n), dtype=np.int64)
+        sharing, same = [], []
+        ne = np.ones(col.shape, dtype=bool)
+        for i, ((a0, a1), (b0, b1)) in enumerate(agree):
+            bit = ((col >> i) & 1).astype(bool)
+            first, second = (a0 & ~col) | (a1 & col), (b0 & ~col) | (b1 & col)
+            sharing.append(np.where(bit, second, first))
+            same.append(np.bitwise_count(sharing[i]))
+            ne &= same[i] >= np.bitwise_count(np.where(bit, first, second))
+        deficient = sum((same[j] < ne_floor(len(adj[j]))).astype(np.int64) << j
+                        for j in range(n))
+        stable = np.ones(col.shape, dtype=bool)
+        for i in range(n):
+            floor_i = st_floor(len(adj[i]))
+            helped = (adj_mask[i] & ~sharing[i] & deficient) != 0
+            stable &= (same[i] > floor_i) | ((same[i] == floor_i) & helped)
+        welfare = np.sum(same, axis=0, dtype=np.int64)
+        best = max(best, int(welfare.max()))
+        worst_st = int(welfare.min(initial=worst_st, where=stable))
+        worst_ne = int(welfare.min(initial=worst_ne, where=stable & ne))
+    return best, worst_ne, worst_st
+
+
 def efficiency_bounds(inst: GraphColoringInstance, cap: int | None = None) -> dict:
     """Exhaustive anarchy bounds for two-colour coordination games.
 
     Monochromatic colourings are equilibria agreeing on every edge, so the
     optimum equals twice the edge count; the worst equilibrium keeps half of
-    it and the worst stable transition all but one agreement per node.
+    it and the worst stable transition all but one agreement per node.  The
+    colourings, at most `cap` (default `profile_cap()`), are swept once by
+    `_colouring_sweep`; nodes may have different two-colour menus.
     """
     limit = cap if cap is not None else profile_cap()
     if inst.num_colorings() > limit:
         raise TooLarge("too many colourings to enumerate")
     if not inst.edges:
         raise UndefinedPrice("edgeless graphs have zero optimal welfare")
-    menus = inst.menus()
-    if any(len(m) != 2 for m in menus):
+    if any(len(m) != 2 for m in inst.menus()):
         raise NotTwoColour("bounds are stated for two-colour instances")
 
     n, e = inst.n_nodes, len(inst.edges)
     max_sw = 2 * e
-    worst_ne = None
-    worst_st = None
-    best_sw = 0
-    for col in inst.colorings():
-        sw = social_welfare(inst, col)
-        best_sw = max(best_sw, sw)
-        if check_stable_transition_fast(inst, col):
-            worst_st = sw if worst_st is None else min(worst_st, sw)
-            if is_ne_coloring(inst, col):
-                worst_ne = sw if worst_ne is None else min(worst_ne, sw)
+    best_sw, worst_ne, worst_st = _colouring_sweep(inst)
     assert best_sw == max_sw  # monochromatic colourings attain it
 
     poa = F(worst_ne, max_sw)
@@ -430,71 +466,16 @@ def efficiency_bounds(inst: GraphColoringInstance, cap: int | None = None) -> di
 
 
 def audit_instance(inst: GraphColoringInstance) -> dict:
-    """One exhaustive bitmask sweep: bounds, floors, and violation lists.
-
-    Colourings are integers whose bit i picks node i's second colour; the
-    same-colour count per node is a popcount against the adjacency mask.
-    Produces the welfare extremes over equilibria and stable transitions
-    plus any floor violations, in a single pass over the 2^n colourings.
-    """
-    menus = inst.menus()
-    if any(len(m) != 2 for m in menus):
+    """`efficiency_bounds` capped at 24 nodes instead of by the profile cap,
+    without the node and edge counts; checks the menus first."""
+    if any(len(m) != 2 for m in inst.menus()):
         raise NotTwoColour("the audit sweep assumes two colours per node")
     if not inst.edges:
         raise UndefinedPrice("edgeless graphs have zero optimal welfare")
-    n = inst.n_nodes
-    if n > 24:
+    if inst.n_nodes > 24:
         raise TooLarge("audit sweep is capped at 24 nodes")
-    adj_list = inst.neighbors()
-    adj_mask = [0] * n
-    for u, v in inst.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    deg = [len(a) for a in adj_list]
-    st_floors = [st_floor(d) for d in deg]
-    ne_floors = [ne_floor(d) for d in deg]
-
-    worst_ne = None
-    worst_st = None
-    for col in range(1 << n):
-        same = [0] * n
-        for i in range(n):
-            ones_count = (adj_mask[i] & col).bit_count()
-            same[i] = ones_count if (col >> i) & 1 else deg[i] - ones_count
-        stable = True
-        for i in range(n):
-            if same[i] < st_floors[i]:
-                stable = False
-                break
-            if same[i] == st_floors[i]:
-                helped = False
-                for j in adj_list[i]:
-                    if ((col >> j) & 1) != ((col >> i) & 1) and same[j] < ne_floors[j]:
-                        helped = True
-                        break
-                if not helped:
-                    stable = False
-                    break
-        if not stable:
-            continue
-        sw = sum(same)
-        worst_st = sw if worst_st is None else min(worst_st, sw)
-        if all(same[i] >= ne_floors[i] for i in range(n)):
-            worst_ne = sw if worst_ne is None else min(worst_ne, sw)
-
-    e = len(inst.edges)
-    max_sw = 2 * e
-    poa = F(worst_ne, max_sw)
-    posta = F(worst_st, max_sw)
-    return {
-        "poa": poa,
-        "posta": posta,
-        "max_welfare": max_sw,
-        "poa_bound": F(1, 2),
-        "posta_bound": F(1, 2) - F(n, 2 * e),
-        "poa_holds": poa >= F(1, 2),
-        "posta_holds": posta >= F(1, 2) - F(n, 2 * e),
-    }
+    out = efficiency_bounds(inst, cap=1 << 24)
+    return {k: v for k, v in out.items() if k not in ("nodes", "edges")}
 
 
 def observation5_violations(inst: GraphColoringInstance) -> dict:
@@ -508,7 +489,7 @@ def observation5_violations(inst: GraphColoringInstance) -> dict:
     st_bad = []
     ne_bad = []
     for col in inst.colorings():
-        same = _same_counts(adj, col)
+        same = utilities(inst, col)
         if check_stable_transition_exact(inst, col, "strict"):
             if any(same[i] < st_floor(len(adj[i])) for i in range(inst.n_nodes)):
                 st_bad.append(col)

@@ -69,6 +69,7 @@ class PriceReport:
     m_pota: tuple[Value, ...]
     m_pots: tuple[Value, ...]
     optimum: Welfare
+    solutions_stable: bool  # every solution is itself a stable transition
     witnesses: dict = field(default_factory=dict, compare=False)
 
     def m_pota_at(self, m: int) -> Value:
@@ -84,7 +85,13 @@ class PriceReport:
         return self.pota >= self.poa and self.pots <= self.pos
 
     def chain_holds(self) -> bool:
-        """m-prices are monotone in m and stable prices sit inside."""
+        """m-prices are monotone in m and stable prices sit inside.
+
+        Stable transitions are transitions, so posta is never worse than
+        pota and posts never better than pots.  posta and posts lie between
+        the solution and transition prices only when every solution is a
+        stable transition, which an epsilon-equilibrium need not be.
+        """
         n = len(self.m_pota)
         anarchy_dir = (lambda a, b: a >= b) if self.convention == "max" else (
             lambda a, b: a <= b
@@ -94,6 +101,10 @@ class PriceReport:
                 return False
             if not anarchy_dir(self.m_pots[m], self.m_pots[m - 1]):
                 return False
+        if not (anarchy_dir(self.posta, self.pota) and anarchy_dir(self.pots, self.posts)):
+            return False
+        if not self.solutions_stable:
+            return True
         between = (
             min(self.pota, self.poa) <= self.posta <= max(self.pota, self.poa)
             and min(self.pos, self.pots) <= self.posts <= max(self.pos, self.pots)
@@ -179,6 +190,7 @@ def price_report(
         m_pota=tuple(m_pota),
         m_pots=tuple(m_pots),
         optimum=Welfare(opt, game.convention),
+        solutions_stable=set(D.members) <= set(stable),
         witnesses=wit,
     )
 

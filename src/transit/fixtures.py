@@ -173,7 +173,7 @@ def _routing_expectations(inst) -> dict:
         "pots": out["pots"],
         "equilibrium_cost": out["equilibrium_cost"],
     }
-    sb = stretch_bound(inst, tol=1e-10)
+    sb = stretch_bound(inst, prices=out)
     values["stretch_cap"] = sb["cap"]
     values["stretch_holds"] = bool(sb["holds"])
     return values

@@ -175,6 +175,12 @@ class RoutingInstance:
                     at = v
                 if at != c.sink:
                     raise ParseError(f"path {path} does not reach the sink")
+        incidence = np.zeros((sum(len(c.paths) for c in self.commodities), len(self.edges)))
+        for row, (i, p) in enumerate(self.all_paths):
+            for e in self.commodities[i].paths[p]:
+                incidence[row, e] += 1.0
+        incidence.flags.writeable = False
+        object.__setattr__(self, "_incidence", incidence)
 
     @property
     def all_paths(self) -> list[tuple[int, int]]:
@@ -184,15 +190,9 @@ class RoutingInstance:
         ]
 
     def path_edge_matrix(self) -> np.ndarray:
-        """0/1 incidence of paths (rows) on edges (columns)."""
-        rows = []
-        for i, c in enumerate(self.commodities):
-            for path in c.paths:
-                row = np.zeros(len(self.edges))
-                for e in path:
-                    row[e] += 1.0
-                rows.append(row)
-        return np.array(rows)
+        """0/1 incidence of paths (rows) on edges (columns), built once with
+        the instance and read-only."""
+        return self._incidence
 
     def total_demand(self) -> float:
         return sum(c.rate for c in self.commodities)
@@ -497,7 +497,9 @@ def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
 # -- stretch bound -------------------------------------------------------------
 
 
-def stretch_bound(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
+def stretch_bound(
+    inst: RoutingInstance, tol: float = DEFAULT_TOL, prices: dict | None = None
+) -> dict:
     """Per-commodity stretch values and the anarchy-ratio cap they imply.
 
     For commodity i with demand r_i, the stretch compares the longest path
@@ -505,7 +507,9 @@ def stretch_bound(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
     shortest path priced at the infimum cost under r_i / |paths_i|, over the
     multiset of the instance's edge cost functions.  The measured
     pota / poa never exceeds the largest stretch; when the infimum term is
-    zero the bound is infinite and the assertion is vacuous.
+    zero the bound is infinite and the assertion is vacuous.  `prices` is
+    the `transition_costs` result of `inst` when the caller already has it;
+    otherwise it is computed here with `tol`.
     """
     total = inst.total_demand()
     out_s = []
@@ -544,7 +548,8 @@ def stretch_bound(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
                 max(lens) * a_max / (min(lens) * a_min) * len(c.paths)
             )
 
-    prices = transition_costs(inst, tol)
+    if prices is None:
+        prices = transition_costs(inst, tol)
     cap = max(out_s)
     ratio = prices["pota"] / prices["poa"]
     return {

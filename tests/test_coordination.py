@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from transit import coordination
 from transit.coordination import (
     GraphColoringInstance,
     check_stable_transition_exact,
@@ -26,7 +27,13 @@ from transit.coordination import (
     star_graph,
     utilities,
 )
-from transit.errors import NotTwoColour, ParseError, TooLarge, TopologyMismatch
+from transit.errors import (
+    NotTwoColour,
+    ParseError,
+    TooLarge,
+    TopologyMismatch,
+    UndefinedPrice,
+)
 from transit.games import enumerate_pure_ne
 from transit.transitions import is_stable_transition
 
@@ -209,6 +216,62 @@ def test_efficiency_bounds_random_graphs():
         out = efficiency_bounds(inst)
         assert out["poa_holds"] and out["posta_holds"], inst.edges
         done += 1
+
+
+def _bounds_by_colouring(inst):
+    """efficiency_bounds recomputed one colouring at a time."""
+    welfare = [social_welfare(inst, col) for col in inst.colorings()]
+    stable = [check_stable_transition_fast(inst, col) for col in inst.colorings()]
+    ne = [s and is_ne_coloring(inst, col) for s, col in zip(stable, inst.colorings())]
+    n, e = inst.n_nodes, len(inst.edges)
+    assert max(welfare) == 2 * e
+    poa = F(min(w for w, ok in zip(welfare, ne) if ok), 2 * e)
+    posta = F(min(w for w, ok in zip(welfare, stable) if ok), 2 * e)
+    bound = F(1, 2) - F(n, 2 * e)
+    return {"nodes": n, "edges": e, "max_welfare": 2 * e, "poa": poa, "posta": posta,
+            "poa_bound": F(1, 2), "posta_bound": bound, "poa_holds": poa >= F(1, 2),
+            "posta_holds": posta >= bound}
+
+
+@pytest.mark.parametrize("block", [8, coordination._SWEEP_BLOCK])
+def test_efficiency_bounds_sweep_matches_colouring_by_colouring(monkeypatch, block):
+    # menus (1, 2), (2, 1) and (1, 3) all hold colour 1, so the optimum is
+    # 2|E|; differing menus make agreement depend on colour values; blocks
+    # of 8 colourings carry the extremes across blocks
+    monkeypatch.setattr(coordination, "_SWEEP_BLOCK", block)
+    rng = random.Random(404)
+    checked = {"default": 0, "reordered": 0, "differing": 0}
+    while sum(checked.values()) < 200:
+        inst = random_graph(rng, rng.randint(2, 8), p=rng.uniform(0.2, 0.9))
+        if not inst.edges:
+            continue
+        kind = rng.choice(sorted(checked))
+        pool = {"default": [(1, 2)], "reordered": [(1, 2), (2, 1)],
+                "differing": [(1, 2), (2, 1), (1, 3)]}[kind]
+        menus = None if kind == "default" else tuple(
+            rng.choice(pool) for _ in range(inst.n_nodes))
+        inst = GraphColoringInstance(inst.n_nodes, inst.edges, menus)
+        assert efficiency_bounds(inst) == _bounds_by_colouring(inst), (inst, kind)
+        checked[kind] += 1
+    assert min(checked.values()) > 50
+
+
+def test_efficiency_bounds_error_order():
+    edgeless_three = GraphColoringInstance(3, (), ((1, 2, 3),) * 3)
+    with pytest.raises(TooLarge):
+        efficiency_bounds(edgeless_three, cap=26)
+    with pytest.raises(UndefinedPrice):
+        efficiency_bounds(edgeless_three)
+    with pytest.raises(NotTwoColour):
+        efficiency_bounds(GraphColoringInstance(3, ((0, 1),), ((1, 2, 3),) * 3))
+    assert efficiency_bounds(cycle_graph(4), cap=16)["poa"] == F(1, 2)
+
+
+def test_neighbours_are_built_once():
+    inst = GraphColoringInstance(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
+    assert inst.neighbors() is inst.neighbors()
+    assert inst.neighbors() == ((1, 2), (0, 2), (1, 0, 3), (2,))
+    assert [inst.degree(i) for i in range(4)] == [2, 2, 3, 1]
 
 
 def test_observation5_holds_exhaustively():

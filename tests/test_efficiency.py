@@ -1,10 +1,12 @@
 """Price measures, tightest constants, condition-based bounds, smoothness."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from transit.cli import main
 from transit.errors import Infeasible, UndefinedPrice, WrongArity, WrongConvention
 from transit.efficiency import (
     check_bound_observations,
@@ -24,6 +26,7 @@ from transit.fixtures import (
     matrix6_game,
 )
 from transit.games import Game, SolutionSet, enumerate_pure_ne
+from transit.io import game_to_dict
 from transit import oracle
 
 F = Fraction
@@ -108,6 +111,26 @@ def test_observation1_and_chain_on_random_games():
         assert r.m_pota[0] == r.poa  # T(D, 1) = D
         assert r.m_pota[-1] == r.pota  # T(D, n) = T(D)
         checked += 1
+
+
+def test_chain_holds_when_epsilon_equilibria_are_not_stable(tmp_path):
+    # at eps = 2 the profile (1, 1) is an eps-equilibrium but no stable
+    # transition, and posta = 1 lies above poa = 8/17: the stable prices sit
+    # on the solutions' side of the transition prices, not between them
+    pay = {(0, 0): (9, 8), (0, 1): (3, 4), (1, 0): (4, 4), (1, 1): (1, 7)}
+    game = Game.from_function((2, 2), lambda s: tuple(F(v) for v in pay[s]))
+    D = enumerate_pure_ne(game, 2)
+    assert D.members == ((0, 0), (1, 1))
+    r = price_report(game, D)
+    ref = oracle.prices_for(game, D)
+    assert {k: v for k, v in r.as_dict().items() if k != "convention"} == ref
+    assert (r.poa, r.pota, r.posta) == (F(8, 17), F(7, 17), 1)
+    assert not r.solutions_stable
+    assert r.chain_holds()
+
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_to_dict(game)))
+    assert main(["prices", str(path), "--eps", "2"]) == 0
 
 
 def test_undefined_price_on_nonpositive_optimum():

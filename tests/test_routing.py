@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from transit import routing
+from transit.cli import main
 from transit.errors import BadParams, ParseError
+from transit.fixtures import REGISTRY
 from transit.routing import (
     Commodity,
     Flow,
@@ -203,6 +206,40 @@ def test_stretch_bound_fig2_and_trend():
         assert sb["holds"]
         gaps.append(sb["cap"] - sb["ratio"])
     assert gaps[1] < gaps[0]
+
+
+ROUTING_FIXTURES = [f for f in REGISTRY.values() if f.kind == "routing"]
+
+
+@pytest.mark.parametrize("fixture", ROUTING_FIXTURES, ids=lambda f: f.name)
+def test_stretch_bound_reuses_given_prices(fixture):
+    inst = fixture.build()
+    assert stretch_bound(inst, prices=transition_costs(inst)) == stretch_bound(inst)
+
+
+def test_routing_analyze_solves_the_equilibrium_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return equilibrium_flow(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "equilibrium_flow", counted)
+    assert main(["routing", "analyze", "fig2-4x2"]) == 0
+    assert len(calls) == 1
+
+
+def test_path_edge_matrix_is_cached_and_read_only():
+    inst = fig2_family(4, 2, 0.1)
+    # both commodities' first path is the shared edge 0, then private edges
+    fresh = np.zeros((8, 7))
+    for row, e in enumerate((0, 1, 2, 3, 0, 4, 5, 6)):
+        fresh[row, e] = 1.0
+    cached = inst.path_edge_matrix()
+    assert cached is inst.path_edge_matrix()
+    assert np.array_equal(cached, fresh)
+    with pytest.raises(ValueError):
+        cached[0, 0] = 2.0
 
 
 def test_stretch_linear_specialisation():
