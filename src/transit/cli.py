@@ -69,9 +69,7 @@ def cmd_prices(args) -> Report:
     report = Report("prices", {"game": args.game, "solutions": D.label},
                     provenance=provenance)
     report.results = rep.as_dict()
-    report.results["witnesses"] = {
-        k: list(v) for k, v in rep.witnesses.items() if v is not None
-    }
+    report.results["witnesses"] = {k: list(v) for k, v in rep.witnesses.items()}
     report.record(
         "transition-anarchy-ordering",
         rep.observation1_holds(),
@@ -312,10 +310,9 @@ def _theorem1(args) -> Report:
 def _theorem2(args) -> Report:
     n = args.n
     report = Report("theorem-2", {"n": n})
-    rows = []
-    for m in range(1, n + 1):
-        fam = verify_parallel_link_family(n, m)
-        rows.append(fam)
+    rows = verify_parallel_link_family(n)
+    for fam in rows:
+        m = fam["m"]
         report.record(f"degree-cap(m={m})", fam["cap_holds"],
                       "m-pota <= m * poa")
         report.record(

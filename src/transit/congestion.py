@@ -251,28 +251,36 @@ def parallel_link_m_pota(n: int, m: int) -> Fraction:
     return F(q * m * m + r * r, n)
 
 
-def verify_parallel_link_family(n: int, m: int) -> dict:
-    """Brute-force the parallel-link fixture and compare both closed forms."""
+def verify_parallel_link_family(n: int) -> list[dict]:
+    """Brute-force the parallel-link fixture and compare both closed forms.
+
+    One price report of the n-link game serves every m; the result holds one
+    row per m = 1..n.
+    """
     cg = parallel_links(n)
     game = congestion_to_game(cg, "min")
     D = enumerate_pure_ne(game)
     report = price_report(game, D)
-    measured = report.m_pota_at(m)
-    claimed = parallel_link_m_pota_claimed(n, m)
-    verified = parallel_link_m_pota(n, m)
-    return {
-        "n": n,
-        "m": m,
-        "poa": report.poa,
-        "m_pota": measured,
-        "claimed_value": claimed,
-        "claimed_matches": measured == claimed,
-        "verified_value": verified,
-        "verified_matches": measured == verified,
-        "cap": m * report.poa,
-        "cap_holds": measured <= m * report.poa,
-        "tight_at_n": report.m_pota_at(n) == n * report.poa,
-    }
+    tight_at_n = report.m_pota_at(n) == n * report.poa
+    rows = []
+    for m in range(1, n + 1):
+        measured = report.m_pota_at(m)
+        claimed = parallel_link_m_pota_claimed(n, m)
+        verified = parallel_link_m_pota(n, m)
+        rows.append({
+            "n": n,
+            "m": m,
+            "poa": report.poa,
+            "m_pota": measured,
+            "claimed_value": claimed,
+            "claimed_matches": measured == claimed,
+            "verified_value": verified,
+            "verified_matches": measured == verified,
+            "cap": m * report.poa,
+            "cap_holds": measured <= m * report.poa,
+            "tight_at_n": tight_at_n,
+        })
+    return rows
 
 
 def has_monotone_costs(cg: CongestionGame) -> bool:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     NotTwoColour,
     ParseError,
+    PreconditionFailed,
     TooLarge,
     TopologyMismatch,
     UndefinedPrice,
@@ -429,11 +430,13 @@ def _colouring_sweep(inst: GraphColoringInstance) -> tuple[int, int, int]:
 def efficiency_bounds(inst: GraphColoringInstance, cap: int | None = None) -> dict:
     """Exhaustive anarchy bounds for two-colour coordination games.
 
-    Monochromatic colourings are equilibria agreeing on every edge, so the
-    optimum equals twice the edge count; the worst equilibrium keeps half of
-    it and the worst stable transition all but one agreement per node.  The
-    colourings, at most `cap` (default `profile_cap()`), are swept once by
-    `_colouring_sweep`; nodes may have different two-colour menus.
+    The bounds assume a colouring that agrees on every edge (a monochromatic
+    one when every menu holds a shared colour), so that the optimum equals
+    twice the edge count; PreconditionFailed is raised when none exists.
+    The worst equilibrium keeps half of it and the worst stable transition
+    all but one agreement per node.  The colourings, at most `cap` (default
+    `profile_cap()`), are swept once by `_colouring_sweep`; nodes may have
+    different two-colour menus.
     """
     limit = cap if cap is not None else profile_cap()
     if inst.num_colorings() > limit:
@@ -446,7 +449,10 @@ def efficiency_bounds(inst: GraphColoringInstance, cap: int | None = None) -> di
     n, e = inst.n_nodes, len(inst.edges)
     max_sw = 2 * e
     best_sw, worst_ne, worst_st = _colouring_sweep(inst)
-    assert best_sw == max_sw  # monochromatic colourings attain it
+    if best_sw != max_sw:
+        raise PreconditionFailed(
+            "no colouring agrees on every edge, so the optimum is not 2|E|"
+        )
 
     poa = F(worst_ne, max_sw)
     posta = F(worst_st, max_sw)

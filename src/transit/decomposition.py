@@ -30,7 +30,8 @@ def exact_potential_fourcycle(game: Game, witness: bool = False):
 
     A game admits an exact potential iff around every cycle
     s -> (x_i') -> (x_i', x_j') -> (x_j') -> s of two players' unilateral
-    deviations, the deviators' utility changes sum to zero.
+    deviations, the deviators' utility changes sum to zero.  Payoffs are
+    exact rationals, so the test compares with zero exactly.
     """
     n = game.n
     for i, j in itertools.combinations(range(n), 2):
@@ -54,8 +55,7 @@ def exact_potential_fourcycle(game: Game, witness: bool = False):
                         + (game.payoffs[d][i] - game.payoffs[c][i])
                         + (game.payoffs[a][j] - game.payoffs[d][j])
                     )
-                    bad = total != 0 if game.exact else abs(total) > game.tol
-                    if bad:
+                    if total != 0:
                         return (False, (a, b, c, d)) if witness else False
     return (True, None) if witness else True
 
@@ -65,8 +65,8 @@ class DecompositionCertificate:
     """A game, a candidate potential part, and an optional claimed alpha.
 
     Invariants (checked by validate): both games share shape and convention,
-    the residual utilities sum to zero at every profile, and the potential
-    part passes the exact-potential four-cycle test.
+    the residual utilities sum to exactly zero at every profile, and the
+    potential part passes the exact-potential four-cycle test.
     """
 
     game: Game
@@ -81,8 +81,7 @@ class DecompositionCertificate:
             raise CertificateInvalid("certificates are utility-maximisation only")
         for s in g.profiles():
             residual = sum(g.payoffs[s][i] - p.payoffs[s][i] for i in range(g.n))
-            bad = residual != 0 if g.exact else abs(residual) > g.tol
-            if bad:
+            if residual != 0:
                 raise CertificateInvalid(
                     f"residual is not zero-sum at {s}: sums to {residual}"
                 )
@@ -98,32 +97,23 @@ class DecompositionCertificate:
         )
 
 
-def _min_abs_sw(game: Game, profiles) -> Fraction | None:
+def _abs_sw(game: Game, profiles, extreme) -> Fraction | None:
+    """`extreme` (min or max) of |sw| over the profiles; None when empty."""
     vals = [abs(sum(game.payoffs[s])) for s in profiles]
-    return min(vals) if vals else None
+    return extreme(vals) if vals else None
 
 
-def _max_abs_sw(game: Game, profiles) -> Fraction | None:
-    vals = [abs(sum(game.payoffs[s])) for s in profiles]
-    return max(vals) if vals else None
+def _tight_alpha(loose, strict):
+    """Transfer factor between matching extremes of |sw|.
 
-
-def _tight_alpha_lower(loose_min, strict_min):
-    """Largest a with: every loose profile has a strict one within factor a.
-
-    Works out to min|sw| over the loose set divided by min|sw| over the
-    strict set; None when the strict minimum is zero and the loose one is
-    not (no finite factor exists).
+    The extreme over the loose set divided by the same extreme over the
+    strict set: min over min gives the anarchy factor, max over max the
+    stability factor.  1 when both are zero; None when only the strict
+    extreme is zero (no finite factor exists).
     """
-    if strict_min == 0:
-        return F(1) if loose_min == 0 else None
-    return loose_min / strict_min
-
-
-def _tight_alpha_upper(loose_max, strict_max):
-    if strict_max == 0:
-        return F(1) if loose_max == 0 else None
-    return loose_max / strict_max
+    if strict == 0:
+        return F(1) if loose == 0 else None
+    return loose / strict
 
 
 def verify_decomposition_bounds(
@@ -167,17 +157,15 @@ def verify_decomposition_bounds(
     exact_m = [t for t, d in degs_exact.items() if d <= m]
 
     searched = {
-        "alpha_ne": _tight_alpha_lower(
-            _min_abs_sw(P, loose_p.members), _min_abs_sw(P, ne_p.members)
+        "alpha_ne": _tight_alpha(
+            _abs_sw(P, loose_p.members, min), _abs_sw(P, ne_p.members, min)
         ),
-        "alpha_ne_upper": _tight_alpha_upper(
-            _max_abs_sw(P, loose_p.members), _max_abs_sw(P, ne_p.members)
+        "alpha_ne_upper": _tight_alpha(
+            _abs_sw(P, loose_p.members, max), _abs_sw(P, ne_p.members, max)
         ),
-        "alpha_m": _tight_alpha_lower(
-            _min_abs_sw(P, loose_m), _min_abs_sw(P, exact_m)
-        ),
-        "alpha_m_upper": _tight_alpha_upper(
-            _max_abs_sw(P, loose_m), _max_abs_sw(P, exact_m)
+        "alpha_m": _tight_alpha(_abs_sw(P, loose_m, min), _abs_sw(P, exact_m, min)),
+        "alpha_m_upper": _tight_alpha(
+            _abs_sw(P, loose_m, max), _abs_sw(P, exact_m, max)
         ),
     }
     if alpha_mode == "given":

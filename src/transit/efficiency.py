@@ -13,39 +13,26 @@ condition and an extensive smoothness certificate round out the toolkit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import Infeasible, UndefinedPrice, WrongArity, WrongConvention
-from .games import Game, Profile, SolutionSet, Value, Welfare, enumerate_pure_ne
+from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne
 from .transitions import degree_map, is_stable_transition
 
 ONE = Fraction(1)
 
 
-def _sw(game: Game, s: Profile) -> Value:
+def _sw(game: Game, s: Profile) -> Fraction:
     return sum(game.payoffs[s])
 
 
-def _argmin(game: Game, profiles) -> tuple[Profile, Value]:
-    best = None
-    arg = None
-    for s in profiles:
-        v = _sw(game, s)
-        if best is None or v < best:
-            best, arg = v, s
-    return arg, best
-
-
-def _argmax(game: Game, profiles) -> tuple[Profile, Value]:
-    best = None
-    arg = None
-    for s in profiles:
-        v = _sw(game, s)
-        if best is None or v > best:
-            best, arg = v, s
-    return arg, best
+def _extreme(game: Game, profiles, pick) -> tuple[Profile, Fraction]:
+    """First profile of least (pick=min) or greatest (pick=max) welfare."""
+    arg = pick(profiles, key=lambda s: _sw(game, s))
+    return arg, _sw(game, arg)
 
 
 @dataclass(frozen=True)
@@ -60,22 +47,22 @@ class PriceReport:
     """
 
     convention: str
-    poa: Value
-    pos: Value
-    pota: Value
-    pots: Value
-    posta: Value
-    posts: Value
-    m_pota: tuple[Value, ...]
-    m_pots: tuple[Value, ...]
+    poa: Fraction
+    pos: Fraction
+    pota: Fraction
+    pots: Fraction
+    posta: Fraction
+    posts: Fraction
+    m_pota: tuple[Fraction, ...]
+    m_pots: tuple[Fraction, ...]
     optimum: Welfare
     solutions_stable: bool  # every solution is itself a stable transition
     witnesses: dict = field(default_factory=dict, compare=False)
 
-    def m_pota_at(self, m: int) -> Value:
+    def m_pota_at(self, m: int) -> Fraction:
         return self.m_pota[min(m, len(self.m_pota)) - 1]
 
-    def m_pots_at(self, m: int) -> Value:
+    def m_pots_at(self, m: int) -> Fraction:
         return self.m_pots[min(m, len(self.m_pots)) - 1]
 
     def observation1_holds(self) -> bool:
@@ -132,36 +119,34 @@ def price_report(
     """Exhaustively compute every price of D over its game.
 
     Raises UndefinedPrice when the denominator (best welfare, or least cost)
-    is not strictly positive; ratios are never silently clamped.
+    is not strictly positive, or when no transition is stable so that posta
+    and posts extremise over nothing; ratios are never silently clamped.
     """
     D.require_nonempty()
     if D.game is not game:
         D = SolutionSet(game, D.members, D.label)
 
-    all_profiles = list(game.profiles())
     if game.convention == "max":
-        opt_arg, opt = _argmax(game, all_profiles)
-        if opt <= 0:
-            raise UndefinedPrice(
-                f"maximum social welfare is {opt}; prices are undefined"
-            )
-        anarchy_of = _argmin
-        stability_of = _argmax
+        anarchy_of, stability_of, opt_name = min, max, "maximum social welfare"
     else:
-        opt_arg, opt = _argmin(game, all_profiles)
-        if opt <= 0:
-            raise UndefinedPrice(f"minimum social cost is {opt}; prices are undefined")
-        anarchy_of = _argmax
-        stability_of = _argmin
+        anarchy_of, stability_of, opt_name = max, min, "minimum social cost"
+    opt_arg, opt = _extreme(game, game.profiles(), stability_of)
+    if opt <= 0:
+        raise UndefinedPrice(f"{opt_name} is {opt}; prices are undefined")
 
     degs = degree_map(D)
     trans = sorted(degs)
     stable = [t for t in trans if is_stable_transition(D, t, stable_variant)]
+    if not stable:
+        raise UndefinedPrice(
+            f"solution set {D.label!r} has no {stable_variant} stable transition; "
+            "posta and posts are undefined"
+        )
 
     wit: dict = {"optimum": opt_arg}
 
-    def price(profiles, extremiser, key):
-        arg, val = extremiser(game, profiles)
+    def price(profiles, pick, key):
+        arg, val = _extreme(game, profiles, pick)
         wit[key] = arg
         return val / opt
 
@@ -198,20 +183,15 @@ def price_report(
 # -- tightest regularity constants -----------------------------------------
 
 
-def _tightest(num: Value, den: Value) -> Value | None:
+def _tightest(num: Fraction, den: Fraction) -> Fraction | None:
     """Smallest constant a >= 1 with den >= num / a (equivalently num <= a*den).
 
     A 0/0 constraint binds nothing and yields 1; a positive numerator over a
     nonpositive denominator admits no finite constant and yields None.
     """
     if den > 0:
-        r = num / den
-        if r >= 1:
-            return r
-        return ONE if isinstance(r, Fraction) else 1.0
-    if num <= 0:
-        return ONE if isinstance(num, Fraction) else 1.0
-    return None
+        return max(num / den, ONE)
+    return ONE if num <= 0 else None
 
 
 @dataclass(frozen=True)
@@ -227,15 +207,15 @@ class CoordinationDependence:
     required denominator).
     """
 
-    alpha_lower: tuple[Value | None, ...]
-    alpha_upper: tuple[Value | None, ...]
-    beta: tuple[Value | None, ...]
-    sw_alpha_lower: Value | None
-    sw_alpha_upper: Value | None
-    sw_degree_alpha_lower: tuple[Value | None, ...]
-    sw_degree_alpha_upper: tuple[Value | None, ...]
-    player_degree_alpha_lower: tuple[tuple[Value | None, ...], ...]
-    player_degree_alpha_upper: tuple[tuple[Value | None, ...], ...]
+    alpha_lower: tuple[Fraction | None, ...]
+    alpha_upper: tuple[Fraction | None, ...]
+    beta: tuple[Fraction | None, ...]
+    sw_alpha_lower: Fraction | None
+    sw_alpha_upper: Fraction | None
+    sw_degree_alpha_lower: tuple[Fraction | None, ...]
+    sw_degree_alpha_upper: tuple[Fraction | None, ...]
+    player_degree_alpha_lower: tuple[tuple[Fraction | None, ...], ...]
+    player_degree_alpha_upper: tuple[tuple[Fraction | None, ...], ...]
     witnesses: dict = field(default_factory=dict, compare=False)
 
 
@@ -269,7 +249,7 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
 
         # beta: for every welfare-ordered pair (s, t) in D x D we need
         # u_i(s) >= u_i(t) / beta; only pairs with u_i(t) > 0 constrain beta.
-        b: Value | None = ONE if game.exact else 1.0
+        b: Fraction | None = ONE
         for s, t in itertools.product(D.members, repeat=2):
             if _sw(game, s) >= _sw(game, t) and u(t) > 0:
                 cand = _tightest(u(t), u(s))
@@ -325,7 +305,7 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
     )
 
 
-def _beta_verifies(game: Game, D: SolutionSet, i: int, b: Value) -> bool:
+def _beta_verifies(game: Game, D: SolutionSet, i: int, b: Fraction) -> bool:
     """Confirm the variation bound with the candidate constant.
 
     Needed because negative utilities turn some pair constraints into upper
@@ -350,10 +330,10 @@ class BoundRow:
     anchor: str
     constants: dict
     inequality: str
-    lhs: Value | None
-    rhs: Value | None
+    lhs: Fraction | None
+    rhs: Fraction | None
     holds: bool | None
-    slack: Value | None
+    slack: Fraction | None
     skipped: str | None = None
 
     def as_dict(self) -> dict:
@@ -385,6 +365,71 @@ def _skip(name, anchor, reason) -> BoundRow:
     return BoundRow(name, anchor, {}, "", None, None, None, None, skipped=reason)
 
 
+@dataclass(frozen=True)
+class _BoundFamily:
+    """A pair of bound rows, anarchy then stability, built alike.
+
+    Index 0 of each pair is the anarchy side, asserting pota >= poa / K;
+    index 1 the stability side, asserting pots <= K * pos.  `constants`
+    names the CoordinationDependence field that holds the alphas of each
+    side.  K is the product of the alphas, times beta when `per_player`,
+    where an alpha is then the largest over players.  A `per_degree` family
+    has a row pair per m = 2..n that telescopes the first m - 1 degree
+    constants and compares m_pota, m_pots instead.  `skip` is the reason a
+    row is skipped when a constant it needs is undefined; without one the
+    row keeps its undefined constant and reads "constant undefined".
+    """
+
+    names: tuple[str, str]
+    anchor: str
+    inequalities: tuple[str, str]
+    constants: tuple[str, str]
+    per_degree: bool
+    per_player: bool
+    skip: str | None
+
+
+_BOUND_FAMILIES = (
+    _BoundFamily(
+        ("welfare-lower-dependence-anarchy", "welfare-upper-dependence-stability"),
+        "welfare-coordination-bound",
+        ("pota >= poa / alpha", "pots <= alpha * pos"),
+        ("sw_alpha_lower", "sw_alpha_upper"),
+        per_degree=False,
+        per_player=False,
+        skip=None,
+    ),
+    _BoundFamily(
+        ("welfare-degree-anarchy", "welfare-degree-stability"),
+        "degree-coordination-bound",
+        ("m_pota >= poa / prod(alpha_i)", "m_pots <= prod(alpha_i) * pos"),
+        ("sw_degree_alpha_lower", "sw_degree_alpha_upper"),
+        per_degree=True,
+        per_player=False,
+        skip="a per-degree constant is undefined",
+    ),
+    _BoundFamily(
+        ("player-dependence-anarchy", "player-dependence-stability"),
+        "player-coordination-bound",
+        ("pota >= poa / (alpha * beta)", "pots <= alpha * beta * pos"),
+        ("alpha_lower", "alpha_upper"),
+        per_degree=False,
+        per_player=True,
+        skip="a per-player constant is undefined",
+    ),
+    _BoundFamily(
+        ("player-degree-anarchy", "player-degree-stability"),
+        "player-degree-bound",
+        ("m_pota >= poa / (prod(alpha_i) * beta)",
+         "m_pots <= prod(alpha_i) * beta * pos"),
+        ("player_degree_alpha_lower", "player_degree_alpha_upper"),
+        per_degree=True,
+        per_player=True,
+        skip="a constant is undefined",
+    ),
+)
+
+
 def check_bound_observations(game: Game, D: SolutionSet) -> list[BoundRow]:
     """Instantiate the welfare- and utility-level bounds with tightest constants.
 
@@ -403,182 +448,39 @@ def check_bound_observations(game: Game, D: SolutionSet) -> list[BoundRow]:
         ]
     report = price_report(game, D)
     dep = coordination_dependence(game, D)
-    n = game.n
+    beta_undefined = any(v is None for v in dep.beta)
     rows: list[BoundRow] = []
-
-    # welfare-level dependence: anarchy never drops by more than the factor.
-    a = dep.sw_alpha_lower
-    rows.append(
-        _row(
-            "welfare-lower-dependence-anarchy",
-            "welfare-coordination-bound",
-            {"alpha": a},
-            "pota >= poa / alpha",
-            report.pota,
-            None if a is None else report.poa / a,
-        )
-    )
-    a_up = dep.sw_alpha_upper
-    rows.append(
-        _row(
-            "welfare-upper-dependence-stability",
-            "welfare-coordination-bound",
-            {"alpha": a_up},
-            "pots <= alpha * pos",
-            report.pots,
-            None if a_up is None else a_up * report.pos,
-            ge=False,
-        )
-    )
-
-    # welfare-level dependence on the transition degree, telescoped.
-    for m in range(2, n + 1):
-        chain = dep.sw_degree_alpha_lower[: m - 1]
-        if any(c is None for c in chain):
-            rows.append(
-                _skip(
-                    f"welfare-degree-anarchy(m={m})",
-                    "degree-coordination-bound",
-                    "a per-degree constant is undefined",
+    for fam in _BOUND_FAMILIES:
+        for m in range(2, game.n + 1) if fam.per_degree else (None,):
+            for side in (0, 1):
+                name = fam.names[side] if m is None else f"{fam.names[side]}(m={m})"
+                value = getattr(dep, fam.constants[side])
+                stages = value[: m - 1] if fam.per_degree else (value,)
+                if not fam.per_player:
+                    stages = tuple((c,) for c in stages)
+                if fam.skip and (
+                    any(c is None for stage in stages for c in stage)
+                    or (fam.per_player and beta_undefined)
+                ):
+                    rows.append(_skip(name, fam.anchor, fam.skip))
+                    continue
+                alphas = tuple(max(stage) for stage in stages)
+                constants = {"alphas": alphas} if fam.per_degree else {"alpha": alphas[0]}
+                factors = list(alphas)
+                if fam.per_player:
+                    constants["beta"] = max(dep.beta)
+                    factors.append(constants["beta"])
+                k = None if any(c is None for c in factors) else math.prod(factors)
+                if side == 0:
+                    lhs = report.pota if m is None else report.m_pota_at(m)
+                    rhs = None if k is None else report.poa / k
+                else:
+                    lhs = report.pots if m is None else report.m_pots_at(m)
+                    rhs = None if k is None else k * report.pos
+                rows.append(
+                    _row(name, fam.anchor, constants, fam.inequalities[side], lhs, rhs,
+                         ge=side == 0)
                 )
-            )
-        else:
-            prod = ONE
-            for c in chain:
-                prod *= c
-            rows.append(
-                _row(
-                    f"welfare-degree-anarchy(m={m})",
-                    "degree-coordination-bound",
-                    {"alphas": tuple(chain)},
-                    "m_pota >= poa / prod(alpha_i)",
-                    report.m_pota_at(m),
-                    report.poa / prod,
-                )
-            )
-        chain_up = dep.sw_degree_alpha_upper[: m - 1]
-        if any(c is None for c in chain_up):
-            rows.append(
-                _skip(
-                    f"welfare-degree-stability(m={m})",
-                    "degree-coordination-bound",
-                    "a per-degree constant is undefined",
-                )
-            )
-        else:
-            prod = ONE
-            for c in chain_up:
-                prod *= c
-            rows.append(
-                _row(
-                    f"welfare-degree-stability(m={m})",
-                    "degree-coordination-bound",
-                    {"alphas": tuple(chain_up)},
-                    "m_pots <= prod(alpha_i) * pos",
-                    report.m_pots_at(m),
-                    prod * report.pos,
-                    ge=False,
-                )
-            )
-
-    # per-player dependence + variation.
-    if any(v is None for v in dep.alpha_lower) or any(v is None for v in dep.beta):
-        rows.append(
-            _skip(
-                "player-dependence-anarchy",
-                "player-coordination-bound",
-                "a per-player constant is undefined",
-            )
-        )
-    else:
-        alpha = max(dep.alpha_lower)
-        bet = max(dep.beta)
-        rows.append(
-            _row(
-                "player-dependence-anarchy",
-                "player-coordination-bound",
-                {"alpha": alpha, "beta": bet},
-                "pota >= poa / (alpha * beta)",
-                report.pota,
-                report.poa / (alpha * bet),
-            )
-        )
-    if any(v is None for v in dep.alpha_upper) or any(v is None for v in dep.beta):
-        rows.append(
-            _skip(
-                "player-dependence-stability",
-                "player-coordination-bound",
-                "a per-player constant is undefined",
-            )
-        )
-    else:
-        alpha = max(dep.alpha_upper)
-        bet = max(dep.beta)
-        rows.append(
-            _row(
-                "player-dependence-stability",
-                "player-coordination-bound",
-                {"alpha": alpha, "beta": bet},
-                "pots <= alpha * beta * pos",
-                report.pots,
-                alpha * bet * report.pos,
-                ge=False,
-            )
-        )
-
-    # per-player dependence on the transition degree.
-    for m in range(2, n + 1):
-        stages = dep.player_degree_alpha_lower[: m - 1]
-        flat = [c for row_ in stages for c in row_]
-        if any(c is None for c in flat) or any(v is None for v in dep.beta):
-            rows.append(
-                _skip(
-                    f"player-degree-anarchy(m={m})",
-                    "player-degree-bound",
-                    "a constant is undefined",
-                )
-            )
-        else:
-            prod = ONE
-            for row_ in stages:
-                prod *= max(row_)
-            bet = max(dep.beta)
-            rows.append(
-                _row(
-                    f"player-degree-anarchy(m={m})",
-                    "player-degree-bound",
-                    {"alphas": tuple(max(r) for r in stages), "beta": bet},
-                    "m_pota >= poa / (prod(alpha_i) * beta)",
-                    report.m_pota_at(m),
-                    report.poa / (prod * bet),
-                )
-            )
-        stages_up = dep.player_degree_alpha_upper[: m - 1]
-        flat_up = [c for row_ in stages_up for c in row_]
-        if any(c is None for c in flat_up) or any(v is None for v in dep.beta):
-            rows.append(
-                _skip(
-                    f"player-degree-stability(m={m})",
-                    "player-degree-bound",
-                    "a constant is undefined",
-                )
-            )
-        else:
-            prod = ONE
-            for row_ in stages_up:
-                prod *= max(row_)
-            bet = max(dep.beta)
-            rows.append(
-                _row(
-                    f"player-degree-stability(m={m})",
-                    "player-degree-bound",
-                    {"alphas": tuple(max(r) for r in stages_up), "beta": bet},
-                    "m_pots <= prod(alpha_i) * beta * pos",
-                    report.m_pots_at(m),
-                    prod * bet * report.pos,
-                    ge=False,
-                )
-            )
     return rows
 
 
@@ -618,18 +520,18 @@ def default_lambda_grid() -> list[Fraction]:
 
 @dataclass(frozen=True)
 class SmoothnessResult:
-    alpha: Value
-    beta: Value
-    grid: tuple[tuple[Value, Value, Value], ...]  # (lambda, mu, bound)
-    best_bound: Value
-    pota: Value
+    alpha: Fraction
+    beta: Fraction
+    grid: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (lambda, mu, bound)
+    best_bound: Fraction
+    pota: Fraction
     holds: bool
 
 
 def extensive_smoothness(
     game: Game,
     D: SolutionSet | None = None,
-    lambda_grid: Sequence[Value] | None = None,
+    lambda_grid: Sequence[Fraction] | None = None,
 ) -> SmoothnessResult:
     """Best certified lower bound on the transition price of anarchy.
 
@@ -695,18 +597,17 @@ def extensive_smoothness(
         raise Infeasible("no (lambda, mu) pair with mu >= 0 is feasible on the grid")
 
     pota = min(sw(t) for t in trans) / opt
-    tol = 0 if game.exact else game.tol
     return SmoothnessResult(
         alpha=alpha,
         beta=beta,
         grid=tuple(rows),
         best_bound=best,
         pota=pota,
-        holds=best <= pota + tol,
+        holds=best <= pota,
     )
 
 
-def _ratio_floor(pairs) -> Value:
+def _ratio_floor(pairs) -> Fraction:
     """Largest a with num >= a * den for all pairs (positive denominators).
 
     Zero denominators with nonnegative numerators bind nothing; a negative
@@ -716,13 +617,13 @@ def _ratio_floor(pairs) -> Value:
     lo = None
     for num, den in pairs:
         if den > 0:
-            r = Fraction(num) / Fraction(den) if isinstance(den, (int, Fraction)) else num / den
+            r = num / den
             hi = r if hi is None else min(hi, r)
         elif den == 0:
             if num < 0:
                 raise Infeasible("smoothness constant infeasible: u >= a*0 fails")
         else:
-            r = Fraction(num) / Fraction(den) if isinstance(den, (int, Fraction)) else num / den
+            r = num / den
             lo = r if lo is None else max(lo, r)
     if hi is None:
         raise Infeasible("no positive-denominator ratio to pin the constant")
@@ -731,7 +632,7 @@ def _ratio_floor(pairs) -> Value:
     return hi
 
 
-def _min_mu(game: Game, optima, trans, lam) -> Value | None:
+def _min_mu(game: Game, optima, trans, lam) -> Fraction | None:
     """Least mu >= 0 with sum_i u_i(s*_i, t_{-i}) >= lam*sw(s*) - mu*sw(t)."""
     lo = None
     hi = None
@@ -753,9 +654,7 @@ def _min_mu(game: Game, optima, trans, lam) -> Value | None:
             else:
                 r = need / sw_t
                 hi = r if hi is None else min(hi, r)
-    mu = lo if lo is not None else (Fraction(0) if game.exact else 0.0)
-    if mu < 0:
-        mu = Fraction(0) if game.exact else 0.0
+    mu = Fraction(0) if lo is None or lo < 0 else lo
     if hi is not None and mu > hi:
         return None
     return mu
@@ -773,13 +672,12 @@ def verify_identical_utility(game: Game) -> dict:
         raise NotIdenticalUtility("players' payoff vectors differ")
     D = enumerate_pure_ne(game)
     report = price_report(game, D)
-    one = Fraction(1) if game.exact else 1.0
     return {
         "pos": report.pos,
         "pots": report.pots,
         "poa": report.poa,
         "pota": report.pota,
         "posta": report.posta,
-        "holds": report.pos == one and report.pots == one,
+        "holds": report.pos == ONE and report.pots == ONE,
         "prices": report.as_dict(),
     }

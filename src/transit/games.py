@@ -1,9 +1,8 @@
 """Finite strategic-form games.
 
 Games are stored as dense payoff maps over the full profile space.  Payoffs
-are exact `Fraction`s by default so that equilibrium ties and epsilon
-comparisons are decided exactly; an optional float mode compares with an
-absolute tolerance instead.  Both utility-maximisation ("max") and
+are exact `Fraction`s, so equilibrium ties and epsilon comparisons are
+decided exactly.  Both utility-maximisation ("max") and
 cost-minimisation ("min") games are represented natively and every consumer
 dispatches on the convention rather than negating payoffs.
 """
@@ -20,10 +19,8 @@ from typing import Iterator, Mapping, Sequence
 from .errors import EmptySolutionSet, ParseError, TooLarge
 
 Profile = tuple[int, ...]
-Value = Fraction | float
 
 DEFAULT_PROFILE_CAP = 10_000_000
-DEFAULT_FLOAT_TOL = 1e-9
 
 
 def profile_cap() -> int:
@@ -63,18 +60,15 @@ class Game:
 
     players:    ordered player names.
     strategies: per-player ordered strategy names.
-    payoffs:    full profile (tuple of strategy indices) -> per-player values.
+    payoffs:    full profile (tuple of strategy indices) -> per-player
+                exact rational values.
     convention: "max" for utility maximisation, "min" for cost minimisation.
-    exact:      True when payoffs are Fractions and comparisons are exact.
-    tol:        absolute comparison tolerance in float mode.
     """
 
     players: tuple[str, ...]
     strategies: tuple[tuple[str, ...], ...]
-    payoffs: Mapping[Profile, tuple[Value, ...]]
+    payoffs: Mapping[Profile, tuple[Fraction, ...]]
     convention: str = "max"
-    exact: bool = True
-    tol: float = DEFAULT_FLOAT_TOL
 
     def __post_init__(self) -> None:
         if len(self.players) < 1:
@@ -132,22 +126,19 @@ class Game:
 
     # -- payoffs ----------------------------------------------------------
 
-    def payoff(self, s: Sequence[int]) -> tuple[Value, ...]:
+    def payoff(self, s: Sequence[int]) -> tuple[Fraction, ...]:
         return self.payoffs[tuple(s)]
 
-    def utility(self, player: int, s: Sequence[int]) -> Value:
+    def utility(self, player: int, s: Sequence[int]) -> Fraction:
         return self.payoffs[tuple(s)][player]
 
-    def signed_utility(self, player: int, s: Sequence[int]) -> Value:
+    def signed_utility(self, player: int, s: Sequence[int]) -> Fraction:
         """Payoff oriented so that larger is always better for the player."""
         v = self.payoffs[tuple(s)][player]
         return v if self.convention == "max" else -v
 
-    def zero(self) -> Value:
-        return Fraction(0) if self.exact else 0.0
-
-    def epsilon_value(self, epsilon: object) -> Value:
-        eps = as_exact(epsilon) if self.exact else float(epsilon)  # type: ignore[arg-type]
+    def epsilon_value(self, epsilon: object) -> Fraction:
+        eps = as_exact(epsilon)
         if eps < 0:
             raise ParseError("epsilon must be nonnegative")
         return eps
@@ -160,10 +151,8 @@ class Game:
         shape: Sequence[int],
         func,
         convention: str = "max",
-        exact: bool = True,
         players: Sequence[str] | None = None,
         strategies: Sequence[Sequence[str]] | None = None,
-        tol: float = DEFAULT_FLOAT_TOL,
     ) -> "Game":
         """Build a dense game from func(profile) -> per-player values."""
         n = len(shape)
@@ -173,18 +162,17 @@ class Game:
             if strategies
             else tuple(tuple(str(j) for j in range(k)) for k in shape)
         )
-        conv = as_exact if exact else float
         table = {}
         for s in itertools.product(*(range(k) for k in shape)):
-            table[s] = tuple(conv(v) for v in func(s))
-        return cls(names, strats, table, convention, exact, tol)
+            table[s] = tuple(as_exact(v) for v in func(s))
+        return cls(names, strats, table, convention)
 
 
 @dataclass(frozen=True)
 class Welfare:
     """Total payoff of a profile under the game's convention."""
 
-    value: Value
+    value: Fraction
     convention: str
 
 
@@ -247,12 +235,10 @@ def best_responses(
         base[player] = x
         values.append(game.signed_utility(player, base))
     best = max(values)
-    if game.exact:
-        return {x for x, v in enumerate(values) if v == best}
-    return {x for x, v in enumerate(values) if v >= best - game.tol}
+    return {x for x, v in enumerate(values) if v == best}
 
 
-def _max_gain(game: Game, s: Profile, player: int) -> Value:
+def _max_gain(game: Game, s: Profile, player: int) -> Fraction:
     """Largest signed improvement `player` can get by deviating from s."""
     current = game.signed_utility(player, s)
     base = list(s)
@@ -276,10 +262,9 @@ def enumerate_pure_ne(game: Game, epsilon: object = 0) -> SolutionSet:
     the set.
     """
     eps = game.epsilon_value(epsilon)
-    slack = eps if game.exact else eps + game.tol
     members = []
     for s in game.profiles():
-        if all(_max_gain(game, s, i) <= slack for i in range(game.n)):
+        if all(_max_gain(game, s, i) <= eps for i in range(game.n)):
             members.append(s)
     label = "pure-NE" if eps == 0 else f"eps-NE({eps})"
     if not members:
@@ -291,13 +276,6 @@ def social_value(game: Game, s: Sequence[int]) -> Welfare:
     """Social welfare (or social cost under the min convention) of s."""
     t = game.validate_profile(s)
     return Welfare(sum(game.payoffs[t]), game.convention)
-
-
-def is_pure_ne(game: Game, s: Sequence[int], epsilon: object = 0) -> bool:
-    eps = game.epsilon_value(epsilon)
-    slack = eps if game.exact else eps + game.tol
-    t = game.validate_profile(s)
-    return all(_max_gain(game, t, i) <= slack for i in range(game.n))
 
 
 def identical_utilities(game: Game) -> bool:

@@ -29,12 +29,6 @@ def _load_json(path: str | Path) -> Any:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _tensor_profiles(shape):
-    import itertools
-
-    return itertools.product(*(range(k) for k in shape))
-
-
 def game_from_dict(data: dict) -> Game:
     """Game from {"convention", "players", "strategies", "payoffs"}.
 

@@ -20,7 +20,6 @@ from .games import Game, Profile, SolutionSet
 def ne_profiles(game: Game, epsilon=0) -> list[Profile]:
     """Profiles where no unilateral deviation gains more than epsilon."""
     eps = game.epsilon_value(epsilon)
-    slack = eps if game.exact else eps + game.tol
     out = []
     for s in game.profiles():
         good = True
@@ -28,7 +27,7 @@ def ne_profiles(game: Game, epsilon=0) -> list[Profile]:
             cur = game.signed_utility(i, s)
             for x in range(len(game.strategies[i])):
                 dev = s[:i] + (x,) + s[i + 1 :]
-                if game.signed_utility(i, dev) > cur + slack:
+                if game.signed_utility(i, dev) > cur + eps:
                     good = False
                     break
             if not good:
@@ -71,9 +70,7 @@ def _best_set(game: Game, s: Sequence[int], player: int) -> set[int]:
         base[player] = x
         vals.append(game.signed_utility(player, base))
     top = max(vals)
-    if game.exact:
-        return {x for x, v in enumerate(vals) if v == top}
-    return {x for x, v in enumerate(vals) if v >= top - game.tol}
+    return {x for x, v in enumerate(vals) if v == top}
 
 
 def stable_transitions(

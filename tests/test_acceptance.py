@@ -110,8 +110,8 @@ def test_acceptance_04_parallel_link_family_stated_closed_form():
     wrong = []
     mismatches = set()
     for n in (3, 4, 5):
-        for m in range(1, n + 1):
-            fam = verify_parallel_link_family(n, m)
+        for fam in verify_parallel_link_family(n):
+            m = fam["m"]
             q, r = divmod(n, m)
             verified = F(q * m * m + r * r, n)
             m_pota, poa = fam["m_pota"], fam["poa"]

@@ -266,19 +266,21 @@ def test_theorem2_m_equals_one_collapses_to_poa():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_parallel_link_family_verified_closed_form(n):
-    for m in range(1, n + 1):
-        fam = verify_parallel_link_family(n, m)
+    rows = verify_parallel_link_family(n)
+    assert [(fam["n"], fam["m"]) for fam in rows] == [(n, m) for m in range(1, n + 1)]
+    assert all(fam["tight_at_n"] for fam in rows)
+    for m, fam in enumerate(rows, start=1):
         assert fam["poa"] == 1
         assert fam["verified_matches"], (n, m)
         assert fam["cap_holds"]
         assert fam["m_pota"] == parallel_link_m_pota(n, m)
-    assert verify_parallel_link_family(n, n)["m_pota"] == n  # n * poa, tight
+    assert rows[n - 1]["m_pota"] == n  # n * poa, tight
 
 
 def test_parallel_link_single_pile_value_not_always_worst():
     # the single-overloaded-link cost is attainable but the worst merge can
     # overload several links at once; first mismatch is n=4, m=2
-    fam = verify_parallel_link_family(4, 2)
+    fam = verify_parallel_link_family(4)[2 - 1]
     assert fam["claimed_value"] == F(3, 2)
     assert fam["m_pota"] == F(2)
     assert not fam["claimed_matches"]

@@ -1,5 +1,6 @@
 """Graph coordination games: checks, constructions, efficiency bounds."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -27,9 +28,11 @@ from transit.coordination import (
     star_graph,
     utilities,
 )
+from transit.cli import main
 from transit.errors import (
     NotTwoColour,
     ParseError,
+    PreconditionFailed,
     TooLarge,
     TopologyMismatch,
     UndefinedPrice,
@@ -265,6 +268,34 @@ def test_efficiency_bounds_error_order():
     with pytest.raises(NotTwoColour):
         efficiency_bounds(GraphColoringInstance(3, ((0, 1),), ((1, 2, 3),) * 3))
     assert efficiency_bounds(cycle_graph(4), cap=16)["poa"] == F(1, 2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # adjacent menus share no colour
+        {"nodes": 2, "edges": [[0, 1]], "colors": [[1, 2], [3, 4]]},
+        # every adjacent pair shares a colour, but node 1 cannot match both
+        {"nodes": 3, "edges": [[0, 1], [1, 2]], "colors": [[1, 2], [2, 3], [3, 4]]},
+    ],
+)
+def test_bounds_refused_when_no_colouring_agrees_on_every_edge(doc, tmp_path, capsys):
+    inst = GraphColoringInstance(
+        doc["nodes"],
+        tuple(tuple(e) for e in doc["edges"]),
+        tuple(tuple(m) for m in doc["colors"]),
+    )
+    for bounds in (efficiency_bounds, coordination.audit_instance):
+        with pytest.raises(PreconditionFailed, match="no colouring agrees on every edge"):
+            bounds(inst)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["graph", "bounds", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no colouring agrees on every edge, so the optimum is not 2|E|\n"
+    )
 
 
 def test_neighbours_are_built_once():

@@ -1,5 +1,6 @@
 """Price measures, tightest constants, condition-based bounds, smoothness."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -496,3 +497,165 @@ def test_tightest_constants_bind_with_equality():
                     u(d) for d in D.members
                 ) or dep.alpha_upper[i] == 1
         checked += 1
+
+
+# payoffs of a 3-player game whose pure equilibria (0, 1, 0) and (1, 1, 1)
+# leave the welfare floor, the per-degree floors, player 1's alpha and
+# player 2's beta undefined: its rows take every skip path
+UNDEFINED_CONSTANTS = {
+    (0, 0, 0): (-2, 1, 3), (0, 0, 1): (1, 1, -1), (0, 1, 0): (2, 2, -2),
+    (0, 1, 1): (-2, 0, -2), (1, 0, 0): (0, 0, 3), (1, 0, 1): (-2, -1, 4),
+    (1, 1, 0): (1, -1, -2), (1, 1, 1): (2, 0, 1),
+}
+
+
+def _skipped(name, anchor, reason):
+    return (name, anchor, {}, "", None, None, None, None, reason)
+
+
+BOUND_ROWS = {
+    "matrix6": [
+        ('welfare-lower-dependence-anarchy', 'welfare-coordination-bound',
+         {'alpha': F(12, 7)}, 'pota >= poa / alpha',
+         F(7, 16), F(7, 16), True, F(0), None),
+        ('welfare-upper-dependence-stability', 'welfare-coordination-bound',
+         {'alpha': F(1)}, 'pots <= alpha * pos',
+         F(1), F(1), True, F(0), None),
+        ('welfare-degree-anarchy(m=2)', 'degree-coordination-bound',
+         {'alphas': (F(12, 7),)}, 'm_pota >= poa / prod(alpha_i)',
+         F(7, 16), F(7, 16), True, F(0), None),
+        ('welfare-degree-stability(m=2)', 'degree-coordination-bound',
+         {'alphas': (F(1),)}, 'm_pots <= prod(alpha_i) * pos',
+         F(1), F(1), True, F(0), None),
+        ('player-dependence-anarchy', 'player-coordination-bound',
+         {'alpha': F(2), 'beta': F(1)}, 'pota >= poa / (alpha * beta)',
+         F(7, 16), F(3, 8), True, F(1, 16), None),
+        ('player-dependence-stability', 'player-coordination-bound',
+         {'alpha': F(1), 'beta': F(1)}, 'pots <= alpha * beta * pos',
+         F(1), F(1), True, F(0), None),
+        ('player-degree-anarchy(m=2)', 'player-degree-bound',
+         {'alphas': (F(2),), 'beta': F(1)}, 'm_pota >= poa / (prod(alpha_i) * beta)',
+         F(7, 16), F(3, 8), True, F(1, 16), None),
+        ('player-degree-stability(m=2)', 'player-degree-bound',
+         {'alphas': (F(1),), 'beta': F(1)}, 'm_pots <= prod(alpha_i) * beta * pos',
+         F(1), F(1), True, F(0), None),
+    ],
+    "example2": [
+        ('welfare-lower-dependence-anarchy', 'welfare-coordination-bound',
+         {'alpha': F(1)}, 'pota >= poa / alpha',
+         F(1, 10), F(1, 10), True, F(0), None),
+        ('welfare-upper-dependence-stability', 'welfare-coordination-bound',
+         {'alpha': F(10)}, 'pots <= alpha * pos',
+         F(1), F(1), True, F(0), None),
+        ('welfare-degree-anarchy(m=2)', 'degree-coordination-bound',
+         {'alphas': (F(1),)}, 'm_pota >= poa / prod(alpha_i)',
+         F(1, 10), F(1, 10), True, F(0), None),
+        ('welfare-degree-stability(m=2)', 'degree-coordination-bound',
+         {'alphas': (F(10),)}, 'm_pots <= prod(alpha_i) * pos',
+         F(1), F(1), True, F(0), None),
+        ('welfare-degree-anarchy(m=3)', 'degree-coordination-bound',
+         {'alphas': (F(1), F(1))}, 'm_pota >= poa / prod(alpha_i)',
+         F(1, 10), F(1, 10), True, F(0), None),
+        ('welfare-degree-stability(m=3)', 'degree-coordination-bound',
+         {'alphas': (F(10), F(1))}, 'm_pots <= prod(alpha_i) * pos',
+         F(1), F(1), True, F(0), None),
+        _skipped('player-dependence-anarchy', 'player-coordination-bound',
+                 'a per-player constant is undefined'),
+        ('player-dependence-stability', 'player-coordination-bound',
+         {'alpha': F(30), 'beta': F(1)}, 'pots <= alpha * beta * pos',
+         F(1), F(3), True, F(2), None),
+        _skipped('player-degree-anarchy(m=2)', 'player-degree-bound',
+                 'a constant is undefined'),
+        ('player-degree-stability(m=2)', 'player-degree-bound',
+         {'alphas': (F(30),), 'beta': F(1)}, 'm_pots <= prod(alpha_i) * beta * pos',
+         F(1), F(3), True, F(2), None),
+        _skipped('player-degree-anarchy(m=3)', 'player-degree-bound',
+                 'a constant is undefined'),
+        ('player-degree-stability(m=3)', 'player-degree-bound',
+         {'alphas': (F(30), F(1)), 'beta': F(1)},
+         'm_pots <= prod(alpha_i) * beta * pos',
+         F(1), F(3), True, F(2), None),
+    ],
+    "undefined-constants": [
+        ('welfare-lower-dependence-anarchy', 'welfare-coordination-bound',
+         {'alpha': None}, 'pota >= poa / alpha',
+         None, None, None, None, 'constant undefined'),
+        ('welfare-upper-dependence-stability', 'welfare-coordination-bound',
+         {'alpha': F(1)}, 'pots <= alpha * pos',
+         F(1), F(1), True, F(0), None),
+        _skipped('welfare-degree-anarchy(m=2)', 'degree-coordination-bound',
+                 'a per-degree constant is undefined'),
+        ('welfare-degree-stability(m=2)', 'degree-coordination-bound',
+         {'alphas': (F(1),)}, 'm_pots <= prod(alpha_i) * pos',
+         F(1), F(1), True, F(0), None),
+        _skipped('welfare-degree-anarchy(m=3)', 'degree-coordination-bound',
+                 'a per-degree constant is undefined'),
+        ('welfare-degree-stability(m=3)', 'degree-coordination-bound',
+         {'alphas': (F(1), F(1))}, 'm_pots <= prod(alpha_i) * pos',
+         F(1), F(1), True, F(0), None),
+        _skipped('player-dependence-anarchy', 'player-coordination-bound',
+                 'a per-player constant is undefined'),
+        _skipped('player-dependence-stability', 'player-coordination-bound',
+                 'a per-player constant is undefined'),
+        _skipped('player-degree-anarchy(m=2)', 'player-degree-bound',
+                 'a constant is undefined'),
+        _skipped('player-degree-stability(m=2)', 'player-degree-bound',
+                 'a constant is undefined'),
+        _skipped('player-degree-anarchy(m=3)', 'player-degree-bound',
+                 'a constant is undefined'),
+        _skipped('player-degree-stability(m=3)', 'player-degree-bound',
+                 'a constant is undefined'),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_ROWS))
+def test_bound_rows_are_pinned_field_by_field(name):
+    # every field of every row, in report order: names, anchors, constants,
+    # inequality text, both sides, verdict, slack and skip reason
+    game = {
+        "matrix6": lambda: matrix6_game(4, 3, 2),
+        "example2": example2_game,
+        "undefined-constants": lambda: Game.from_function(
+            (2, 2, 2), lambda s: UNDEFINED_CONSTANTS[s]
+        ),
+    }[name]()
+    D = enumerate_pure_ne(game)
+    rows = check_bound_observations(game, D)
+    assert [dataclasses.astuple(r) for r in rows] == BOUND_ROWS[name]
+    if name == "undefined-constants":
+        dep = coordination_dependence(game, D)
+        assert dep.sw_alpha_lower is None and dep.beta[1] is None
+        assert None not in dep.alpha_upper
+
+
+NO_STABLE_TRANSITION = {(0, 0): (2, 5), (0, 1): (1, 3), (1, 0): (1, 4), (1, 1): (4, 4)}
+
+
+def test_no_stable_transition_is_an_undefined_price(tmp_path, capsys):
+    # (1, 0) is its own only transition; the row player gains by leaving it
+    # and the column player, already best-responding, may not help under the
+    # strict variant, so posta and posts would extremise over nothing.  Under
+    # the weak variant the column player's switch to 1 repairs the row player.
+    game = Game.from_function((2, 2), lambda s: NO_STABLE_TRANSITION[s])
+    D = SolutionSet(game, ((1, 0),))
+    for call in (price_report, check_bound_observations):
+        with pytest.raises(UndefinedPrice, match="no strict stable transition"):
+            call(game, D)
+    weak = price_report(game, D, "weak")
+    assert {k: v for k, v in weak.as_dict().items() if k != "convention"} == (
+        oracle.prices_for(game, D, "weak")
+    )
+
+    gpath = tmp_path / "game.json"
+    gpath.write_text(json.dumps(game_to_dict(game)))
+    spath = tmp_path / "solutions.json"
+    spath.write_text(json.dumps({"game": str(gpath), "members": [[1, 0]]}))
+    for verb in ("prices", "bounds"):
+        assert main([verb, str(gpath), "--solutions", str(spath)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: solution set 'user' has no strict stable transition; "
+            "posta and posts are undefined\n"
+        )

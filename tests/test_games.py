@@ -168,14 +168,3 @@ def test_solution_set_rejects_duplicates():
     game = matrix2_game()
     with pytest.raises(ParseError):
         SolutionSet(game, ((0, 0), (0, 0)))
-
-
-def test_float_mode_tolerant_ties():
-    table = {
-        (0, 0): (1.0, 0.0),
-        (0, 1): (1.0 + 1e-12, 0.0),
-        (1, 0): (0.0, 0.0),
-        (1, 1): (0.0, 0.0),
-    }
-    game = Game.from_function((2, 2), lambda s: table[s], exact=False)
-    assert best_responses(game, 1, (0, 0)) == {0, 1}

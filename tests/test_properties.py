@@ -1,6 +1,8 @@
 """Property suites: randomised invariants backed by brute-force oracles."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,9 +69,7 @@ def games_with_ne(draw, **kw):
         top = tuple(k - 1 for k in game.shape)
         table = dict(game.payoffs)
         table[top] = tuple(forced for _ in range(game.n))
-        game = Game(
-            game.players, game.strategies, table, game.convention, game.exact
-        )
+        game = Game(game.players, game.strategies, table, game.convention)
         ne = enumerate_pure_ne(game)
     return game, ne
 
@@ -165,3 +165,17 @@ def test_exact_cover_agrees_with_subset_search(n, raw_sets):
     fast, exact = exact_cover(ci)
     assert exact
     assert len(fast) == len(exact_cover_brute(ci))
+
+
+def test_oracle_imports_nothing_of_the_package_but_the_game_model():
+    # the oracle is the independent side of every dual-route check: it may
+    # read games through `.games` but must not reuse any analysis module
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "transit":
+                package.append(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package += [a.name for a in node.names if a.name.split(".")[0] == "transit"]
+    assert package == [".games"]
