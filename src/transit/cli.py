@@ -40,15 +40,28 @@ from .routing import fig2_family, stretch_bound, transition_costs
 from .transitions import saturation_degree, transition_degree
 
 
-def _load_game_arg(path_or_name: str) -> tuple[Game, dict]:
+def _load_arg(path_or_name: str, want: str, noun: str, loader) -> tuple[object, dict]:
+    """Load a fixture by name or a file by path, with the fixture's provenance.
+
+    A fixture of another kind than `want` is refused as "not a {noun}".
+    """
     kind, path = fx.resolve_input(path_or_name)
     provenance = {}
     if kind:
-        if kind != "game":
-            raise ParseError(f"fixture {path_or_name!r} is a {kind}, not a game")
+        if kind != want:
+            raise ParseError(f"fixture {path_or_name!r} is a {kind}, not a {noun}")
         spec = fx.resolve_fixture(path_or_name)
         provenance = {"fixture": spec.name, "anchor": spec.anchor}
-    return tio.load_game(path), provenance
+    return loader(path), provenance
+
+
+def _numbers(text: str, kind, option: str) -> list:
+    """Comma-separated numbers of one type; anything else is a ParseError."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ParseError(f"{option} expects comma-separated {kind.__name__} values, "
+                         f"got {text!r}") from None
 
 
 def _solution_set(game: Game, args) -> SolutionSet:
@@ -63,7 +76,7 @@ def _solution_set(game: Game, args) -> SolutionSet:
 
 
 def cmd_prices(args) -> Report:
-    game, provenance = _load_game_arg(args.game)
+    game, provenance = _load_arg(args.game, "game", "game", tio.load_game)
     D = _solution_set(game, args)
     rep = price_report(game, D, args.stable)
     report = Report("prices", {"game": args.game, "solutions": D.label},
@@ -80,7 +93,7 @@ def cmd_prices(args) -> Report:
 
 
 def cmd_bounds(args) -> Report:
-    game, provenance = _load_game_arg(args.game)
+    game, provenance = _load_arg(args.game, "game", "game", tio.load_game)
     D = _solution_set(game, args)
     rows = check_bound_observations(game, D)
     report = Report("bounds", {"game": args.game, "solutions": D.label},
@@ -123,9 +136,10 @@ def cmd_bounds(args) -> Report:
 
 
 def _parse_profile(game: Game, text: str):
-    if "," in text:
-        return game.validate_profile(tuple(int(x) for x in text.split(",")))
-    rank = int(text)
+    values = _numbers(text, int, "--profile")
+    if len(values) > 1:
+        return game.validate_profile(tuple(values))
+    rank = values[0]
     shape = game.shape
     if not 0 <= rank < game.num_profiles:
         raise ParseError(f"profile rank {rank} out of range")
@@ -137,7 +151,7 @@ def _parse_profile(game: Game, text: str):
 
 
 def cmd_degree(args) -> Report:
-    game, provenance = _load_game_arg(args.game)
+    game, provenance = _load_arg(args.game, "game", "game", tio.load_game)
     D = tio.load_solution_set(args.solutions, game).require_nonempty()
     report = Report("degree", {"game": args.game, "solutions": args.solutions},
                     provenance=provenance)
@@ -157,20 +171,13 @@ def cmd_degree(args) -> Report:
         "profile": list(witness.profile),
         "degree": witness.degree,
         "witnesses": [list(D.members[i]) for i in witness.witnesses],
-        "exact": witness.exact,
+        "exact": not args.greedy,
     }
     return report
 
 
 def cmd_routing(args) -> Report:
-    kind, path = fx.resolve_input(args.network)
-    provenance = {}
-    if kind:
-        if kind != "routing":
-            raise ParseError(f"fixture {args.network!r} is a {kind}, not a network")
-        spec = fx.resolve_fixture(args.network)
-        provenance = {"fixture": spec.name, "anchor": spec.anchor}
-    inst = tio.load_routing(path)
+    inst, provenance = _load_arg(args.network, "routing", "network", tio.load_routing)
     out = transition_costs(inst, tol=args.tol)
     sb = stretch_bound(inst, prices=out)
     report = Report("routing", {"network": args.network, "tol": args.tol,
@@ -211,25 +218,14 @@ def cmd_routing(args) -> Report:
     return report
 
 
-def _load_graph_arg(name: str):
-    kind, path = fx.resolve_input(name)
-    provenance = {}
-    if kind:
-        if kind != "graph":
-            raise ParseError(f"fixture {name!r} is a {kind}, not a graph")
-        spec = fx.resolve_fixture(name)
-        provenance = {"fixture": spec.name, "anchor": spec.anchor}
-    return tio.load_graph(path), provenance
-
-
 def cmd_graph(args) -> Report:
-    inst, provenance = _load_graph_arg(args.graph)
+    inst, provenance = _load_arg(args.graph, "graph", "graph", tio.load_graph)
     report = Report(f"graph-{args.action}", {"graph": args.graph},
                     provenance=provenance)
     if args.action == "check":
         if not args.coloring:
             raise ParseError("graph check needs --coloring c1,c2,...")
-        col = tuple(int(c) for c in args.coloring.split(","))
+        col = tuple(_numbers(args.coloring, int, "--coloring"))
         fast = None
         menus = inst.menus()
         if all(len(m) == 2 for m in menus):
@@ -329,7 +325,7 @@ def _theorem2(args) -> Report:
 
 
 def _theorem3(args) -> Report:
-    deltas = [float(x) for x in args.deltas.split(",")]
+    deltas = _numbers(args.deltas, float, "--deltas")
     report = Report("theorem-3", {"n": args.n, "m": args.m, "deltas": deltas})
     rows = []
     for delta in deltas:
@@ -361,7 +357,7 @@ def _theorem4(args) -> Report:
                                   "seed": args.seed})
     instances = []
     if args.graph:
-        inst, _ = _load_graph_arg(args.graph)
+        inst, _ = _load_arg(args.graph, "graph", "graph", tio.load_graph)
         instances.append(("input", inst))
     if args.random:
         rng = random.Random(args.seed)

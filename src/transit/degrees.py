@@ -2,9 +2,11 @@
 
 The minimum number of solutions needed to assemble a given transition is a
 set-cover problem: each solution covers the players whose coordinate it
-matches.  The exact solver is a small branch-and-bound; the greedy solver
-carries the usual 1 + ln(n) guarantee.  Everything here works on raw
-profile tuples so the rest of the package can layer richer types on top.
+matches.  Coverage is an int bitmask over players.  The exact solver is a
+breadth-first search over covered-player masks, exact on every input; the
+greedy solver carries the usual 1 + ln(n) guarantee.  Everything here works
+on raw profile tuples so the rest of the package can layer richer types on
+top.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import Infeasible, NotATransition, TooLarge
+from .errors import Infeasible, NotATransition
 
 Profile = tuple[int, ...]
-
-DEFAULT_NODE_CAP = 1_000_000
 
 
 def covers(members: Sequence[Profile], t: Sequence[Profile]) -> bool:
@@ -43,20 +43,21 @@ def product_size(projs: Sequence[Sequence[int]]) -> int:
 class CoverInstance:
     """Set-cover instance induced by (solution list, target profile).
 
-    universe: player indices to cover.
-    sets:     coverage masks, one per retained solution; empties dropped.
+    universe: bitmask of the players to cover (bit i is player i).
+    sets:     coverage bitmasks, one per retained solution; empty masks are
+              dropped and duplicates keep their lowest solution index.
     origins:  index into the original solution list for each retained set.
     """
 
-    universe: frozenset[int]
-    sets: tuple[frozenset[int], ...]
+    universe: int
+    sets: tuple[int, ...]
     origins: tuple[int, ...]
 
     def feasible(self) -> bool:
-        got: set[int] = set()
+        got = 0
         for s in self.sets:
             got |= s
-        return got >= self.universe
+        return got == self.universe
 
 
 def reduce_to_cover(members: Sequence[Profile], t: Sequence[int]) -> CoverInstance:
@@ -67,22 +68,20 @@ def reduce_to_cover(members: Sequence[Profile], t: Sequence[int]) -> CoverInstan
     """
     target = tuple(t)
     n = len(target)
-    sets = []
-    origins = []
+    first: dict[int, int] = {}
+    covered = 0
     for idx, d in enumerate(members):
-        mask = frozenset(i for i in range(n) if d[i] == target[i])
+        mask = sum(1 << i for i in range(n) if d[i] == target[i])
         if mask:
-            sets.append(mask)
-            origins.append(idx)
-    covered: set[int] = set()
-    for m in sets:
-        covered |= m
-    if covered != set(range(n)):
+            first.setdefault(mask, idx)
+            covered |= mask
+    universe = (1 << n) - 1
+    if covered != universe:
         raise NotATransition(
             f"profile {target} is not a transition; players "
-            f"{sorted(set(range(n)) - covered)} are uncovered"
+            f"{[i for i in range(n) if not covered >> i & 1]} are uncovered"
         )
-    return CoverInstance(frozenset(range(n)), tuple(sets), tuple(origins))
+    return CoverInstance(universe, tuple(first), tuple(first.values()))
 
 
 def greedy_cover(ci: CoverInstance) -> list[int]:
@@ -93,98 +92,46 @@ def greedy_cover(ci: CoverInstance) -> list[int]:
     """
     if not ci.feasible():
         raise Infeasible("cover instance cannot cover its universe")
-    uncovered = set(ci.universe)
+    uncovered = ci.universe
     chosen: list[int] = []
     while uncovered:
         best_idx = -1
         best_gain = 0
         for idx, s in enumerate(ci.sets):
-            gain = len(s & uncovered)
+            gain = (s & uncovered).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_idx = idx
         chosen.append(best_idx)
-        uncovered -= ci.sets[best_idx]
+        uncovered &= ~ci.sets[best_idx]
     return chosen
 
 
-def exact_cover(
-    ci: CoverInstance, node_cap: int = DEFAULT_NODE_CAP
-) -> tuple[list[int], bool]:
-    """Branch-and-bound minimum cover.
+def exact_cover(ci: CoverInstance) -> list[int]:
+    """Minimum cover, as indices into ci.sets.
 
-    Returns (indices into ci.sets, exact_flag).  When the node cap is hit the
-    greedy witness is returned with exact_flag False.  Duplicate masks are
-    collapsed (keeping the lowest index) before searching; the lower bound is
-    ceil(uncovered / largest set size).
+    Breadth-first search over covered-player masks, one level per pick, so
+    the first full mask reached is a minimum cover.  Players with a single
+    projected value lie in every set, so at most 2^n' masks are visited,
+    n' being the number of the other players: exact on every input, with
+    no cap.  Greedy's cover is returned when it is already minimum;
+    otherwise the first minimum cover found in index order.
     """
     greedy = greedy_cover(ci)
-
-    seen: dict[frozenset[int], int] = {}
-    for idx, s in enumerate(ci.sets):
-        if s not in seen:
-            seen[s] = idx
-    masks = sorted(seen.items(), key=lambda kv: (-len(kv[0]), kv[1]))
-    max_size = len(masks[0][0]) if masks else 1
-
-    best: list[int] = list(greedy)
-    best_len = len(greedy)
-    nodes = 0
-    capped = False
-
-    def element_choices(uncovered: frozenset[int]) -> list[tuple[frozenset[int], int]]:
-        # branch on the uncovered element with the fewest covering sets
-        counts: dict[int, list[tuple[frozenset[int], int]]] = {e: [] for e in uncovered}
-        for mask, idx in masks:
-            for e in mask & uncovered:
-                counts[e].append((mask, idx))
-        pick = min(counts, key=lambda e: (len(counts[e]), e))
-        return counts[pick]
-
-    def search(uncovered: frozenset[int], chosen: list[int]) -> None:
-        nonlocal best, best_len, nodes, capped
-        if capped:
-            return
-        nodes += 1
-        if nodes > node_cap:
-            capped = True
-            return
-        if not uncovered:
-            if len(chosen) < best_len:
-                best = list(chosen)
-                best_len = len(chosen)
-            return
-        bound = len(chosen) + math.ceil(len(uncovered) / max_size)
-        if bound >= best_len:
-            return
-        choices = element_choices(uncovered)
-        if not choices:
-            return
-        choices.sort(key=lambda mi: (-len(mi[0] & uncovered), mi[1]))
-        for mask, idx in choices:
-            chosen.append(idx)
-            search(uncovered - mask, chosen)
-            chosen.pop()
-            if capped:
-                return
-
-    search(ci.universe, [])
-    return best, not capped
-
-
-def exact_cover_brute(ci: CoverInstance) -> list[int]:
-    """Reference solver: exhaustive subset search by increasing size."""
-    if not ci.feasible():
-        raise Infeasible("cover instance cannot cover its universe")
-    indices = range(len(ci.sets))
-    for size in range(1, len(ci.sets) + 1):
-        for combo in itertools.combinations(indices, size):
-            acc: set[int] = set()
-            for idx in combo:
-                acc |= ci.sets[idx]
-            if acc >= ci.universe:
-                return list(combo)
-    raise Infeasible("no cover found")  # unreachable after feasible()
+    frontier: dict[int, list[int]] = {0: []}
+    seen = {0}
+    for _ in range(len(greedy) - 1):
+        step: dict[int, list[int]] = {}
+        for covered, picks in frontier.items():
+            for idx, s in enumerate(ci.sets):
+                got = covered | s
+                if got == ci.universe:
+                    return picks + [idx]
+                if got not in seen:
+                    seen.add(got)
+                    step[got] = picks + [idx]
+        frontier = step
+    return greedy
 
 
 def is_independent(members: Sequence[Profile], subset: Sequence[int]) -> bool:
@@ -206,15 +153,26 @@ def greedy_basis(members: Sequence[Profile]) -> list[int]:
     return basis
 
 
+def degree_map(members: Sequence[Profile]) -> dict[Profile, int]:
+    """Exact transition degree of every profile in the transition box.
+
+    The box is the product of the per-player projections of the nonempty
+    solution list; it is walked in lexicographic order.
+    """
+    box = product_profiles(projections(members, len(members[0])))
+    return {t: len(exact_cover(reduce_to_cover(members, t))) for t in box}
+
+
 @dataclass(frozen=True)
 class SaturationResult:
     """Minimum degree saturating the transition set, plus the greedy basis.
 
-    `m` is the verified minimum (the largest exact transition degree over the
-    whole transition set).  `basis` is the independent set the greedy farming
-    produces; its size always satisfies the saturation property but can
-    overshoot the minimum, in which case `basis_is_minimal` is False and the
-    discrepancy should be surfaced, not hidden.
+    `m` is the verified minimum: the largest transition degree over the
+    whole transition set, every one of them exact.  `basis` is the
+    independent set the greedy farming produces; its size always satisfies
+    the saturation property but can overshoot the minimum, in which case
+    `basis_is_minimal` is False and the discrepancy should be surfaced, not
+    hidden.
     """
 
     m: int
@@ -222,35 +180,15 @@ class SaturationResult:
     basis_is_minimal: bool
 
 
-def max_transition_degree(
-    members: Sequence[Profile], cap: int | None = None
-) -> int:
-    """Largest exact transition degree over the full transition set."""
-    if not members:
-        raise Infeasible("empty solution list")
-    n = len(members[0])
-    projs = projections(members, n)
-    if cap is not None and product_size(projs) > cap:
-        raise TooLarge(
-            f"transition set has {product_size(projs)} profiles, cap is {cap}"
-        )
-    worst = 1
-    for t in product_profiles(projs):
-        ci = reduce_to_cover(members, t)
-        sol, _ = exact_cover(ci)
-        worst = max(worst, len(sol))
-    return worst
-
-
-def saturation_degree(
-    members: Sequence[Profile], cap: int | None = None
-) -> SaturationResult:
+def saturation_degree(members: Sequence[Profile]) -> SaturationResult:
     """Minimum m with every transition being an m-transition.
 
     The greedy independent basis bounds the answer from above (the basis
     projections already span the transition set), and the verified minimum
     is the exact worst transition degree.
     """
+    if not members:
+        raise Infeasible("empty solution list")
     basis = greedy_basis(members)
-    m = max_transition_degree(members, cap=cap)
+    m = max(degree_map(members).values())
     return SaturationResult(m=m, basis=tuple(basis), basis_is_minimal=m == len(basis))

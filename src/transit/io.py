@@ -15,7 +15,6 @@ from .congestion import CongestionGame
 from .coordination import GraphColoringInstance
 from .errors import ParseError
 from .games import Game, SolutionSet, as_exact
-from .polymatrix import PolymatrixGame
 from .routing import Commodity, RoutingInstance, cost_from_spec
 
 
@@ -136,35 +135,6 @@ def congestion_to_dict(cg: CongestionGame) -> dict:
 
 def load_congestion(path: str | Path) -> CongestionGame:
     return congestion_from_dict(_load_json(path))
-
-
-def polymatrix_from_dict(data: dict) -> PolymatrixGame:
-    """PolymatrixGame from {"players": n, "matrices": {"i,j": [[...]]}}."""
-    if not isinstance(data, dict):
-        raise ParseError("polymatrix document must be an object")
-    matrices = {}
-    for key, rows in data["matrices"].items():
-        try:
-            i, j = (int(x) for x in key.split(","))
-        except ValueError:
-            raise ParseError(f"matrix key {key!r} is not 'i,j'") from None
-        matrices[(i, j)] = rows
-    n = int(data["players"]) if "players" in data else None
-    return PolymatrixGame.build(matrices, n)
-
-
-def polymatrix_to_dict(pg: PolymatrixGame) -> dict:
-    return {
-        "players": pg.n_players,
-        "matrices": {
-            f"{i},{j}": [[str(v) for v in row] for row in m]
-            for (i, j), m in sorted(pg.matrices.items())
-        },
-    }
-
-
-def load_polymatrix(path: str | Path) -> PolymatrixGame:
-    return polymatrix_from_dict(_load_json(path))
 
 
 def routing_from_dict(data: dict) -> RoutingInstance:

@@ -121,7 +121,9 @@ def prices(game: Game, members: Sequence[Profile], variant: str = "strict") -> d
 
     Under utility maximisation each price divides by the best welfare over
     all profiles; under cost minimisation by the least cost, with anarchy
-    taking the worst (most costly) member of the relevant set.
+    taking the worst (most costly) member of the relevant set.  A
+    nonpositive optimum or an empty stable-transition set leaves the prices
+    undefined.
     """
     all_profiles = list(game.profiles())
     trans = transitions(game, members)
@@ -131,14 +133,12 @@ def prices(game: Game, members: Sequence[Profile], variant: str = "strict") -> d
 
     if game.convention == "max":
         opt = _extreme(game, all_profiles, "max")
-        if opt <= 0:
-            return {"undefined": True}
         anarchy, stability = "min", "max"
     else:
         opt = _extreme(game, all_profiles, "min")
-        if opt <= 0:
-            return {"undefined": True}
         anarchy, stability = "max", "min"
+    if opt <= 0 or not stable:
+        return {"undefined": True}
 
     def ratio(profiles: Sequence[Profile], want: str):
         return _extreme(game, profiles, want) / opt

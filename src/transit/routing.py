@@ -53,9 +53,6 @@ class PolyCost:
             deriv = deriv * x + k * self.coeffs[k]
         return self(x) + x * deriv
 
-    def strictly_increasing(self) -> bool:
-        return any(c > 0 for c in self.coeffs[1:])
-
     def is_convex_load_cost(self) -> bool:
         # x * poly(x) keeps nonnegative coefficients, hence convex on x >= 0
         return True
@@ -104,10 +101,6 @@ class PwlCost:
         eps = 1e-9
         slope = (self(x + eps) - self(x)) / eps
         return self(x) + x * slope
-
-    def strictly_increasing(self) -> bool:
-        ys = [p[1] for p in self.points]
-        return all(b > a for a, b in zip(ys, ys[1:]))
 
     def is_convex_load_cost(self) -> bool:
         # x * c(x) is convex when c is convex; check slopes nondecreasing
@@ -226,10 +219,6 @@ class RoutingInstance:
 
     def convex_load_costs(self) -> bool:
         return all(c.is_convex_load_cost() for c in self.costs)
-
-    def strictly_increasing_costs(self) -> bool:
-        return all(c.strictly_increasing() for c in self.costs)
-
 
 @dataclass(frozen=True)
 class Flow:

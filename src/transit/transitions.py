@@ -73,16 +73,11 @@ def merge_set(profiles: Sequence[Profile]) -> list[Profile]:
 
 @dataclass(frozen=True)
 class DegreeWitness:
-    """A profile, its transition degree, and covering solution indices.
-
-    `exact` is False only when branch-and-bound hit its node cap and the
-    greedy witness was reported instead.
-    """
+    """A profile, its transition degree, and covering solution indices."""
 
     profile: Profile
     degree: int
     witnesses: tuple[int, ...]
-    exact: bool = True
 
 
 def transition_degree(
@@ -90,35 +85,28 @@ def transition_degree(
 ) -> DegreeWitness:
     """Minimum number of solutions whose coordinates assemble s.
 
-    mode "exact" runs branch-and-bound on the induced cover instance;
-    "greedy" returns the 1 + ln(n)-approximate witness.
+    mode "exact" solves the induced cover instance exactly; "greedy" returns
+    the 1 + ln(n)-approximate witness.
     """
     D.require_nonempty()
     t = D.game.validate_profile(s)
     ci = degrees.reduce_to_cover(D.members, t)
     if mode == "greedy":
         picks = degrees.greedy_cover(ci)
-        exact = False
     elif mode == "exact":
-        picks, exact = degrees.exact_cover(ci)
+        picks = degrees.exact_cover(ci)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     origins = tuple(sorted(ci.origins[i] for i in picks))
-    return DegreeWitness(t, len(picks), origins, exact)
+    return DegreeWitness(t, len(picks), origins)
 
 
-def degree_map(D: SolutionSet, cap: int | None = None) -> dict[Profile, int]:
+def degree_map(D: SolutionSet) -> dict[Profile, int]:
     """Exact transition degree of every profile in the transition set."""
-    ts = transition_set(D)
-    limit = cap if cap is not None else profile_cap()
-    if len(ts) > limit:
-        raise TooLarge(f"transition set has {len(ts)} profiles, cap is {limit}")
-    out: dict[Profile, int] = {}
-    for t in ts:
-        ci = degrees.reduce_to_cover(D.members, t)
-        picks, _ = degrees.exact_cover(ci)
-        out[t] = len(picks)
-    return out
+    size = len(transition_set(D))
+    if size > profile_cap():
+        raise TooLarge(f"transition set has {size} profiles, cap is {profile_cap()}")
+    return degrees.degree_map(D.members)
 
 
 def m_transition_set(D: SolutionSet, m: int) -> list[Profile]:
@@ -128,23 +116,7 @@ def m_transition_set(D: SolutionSet, m: int) -> list[Profile]:
     D.require_nonempty()
     if m == 1:
         return sorted(D.members)
-    out = []
-    for t, deg in degree_map(D).items():
-        if deg <= m:
-            out.append(t)
-    out.sort()
-    return out
-
-
-def iter_m_transitions(D: SolutionSet, m: int) -> Iterator[Profile]:
-    """Lazy variant of m_transition_set; no materialisation, no cap."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    for t in transition_set(D):
-        ci = degrees.reduce_to_cover(D.members, t)
-        picks, _ = degrees.exact_cover(ci)
-        if len(picks) <= m:
-            yield t
+    return [t for t, deg in degree_map(D).items() if deg <= m]
 
 
 def is_stable_transition(D: SolutionSet, s: Sequence[int], variant: str = "strict") -> bool:
@@ -205,10 +177,10 @@ def stable_transition_set(D: SolutionSet, variant: str = "strict") -> list[Profi
     return [t for t in ts if is_stable_transition(D, t, variant)]
 
 
-def saturation_degree(D: SolutionSet, cap: int | None = None) -> degrees.SaturationResult:
+def saturation_degree(D: SolutionSet) -> degrees.SaturationResult:
     """Minimum m with T(D, m) = T(D); see degrees.saturation_degree."""
     D.require_nonempty()
-    return degrees.saturation_degree(D.members, cap=cap)
+    return degrees.saturation_degree(D.members)
 
 
 def is_product_set(profiles: Sequence[Profile]) -> bool:

@@ -154,6 +154,23 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("degree", "matrix2", "SOL", "--profile", "abc"),
+    ("degree", "matrix2", "SOL", "--profile", "0,x"),
+    ("graph", "check", "cycle-6", "--coloring", "1,a"),
+    ("theorem", "3", "--deltas", "x"),
+])
+def test_malformed_numeric_arguments_are_parse_errors(capsys, tmp_path, argv):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"game": str(fixture_path("matrix2")),
+                               "members": [[0, 0], [1, 1]]}))
+    code, out, err = run_cli(capsys, *(str(sol) if a == "SOL" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_empty_solution_set_exit_code(capsys, tmp_path):
     # matching pennies has no pure equilibrium
     game = {
@@ -209,3 +226,49 @@ def test_graph_check_from_edge_list_text(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["results"]["stable_exact"] is True
     assert doc["results"]["is_equilibrium"] is False
+
+
+# `degree --profile` at every transition of each game fixture's pure
+# equilibria: (degree, witness members), recorded from the branch-and-bound
+# solver this one replaced.  Exact and --greedy agree on all 24 profiles.
+_PROFILE_DEGREES = {
+    "matrix2": {"0,0": (1, [[0, 0]]), "0,1": (2, [[0, 0], [1, 1]]),
+                "1,0": (2, [[0, 0], [1, 1]]), "1,1": (1, [[1, 1]])},
+    "matrix5": {"0,0": (1, [[0, 0]]), "0,1": (2, [[0, 0], [1, 1]]),
+                "1,0": (2, [[0, 0], [1, 1]]), "1,1": (1, [[1, 1]])},
+    "matrix6": {"0,0": (1, [[0, 0]]), "0,1": (2, [[0, 0], [1, 1]]),
+                "1,0": (2, [[0, 0], [1, 1]]), "1,1": (1, [[1, 1]])},
+    "matching-strategy": {"0,0": (1, [[0, 0]]), "0,1": (2, [[0, 0], [1, 1]]),
+                          "1,0": (2, [[0, 0], [1, 1]]), "1,1": (1, [[1, 1]])},
+    "example2-3player": {
+        "0,0,0": (2, [[0, 0, 1], [0, 1, 0]]),
+        "0,0,1": (1, [[0, 0, 1]]),
+        "0,1,0": (1, [[0, 1, 0]]),
+        "0,1,1": (1, [[0, 1, 1]]),
+        "1,0,0": (2, [[0, 1, 0], [1, 0, 1]]),
+        "1,0,1": (1, [[1, 0, 1]]),
+        "1,1,0": (1, [[1, 1, 0]]),
+        "1,1,1": (1, [[1, 1, 1]]),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILE_DEGREES))
+def test_degree_profile_witnesses_are_pinned(capsys, tmp_path, name):
+    from transit import io as tio
+    from transit.games import enumerate_pure_ne
+
+    game = tio.load_game(fixture_path(name))
+    members = [list(m) for m in enumerate_pure_ne(game).members]
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"game": str(fixture_path(name)),
+                               "label": "pure-NE", "members": members}))
+    for profile, (degree, witnesses) in _PROFILE_DEGREES[name].items():
+        for extra, exact in (((), True), (("--greedy",), False)):
+            code, out, _ = run_cli(capsys, "degree", name, str(sol),
+                                   "--profile", profile, *extra)
+            assert code == 0
+            got = json.loads(out)["results"]
+            assert got["degree"] == degree
+            assert got["witnesses"] == witnesses
+            assert got["exact"] is exact

@@ -6,32 +6,53 @@ import random
 
 import pytest
 
+from transit import oracle
 from transit.degrees import (
     CoverInstance,
     covers,
     exact_cover,
-    exact_cover_brute,
     greedy_basis,
     greedy_cover,
     is_independent,
-    max_transition_degree,
     reduce_to_cover,
     saturation_degree,
 )
 from transit.errors import Infeasible, NotATransition
 
 
+def mask(s):
+    return sum(1 << i for i in s)
+
+
 def cover_of(universe, sets):
     return CoverInstance(
-        frozenset(universe), tuple(frozenset(s) for s in sets), tuple(range(len(sets)))
+        mask(universe), tuple(mask(s) for s in sets), tuple(range(len(sets)))
     )
+
+
+def as_profiles(n, sets):
+    """Each set as a 0/1 solution; its cover optimum is the degree of all-ones."""
+    return [tuple(1 if j in s else 0 for j in range(n)) for s in sets]
+
+
+def covers_universe(ci, picks):
+    got = 0
+    for idx in picks:
+        got |= ci.sets[idx]
+    return got == ci.universe
+
+
+def box_max_degree(members):
+    """Largest oracle degree over the product of the members' projections."""
+    n = len(members[0])
+    box = itertools.product(*[sorted({d[i] for d in members}) for i in range(n)])
+    return max(oracle.degree(members, t) for t in box)
 
 
 def test_member_covers_everything():
     members = [(0, 1, 2), (2, 1, 0)]
     ci = reduce_to_cover(members, (0, 1, 2))
-    picks, exact = exact_cover(ci)
-    assert exact and len(picks) == 1
+    assert len(exact_cover(ci)) == 1
 
 
 def test_reduction_eliminates_useless_solutions():
@@ -52,18 +73,18 @@ def test_reverse_reduction_fixture_roundtrip():
     # as 0/1 solutions against the all-ones target; the optimum is whatever
     # exhaustive search says on both sides (all three sets are needed here)
     sets = [{0, 1}, {1, 2, 3}, {3, 4}]
-    members = [tuple(1 if j in s else 0 for j in range(5)) for s in sets]
+    members = as_profiles(5, sets)
     target = (1, 1, 1, 1, 1)
-    direct = exact_cover_brute(cover_of(range(5), sets))
-    via_profiles, exact = exact_cover(reduce_to_cover(members, target))
-    assert exact
-    assert len(via_profiles) == len(direct) == 3
+    direct = exact_cover(cover_of(range(5), sets))
+    ci = reduce_to_cover(members, target)
+    via_profiles = exact_cover(ci)
+    assert covers_universe(ci, via_profiles)
+    assert len(via_profiles) == len(direct) == oracle.degree(members, target) == 3
 
 
 def test_disjoint_singletons_need_everything():
     sets = [{i} for i in range(4)]
-    picks, exact = exact_cover(cover_of(range(4), sets))
-    assert exact and len(picks) == 4
+    assert len(exact_cover(cover_of(range(4), sets))) == 4
     assert len(greedy_cover(cover_of(range(4), sets))) == 4
 
 
@@ -76,8 +97,8 @@ def test_greedy_gap_family_stays_within_log_bound():
     sets = [{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}]
     ci = cover_of(range(6), sets)
     greedy = greedy_cover(ci)
-    picks, exact = exact_cover(ci)
-    assert exact and len(picks) == 2
+    picks = exact_cover(ci)
+    assert covers_universe(ci, picks) and len(picks) == 2
     assert len(greedy) == 3
     assert len(greedy) <= (1 + math.log(6)) * len(picks)
 
@@ -100,18 +121,9 @@ def test_exact_matches_bruteforce_random():
             if set().union(*sets) == set(range(n)):
                 break
         ci = cover_of(range(n), sets)
-        fast, exact = exact_cover(ci)
-        assert exact
-        slow = exact_cover_brute(ci)
-        assert len(fast) == len(slow)
-
-
-def test_node_cap_falls_back_to_greedy():
-    sets = [{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}]
-    ci = cover_of(range(6), sets)
-    picks, exact = exact_cover(ci, node_cap=1)
-    assert not exact
-    assert len(picks) == len(greedy_cover(ci))
+        fast = exact_cover(ci)
+        assert covers_universe(ci, fast)
+        assert len(fast) == oracle.degree(as_profiles(n, sets), (1,) * n)
 
 
 def test_independence_oracle():
@@ -187,10 +199,10 @@ def test_saturation_m_is_minimal():
         pool = list(itertools.product(range(k), repeat=n))
         members = rng.sample(pool, rng.randint(1, min(5, len(pool))))
         m = saturation_degree(members).m
-        assert m == max_transition_degree(members)
+        assert m == box_max_degree(members)
         # no transition needs more than m solutions, and some needs exactly m
         assert all(
-            len(exact_cover(reduce_to_cover(members, t))[0]) <= m
+            len(exact_cover(reduce_to_cover(members, t))) <= m
             for t in itertools.product(*[sorted({d[i] for d in members}) for i in range(n)])
         )
 
@@ -221,7 +233,7 @@ def test_independence_system_is_not_a_matroid():
         assert not is_independent(members, [0, 1, x])
     assert _maximal_independent_sizes(members) == {2, 3}
     # the verified minimum is insensitive to all of this
-    assert saturation_degree(members).m == max_transition_degree(members)
+    assert saturation_degree(members).m == box_max_degree(members)
 
 
 def test_equinumerosity_violations_are_surfaced_not_hidden():

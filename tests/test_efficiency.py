@@ -642,6 +642,7 @@ def test_no_stable_transition_is_an_undefined_price(tmp_path, capsys):
     for call in (price_report, check_bound_observations):
         with pytest.raises(UndefinedPrice, match="no strict stable transition"):
             call(game, D)
+    assert oracle.prices_for(game, D) == {"undefined": True}
     weak = price_report(game, D, "weak")
     assert {k: v for k, v in weak.as_dict().items() if k != "convention"} == (
         oracle.prices_for(game, D, "weak")

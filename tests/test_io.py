@@ -1,7 +1,6 @@
 """Wire formats: loaders reject malformed input, dumpers round-trip."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -9,10 +8,7 @@ from transit import io as tio
 from transit.congestion import parallel_links
 from transit.errors import ParseError
 from transit.fixtures import matrix6_game
-from transit.polymatrix import PolymatrixGame
 from transit.routing import fig2_family
-
-F = Fraction
 
 
 def test_game_round_trip_exact_rationals():
@@ -72,20 +68,6 @@ def test_congestion_round_trip():
     cg = parallel_links(3)
     back = tio.congestion_from_dict(tio.congestion_to_dict(cg))
     assert back.costs == cg.costs and back.strategies == cg.strategies
-
-
-def test_polymatrix_round_trip():
-    mat = ((F(1), F(2)), (F(3), F(4)))
-    pg = PolymatrixGame(2, (2, 2), {(0, 1): mat, (1, 0): mat})
-    doc = tio.polymatrix_to_dict(pg)
-    assert "0,1" in doc["matrices"]
-    back = tio.polymatrix_from_dict(doc)
-    assert back.matrices == pg.matrices
-
-
-def test_polymatrix_rejects_bad_key():
-    with pytest.raises(ParseError, match="i,j"):
-        tio.polymatrix_from_dict({"matrices": {"zero-one": [[1]]}})
 
 
 def test_routing_round_trip_poly_and_pwl():

@@ -12,7 +12,7 @@ from transit.congestion import (
     random_congestion_game,
     verify_merge_lemma,
 )
-from transit.degrees import exact_cover, exact_cover_brute
+from transit.degrees import CoverInstance, exact_cover
 from transit.efficiency import price_report
 from transit.errors import UndefinedPrice
 from transit.games import Game, SolutionSet, enumerate_pure_ne
@@ -157,14 +157,18 @@ def test_merge_lemma_on_constant_costs(rng):
 def test_exact_cover_agrees_with_subset_search(n, raw_sets):
     # clip to the universe, drop empties, and append one covering set so
     # the instance is always feasible
-    sets = [frozenset(s & set(range(n))) for s in raw_sets]
-    sets = [s for s in sets if s] + [frozenset(range(n))]
-    from transit.degrees import CoverInstance
-
-    ci = CoverInstance(frozenset(range(n)), tuple(sets), tuple(range(len(sets))))
-    fast, exact = exact_cover(ci)
-    assert exact
-    assert len(fast) == len(exact_cover_brute(ci))
+    sets = [s & set(range(n)) for s in raw_sets]
+    sets = [s for s in sets if s] + [set(range(n))]
+    masks = tuple(sum(1 << i for i in s) for s in sets)
+    ci = CoverInstance((1 << n) - 1, masks, tuple(range(len(sets))))
+    fast = exact_cover(ci)
+    got = 0
+    for idx in fast:
+        got |= masks[idx]
+    assert got == ci.universe
+    # each set as a 0/1 profile; its optimum is the degree of the all-ones target
+    members = [tuple(1 if j in s else 0 for j in range(n)) for s in sets]
+    assert len(fast) == oracle.degree(members, (1,) * n)
 
 
 def test_oracle_imports_nothing_of_the_package_but_the_game_model():

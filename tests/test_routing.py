@@ -35,8 +35,6 @@ def test_poly_cost_eval_and_marginal():
     assert c(2.0) == 17.0
     # d/dx x*c(x) = c(x) + x c'(x) = 17 + 2*(2 + 12) = 45
     assert c.marginal(2.0) == pytest.approx(45.0)
-    assert c.strictly_increasing()
-    assert not PolyCost((5.0,)).strictly_increasing()
 
 
 def test_pwl_cost_interpolation_and_validation():
