@@ -23,8 +23,9 @@ from .coordination import (
     cycle_graph,
     efficiency_bounds,
     is_ne_coloring,
+    is_stable_non_equilibrium,
     random_forest,
-    stable_transitions,
+    random_graph,
 )
 from .efficiency import (
     check_bound_observations,
@@ -32,7 +33,15 @@ from .efficiency import (
     price_report,
     two_player_pots_condition,
 )
-from .errors import EmptySolutionSet, Infeasible, ParseError, TransitError, WrongArity
+from .errors import (
+    EmptySolutionSet,
+    Infeasible,
+    NotTwoColour,
+    ParseError,
+    TooLarge,
+    TransitError,
+    WrongArity,
+)
 from .games import Game, SolutionSet, as_exact, enumerate_pure_ne
 from .polymatrix import generate_theorem1_instances, verify_theorem1
 from .reporting import Report
@@ -226,10 +235,10 @@ def cmd_graph(args) -> Report:
         if not args.coloring:
             raise ParseError("graph check needs --coloring c1,c2,...")
         col = tuple(_numbers(args.coloring, int, "--coloring"))
-        fast = None
-        menus = inst.menus()
-        if all(len(m) == 2 for m in menus):
+        try:
             fast = check_stable_transition_fast(inst, col)
+        except (NotTwoColour, TooLarge):
+            fast = None  # outside the threshold rule's domain
         exact = check_stable_transition_exact(inst, col, args.stable)
         report.results = {
             "coloring": list(col),
@@ -251,12 +260,9 @@ def cmd_graph(args) -> Report:
             report.results["coloring"] = None
             report.results["exists"] = False
         else:
-            ok = check_stable_transition_exact(inst, col) and not is_ne_coloring(
-                inst, col
-            )
             report.results["coloring"] = list(col)
             report.results["exists"] = True
-            report.record("construction-verified", ok,
+            report.record("construction-verified", is_stable_non_equilibrium(inst, col),
                           "construction must be stable and not an equilibrium")
         return report
     out = efficiency_bounds(inst)
@@ -361,8 +367,6 @@ def _theorem4(args) -> Report:
         instances.append(("input", inst))
     if args.random:
         rng = random.Random(args.seed)
-        from .coordination import random_graph
-
         made = 0
         while made < args.random:
             g = random_graph(rng, rng.randint(3, args.max_nodes))
@@ -392,10 +396,7 @@ def _theorem5(args) -> Report:
     def check(name, inst, topology, expect_exists):
         col = construct_st_not_ne(inst, topology)
         exists = col is not None
-        verified = None
-        if exists:
-            verified = check_stable_transition_exact(inst, col) and not \
-                is_ne_coloring(inst, col)
+        verified = is_stable_non_equilibrium(inst, col) if exists else None
         rows.append({"name": name, "exists": exists, "verified": verified})
         report.record(
             f"construction({name})",
@@ -404,7 +405,7 @@ def _theorem5(args) -> Report:
         )
         if not exists and not expect_exists:
             leftovers = [
-                c for c in stable_transitions(inst) if not is_ne_coloring(inst, c)
+                c for c in inst.colorings() if is_stable_non_equilibrium(inst, c)
             ]
             report.record(f"emptiness({name})", leftovers == [],
                           "no stable non-equilibrium may survive exhaustion")
@@ -418,12 +419,7 @@ def _theorem5(args) -> Report:
     for k in range(args.forests):
         inst = random_forest(rng, rng.randint(2, 12))
         col = construct_st_not_ne(inst, "forest")
-        if col is None:
-            ok = not inst.edges
-        else:
-            ok = check_stable_transition_exact(inst, col) and not is_ne_coloring(
-                inst, col
-            )
+        ok = not inst.edges if col is None else is_stable_non_equilibrium(inst, col)
         forest_bad += 0 if ok else 1
     rows.append({"name": f"forests-x{args.forests}", "failures": forest_bad})
     report.record("forest-constructions", forest_bad == 0)

@@ -4,9 +4,10 @@ Players are nodes; a node's utility is how many neighbours share its
 colour.  Monochromatic colourings are always equilibria, so the transition
 set of the equilibria is everything and the interesting object is the
 stable transitions: every non-best-responding node needs a neighbour whose
-own best-response flip repairs it.  For two colours that boils down to
-per-node threshold counting, which keeps every check combinatorial; the
-dense game tensor is built only on demand for cross-validation.
+own best-response flip repairs it.  When every menu holds the same two
+colours that boils down to per-node threshold counting, which one array
+kernel does for blocks of colourings at once; the dense game tensor is
+built only on demand for cross-validation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .errors import (
     NotTwoColour,
     ParseError,
-    PreconditionFailed,
     TooLarge,
     TopologyMismatch,
     UndefinedPrice,
@@ -37,6 +37,8 @@ Coloring = tuple[int, ...]
 DEFAULT_COLOURS = (1, 2)
 
 _SWEEP_BLOCK = 1 << 12  # colourings per block: under a megabyte of arrays
+
+_KERNEL_NODES = 63  # colourings are int64 bitmasks and bit 63 is the sign
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,9 @@ def social_welfare(inst: GraphColoringInstance, col: Sequence[int]) -> int:
     return sum(utilities(inst, col))
 
 
-def coordination_to_game(inst: GraphColoringInstance, cap: int | None = None) -> Game:
+def coordination_to_game(inst: GraphColoringInstance) -> Game:
     """Dense strategic-form view; refuse beyond the profile cap."""
-    limit = cap if cap is not None else profile_cap()
+    limit = profile_cap()
     if inst.num_colorings() > limit:
         raise TooLarge(
             f"{inst.num_colorings()} colourings exceed the cap {limit}"
@@ -152,35 +154,68 @@ def ne_floor(deg: int) -> int:
     return (deg + 1) // 2
 
 
-def check_stable_transition_fast(inst: GraphColoringInstance, col: Sequence[int]) -> bool:
-    """Threshold test for two-colour instances.
+def _shared_pair(inst: GraphColoringInstance) -> tuple[int, ...]:
+    """The two colours every menu holds, in the first menu's order.
 
-    Reject when any node keeps fewer than floor((deg-1)/2) same-colour
-    neighbours; a node sitting exactly at that floor is one agreement short
-    of best-responding and needs an oppositely coloured neighbour that is
-    itself not best responding (that neighbour's only best response is to
-    flip toward the node, which is also the only single flip that can help).
+    The threshold rule and the anarchy bounds are stated for this domain:
+    two nodes agree exactly when they hold the same colour of the pair.
+    Any other menus raise NotTwoColour.
     """
-    menus = inst.menus()
-    if any(len(m) != 2 for m in menus):
-        raise NotTwoColour("fast check needs exactly two colours per node")
-    c = inst.validate_coloring(col)
+    pair = inst.menus()[0]
+    if len(set(pair)) != 2 or any(
+        len(m) != 2 or set(m) != set(pair) for m in inst.menus()
+    ):
+        raise NotTwoColour("every colour menu must hold the same two colours")
+    return pair
+
+
+def _threshold_kernel(
+    inst: GraphColoringInstance, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(welfare, equilibrium, strict stability) of each colouring in `cols`.
+
+    Bit i of an int64 colouring says that node i holds the second colour of
+    the shared pair, so node i agrees with the neighbours whose bit equals
+    its own.  A node best-responds when it agrees with more than st_floor
+    of its neighbours (that is, with at least ne_floor of them).  A node
+    that does not must keep exactly st_floor agreements and have a
+    neighbour of the other colour that does not best-respond either: that
+    neighbour's only best response is to flip toward the node, which is
+    also the only single flip that can help.  So a node is stable when its
+    agreements plus that help exceed st_floor.  On a shared pair this
+    threshold rule is the definition: it equals
+    `check_stable_transition_exact` (strict) and `is_ne_coloring`.
+    """
     adj = inst.neighbors()
-    same = utilities(inst, c)
-    for i in range(inst.n_nodes):
-        deg = len(adj[i])
-        floor_i = st_floor(deg)
-        if same[i] < floor_i:
-            return False
-        if same[i] == floor_i:
-            helped = False
-            for j in adj[i]:
-                if c[j] != c[i] and same[j] < ne_floor(len(adj[j])):
-                    helped = True
-                    break
-            if not helped:
-                return False
-    return True
+    if len(adj) > _KERNEL_NODES:
+        raise TooLarge(f"the threshold kernel holds at most {_KERNEL_NODES} nodes")
+    masks = [sum(1 << j for j in a) for a in adj]
+    floors = [st_floor(len(a)) for a in adj]
+    sharing, same = [], []
+    short = np.zeros(cols.shape, dtype=np.int64)  # bit j: node j does not best-respond
+    for i, mask in enumerate(masks):
+        # bit - 1 is all ones for a first-colour node: xor turns every bit
+        # into "holds node i's colour"
+        sharing.append((cols ^ (((cols >> i) & 1) - 1)) & mask)
+        same.append(np.bitwise_count(sharing[i]))
+        short |= (same[i] <= floors[i]) * (1 << i)
+    stable = np.ones(cols.shape, dtype=bool)
+    for i, mask in enumerate(masks):
+        helped = ((sharing[i] ^ mask) & short) != 0
+        stable &= same[i] + helped > floors[i]
+    return np.sum(same, axis=0, dtype=np.int64), short == 0, stable
+
+
+def check_stable_transition_fast(inst: GraphColoringInstance, col: Sequence[int]) -> bool:
+    """`_threshold_kernel`'s strict-stability verdict on one colouring.
+
+    Raises NotTwoColour unless every menu holds the same two colours, and
+    TooLarge beyond the kernel's node count.
+    """
+    pair = _shared_pair(inst)
+    c = inst.validate_coloring(col)
+    bits = sum(1 << i for i, x in enumerate(c) if x == pair[1])
+    return bool(_threshold_kernel(inst, np.array([bits], dtype=np.int64))[2][0])
 
 
 def check_stable_transition_exact(
@@ -221,34 +256,20 @@ def _graph_helper(inst, c, i, adj, variant) -> bool:
 
 
 def stable_transitions(
-    inst: GraphColoringInstance, variant: str = "strict", method: str = "exact"
+    inst: GraphColoringInstance, variant: str = "strict"
 ) -> Iterator[Coloring]:
-    check = (
-        check_stable_transition_fast
-        if method == "fast"
-        else lambda g, c: check_stable_transition_exact(g, c, variant)
-    )
     for col in inst.colorings():
-        if check(inst, col):
+        if check_stable_transition_exact(inst, col, variant):
             yield col
 
 
+def is_stable_non_equilibrium(inst: GraphColoringInstance, col: Sequence[int]) -> bool:
+    """What every construction must produce: a strictly stable transition
+    that is not an equilibrium."""
+    return check_stable_transition_exact(inst, col) and not is_ne_coloring(inst, col)
+
+
 # -- constructions -----------------------------------------------------------
-
-
-def _is_cycle(inst: GraphColoringInstance) -> bool:
-    if inst.n_nodes < 3 or len(inst.edges) != inst.n_nodes:
-        return False
-    adj = inst.neighbors()
-    if any(len(a) != 2 for a in adj):
-        return False
-    seen = {0}
-    at, prev = adj[0][0], 0
-    while at not in seen:
-        seen.add(at)
-        nxt = [x for x in adj[at] if x != prev]
-        prev, at = at, nxt[0]
-    return len(seen) == inst.n_nodes
 
 
 def _is_clique(inst: GraphColoringInstance) -> bool:
@@ -280,13 +301,18 @@ def _forest_components(inst: GraphColoringInstance) -> list[list[int]] | None:
     return comps
 
 
-def _cycle_order(inst: GraphColoringInstance) -> list[int]:
+def _cycle_order(inst: GraphColoringInstance) -> list[int] | None:
+    """The nodes in walking order from node 0, or None unless the graph is
+    a single cycle."""
     adj = inst.neighbors()
+    if inst.n_nodes < 3 or any(len(a) != 2 for a in adj):
+        return None
     order = [0, adj[0][0]]
-    while len(order) < inst.n_nodes:
-        nxt = [x for x in adj[order[-1]] if x != order[-2]]
-        order.append(nxt[0])
-    return order
+    while True:
+        nxt = next(x for x in adj[order[-1]] if x != order[-2])
+        if nxt == 0:
+            return order if len(order) == inst.n_nodes else None
+        order.append(nxt)
 
 
 def construct_st_not_ne(
@@ -303,18 +329,18 @@ def construct_st_not_ne(
             first opposite-coloured child; all other nodes copy their
             parent.  Isolated-node forests admit none.
     """
-    menus = inst.menus()
-    if any(len(m) != 2 for m in menus) or len(set(menus)) != 1:
-        raise NotTwoColour("constructions assume one shared two-colour menu")
+    pair = _shared_pair(inst)
+    first, second = pair
 
     if topology == "cycle":
-        if not _is_cycle(inst):
+        order = _cycle_order(inst)
+        if order is None:
             raise TopologyMismatch("graph is not a single cycle")
         if inst.n_nodes < 4:
             return None  # a triangle is the odd clique on three nodes
         col = [0] * inst.n_nodes
-        for pos, node in enumerate(_cycle_order(inst)):
-            col[node] = menus[node][pos % 2]
+        for pos, node in enumerate(order):
+            col[node] = pair[pos % 2]
         return tuple(col)
 
     if topology == "clique":
@@ -323,7 +349,7 @@ def construct_st_not_ne(
         n = inst.n_nodes
         if n % 2 == 1:
             return None
-        return tuple(menus[i][0] if i < n // 2 else menus[i][1] for i in range(n))
+        return tuple(first if i < n // 2 else second for i in range(n))
 
     if topology == "forest":
         comps = _forest_components(inst)
@@ -339,7 +365,6 @@ def construct_st_not_ne(
             return None
         root = max(target, key=lambda v: (len(adj[v]), -v))
         col: dict[int, int] = {}
-        first, second = menus[root]
         col[root] = first
 
         children = sorted(adj[root])
@@ -372,7 +397,7 @@ def construct_st_not_ne(
             col[node] = col[parent]
             frontier.extend((x, node) for x in adj[node] if x != parent)
         for v in range(inst.n_nodes):
-            col.setdefault(v, menus[v][0])
+            col.setdefault(v, first)
         out = tuple(col[v] for v in range(inst.n_nodes))
         return inst.validate_coloring(out)
 
@@ -382,77 +407,28 @@ def construct_st_not_ne(
 # -- efficiency -----------------------------------------------------------------
 
 
-def _colouring_sweep(inst: GraphColoringInstance) -> tuple[int, int, int]:
-    """(best welfare, worst equilibrium, worst stable transition) over every
-    colouring of a two-colour instance, in one bitmask sweep.
-
-    Bit i of a colouring picks node i's second menu colour; blocks of
-    colourings are swept as integer arrays.  Agreement is counted by colour
-    value, so menus may differ: agree[i][b] = (m0, m1) holds the neighbours
-    whose first, resp. second, colour is i's colour b, and the neighbours
-    sharing it are (m0 & ~col) | (m1 & col).  Stability follows
-    `check_stable_transition_fast` (the st_floor/ne_floor thresholds; a
-    helper holds another colour), equilibrium `is_ne_coloring` (i's own
-    colour is held by at least as many neighbours as its other one).  An
-    empty class reports 2|E| + 1.
-    """
-    n = inst.n_nodes
-    menus = inst.menus()
-    adj = inst.neighbors()
-    agree = [[tuple(sum(1 << j for j in adj[i] if menus[j][k] == menus[i][b])
-                    for k in (0, 1)) for b in (0, 1)] for i in range(n)]
-    adj_mask = [sum(1 << j for j in adj[i]) for i in range(n)]
-    best, worst_ne, worst_st = 0, 2 * len(inst.edges) + 1, 2 * len(inst.edges) + 1
-    for lo in range(0, 1 << n, _SWEEP_BLOCK):
-        col = np.arange(lo, min(lo + _SWEEP_BLOCK, 1 << n), dtype=np.int64)
-        sharing, same = [], []
-        ne = np.ones(col.shape, dtype=bool)
-        for i, ((a0, a1), (b0, b1)) in enumerate(agree):
-            bit = ((col >> i) & 1).astype(bool)
-            first, second = (a0 & ~col) | (a1 & col), (b0 & ~col) | (b1 & col)
-            sharing.append(np.where(bit, second, first))
-            same.append(np.bitwise_count(sharing[i]))
-            ne &= same[i] >= np.bitwise_count(np.where(bit, first, second))
-        deficient = sum((same[j] < ne_floor(len(adj[j]))).astype(np.int64) << j
-                        for j in range(n))
-        stable = np.ones(col.shape, dtype=bool)
-        for i in range(n):
-            floor_i = st_floor(len(adj[i]))
-            helped = (adj_mask[i] & ~sharing[i] & deficient) != 0
-            stable &= (same[i] > floor_i) | ((same[i] == floor_i) & helped)
-        welfare = np.sum(same, axis=0, dtype=np.int64)
-        best = max(best, int(welfare.max()))
-        worst_st = int(welfare.min(initial=worst_st, where=stable))
-        worst_ne = int(welfare.min(initial=worst_ne, where=stable & ne))
-    return best, worst_ne, worst_st
-
-
-def efficiency_bounds(inst: GraphColoringInstance, cap: int | None = None) -> dict:
+def efficiency_bounds(inst: GraphColoringInstance) -> dict:
     """Exhaustive anarchy bounds for two-colour coordination games.
 
-    The bounds assume a colouring that agrees on every edge (a monochromatic
-    one when every menu holds a shared colour), so that the optimum equals
-    twice the edge count; PreconditionFailed is raised when none exists.
-    The worst equilibrium keeps half of it and the worst stable transition
-    all but one agreement per node.  The colourings, at most `cap` (default
-    `profile_cap()`), are swept once by `_colouring_sweep`; nodes may have
-    different two-colour menus.
+    Every menu must hold the same two colours (NotTwoColour otherwise), so
+    a monochromatic colouring agrees on every edge and the optimum is twice
+    the edge count.  The worst equilibrium keeps half of it and the worst
+    stable transition all but one agreement per node.  The colourings, at
+    most `profile_cap()`, are swept in blocks by `_threshold_kernel`.
     """
-    limit = cap if cap is not None else profile_cap()
-    if inst.num_colorings() > limit:
+    if inst.num_colorings() > profile_cap():
         raise TooLarge("too many colourings to enumerate")
     if not inst.edges:
         raise UndefinedPrice("edgeless graphs have zero optimal welfare")
-    if any(len(m) != 2 for m in inst.menus()):
-        raise NotTwoColour("bounds are stated for two-colour instances")
+    _shared_pair(inst)
 
     n, e = inst.n_nodes, len(inst.edges)
-    max_sw = 2 * e
-    best_sw, worst_ne, worst_st = _colouring_sweep(inst)
-    if best_sw != max_sw:
-        raise PreconditionFailed(
-            "no colouring agrees on every edge, so the optimum is not 2|E|"
-        )
+    max_sw = worst_ne = worst_st = 2 * e
+    for lo in range(0, 1 << n, _SWEEP_BLOCK):
+        cols = np.arange(lo, min(lo + _SWEEP_BLOCK, 1 << n), dtype=np.int64)
+        welfare, ne, stable = _threshold_kernel(inst, cols)
+        worst_ne = int(welfare.min(initial=worst_ne, where=ne))
+        worst_st = int(welfare.min(initial=worst_st, where=stable))
 
     poa = F(worst_ne, max_sw)
     posta = F(worst_st, max_sw)
@@ -469,19 +445,6 @@ def efficiency_bounds(inst: GraphColoringInstance, cap: int | None = None) -> di
         "poa_holds": poa >= poa_bound,
         "posta_holds": posta >= posta_bound,
     }
-
-
-def audit_instance(inst: GraphColoringInstance) -> dict:
-    """`efficiency_bounds` capped at 24 nodes instead of by the profile cap,
-    without the node and edge counts; checks the menus first."""
-    if any(len(m) != 2 for m in inst.menus()):
-        raise NotTwoColour("the audit sweep assumes two colours per node")
-    if not inst.edges:
-        raise UndefinedPrice("edgeless graphs have zero optimal welfare")
-    if inst.n_nodes > 24:
-        raise TooLarge("audit sweep is capped at 24 nodes")
-    out = efficiency_bounds(inst, cap=1 << 24)
-    return {k: v for k, v in out.items() if k not in ("nodes", "edges")}
 
 
 def observation5_violations(inst: GraphColoringInstance) -> dict:

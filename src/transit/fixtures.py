@@ -23,12 +23,11 @@ from . import oracle
 from .congestion import parallel_links
 from .coordination import (
     GraphColoringInstance,
-    check_stable_transition_exact,
     clique_graph,
     construct_st_not_ne,
     cycle_graph,
     efficiency_bounds,
-    is_ne_coloring,
+    is_stable_non_equilibrium,
     random_forest,
     star_graph,
 )
@@ -192,10 +191,7 @@ def _graph_expectations(inst: GraphColoringInstance, topology: str | None) -> di
         col = construct_st_not_ne(inst, topology)
         values["construction_exists"] = col is not None
         if col is not None:
-            values["construction_is_stable_non_ne"] = bool(
-                check_stable_transition_exact(inst, col)
-                and not is_ne_coloring(inst, col)
-            )
+            values["construction_is_stable_non_ne"] = is_stable_non_equilibrium(inst, col)
     return values
 
 

@@ -28,6 +28,26 @@ def _load_json(path: str | Path) -> Any:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# what a builder raises when it indexes a missing key or converts a value of
+# the wrong type (OverflowError: int() of a JSON 1e999)
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _load(path: str | Path, build, *args):
+    """`build(document, *args)` on the JSON document at `path`.
+
+    Builders index and convert fields directly, so a missing key or a value
+    of the wrong type surfaces here, where it becomes a ParseError naming
+    the file.
+    """
+    data = _load_json(path)
+    try:
+        return build(data, *args)
+    except _MALFORMED as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ParseError(f"{path} is malformed: {why}") from None
+
+
 def game_from_dict(data: dict) -> Game:
     """Game from {"convention", "players", "strategies", "payoffs"}.
 
@@ -87,12 +107,15 @@ def game_to_dict(game: Game) -> dict:
 
 
 def load_game(path: str | Path) -> Game:
-    return game_from_dict(_load_json(path))
+    return _load(path, game_from_dict)
 
 
 def load_solution_set(path: str | Path, game: Game | None = None) -> SolutionSet:
     """SolutionSet from {"game": <path or inline>, "label", "members"}."""
-    data = _load_json(path)
+    return _load(path, _solution_set_from_dict, path, game)
+
+
+def _solution_set_from_dict(data: dict, path: str | Path, game: Game | None) -> SolutionSet:
     if not isinstance(data, dict):
         raise ParseError("solution document must be an object")
     if game is None:
@@ -134,7 +157,7 @@ def congestion_to_dict(cg: CongestionGame) -> dict:
 
 
 def load_congestion(path: str | Path) -> CongestionGame:
-    return congestion_from_dict(_load_json(path))
+    return _load(path, congestion_from_dict)
 
 
 def routing_from_dict(data: dict) -> RoutingInstance:
@@ -184,7 +207,7 @@ def routing_to_dict(inst: RoutingInstance) -> dict:
 
 
 def load_routing(path: str | Path) -> RoutingInstance:
-    return routing_from_dict(_load_json(path))
+    return _load(path, routing_from_dict)
 
 
 def graph_from_dict(data: dict) -> GraphColoringInstance:
@@ -229,13 +252,11 @@ def graph_from_text(text: str) -> GraphColoringInstance:
 
 def load_graph(path: str | Path) -> GraphColoringInstance:
     p = Path(path)
-    if p.suffix == ".json":
-        return graph_from_dict(_load_json(p))
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {p}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return graph_from_dict(json.loads(text))
-    return graph_from_text(text)
+    if p.suffix != ".json":
+        try:
+            text = p.read_text()
+        except OSError as exc:
+            raise ParseError(f"cannot read {p}: {exc}") from exc
+        if not text.lstrip().startswith("{"):
+            return graph_from_text(text)
+    return _load(p, graph_from_dict)

@@ -49,6 +49,11 @@ class PolymatrixGame:
                 len(row) != self.strategy_counts[j] for row in m
             ):
                 raise ParseError(f"matrix ({i}, {j}) has the wrong shape")
+        # built once; every analysis reads it through to_game()
+        object.__setattr__(self, "_game", Game.from_function(
+            self.strategy_counts,
+            lambda s: tuple(self.utility(i, s) for i in range(n)),
+        ))
 
     @classmethod
     def build(cls, matrices: Mapping[tuple[int, int], Sequence[Sequence]], n=None):
@@ -71,12 +76,8 @@ class PolymatrixGame:
             start=F(0),
         )
 
-    def to_game(self, convention: str = "max") -> Game:
-        return Game.from_function(
-            self.strategy_counts,
-            lambda s: tuple(self.utility(i, s) for i in range(self.n_players)),
-            convention=convention,
-        )
+    def to_game(self) -> Game:
+        return self._game
 
     def is_nonnegative(self) -> bool:
         return all(

@@ -36,11 +36,11 @@ from transit.congestion import (
     verify_parallel_link_family,
 )
 from transit.coordination import (
-    audit_instance,
     check_stable_transition_exact,
     clique_graph,
     construct_st_not_ne,
     cycle_graph,
+    efficiency_bounds,
     is_ne_coloring,
     observation5_violations,
     random_forest,
@@ -238,7 +238,7 @@ def test_acceptance_10_coordination_corpus():
             from transit.coordination import GraphColoringInstance
 
             inst = GraphColoringInstance(n, tuple(picks))
-            out = audit_instance(inst)
+            out = efficiency_bounds(inst)
             bound_violations += 0 if out["poa_holds"] and out["posta_holds"] else 1
             checked += 1
     # a thousand random graphs up to 12 nodes
@@ -247,7 +247,7 @@ def test_acceptance_10_coordination_corpus():
         inst = random_graph(rng, n, rng.uniform(0.2, 0.8))
         if not inst.edges:
             continue
-        out = audit_instance(inst)
+        out = efficiency_bounds(inst)
         bound_violations += 0 if out["poa_holds"] and out["posta_holds"] else 1
         checked += 1
     # threshold floors against the exact stability notion on a subsample
@@ -256,7 +256,7 @@ def test_acceptance_10_coordination_corpus():
         v = observation5_violations(inst)
         floor_violations += len(v["stable"]) + len(v["equilibria"])
     # the even 4-cycle attains both extremes exactly
-    c4 = audit_instance(cycle_graph(4))
+    c4 = efficiency_bounds(cycle_graph(4))
     attained = c4["posta"] == c4["posta_bound"] == 0 and c4["poa"] == F(1, 2)
     ok = bound_violations == 0 and floor_violations == 0 and attained
     verdict(10, ok,

@@ -1,5 +1,7 @@
 """CLI behaviour: dispatch, formats, exit codes, determinism."""
 
+import copy
+import fnmatch
 import json
 import subprocess
 import sys
@@ -169,6 +171,79 @@ def test_malformed_numeric_arguments_are_parse_errors(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# Fuzz pass over the four document kinds: every case deletes one required
+# key or swaps one value for a value of a wrong type.  Per kind: the base
+# document, the command that reads it (DOC stands for its path), the keys it
+# may omit, and the fields that accept any value (names and labels).
+FUZZ_KINDS = {
+    "game": (json.loads(fixture_path("matrix2").read_text()),
+             ("prices", "DOC", "--ne"), {"convention"}, {"players/*", "strategies/*/*"}),
+    "solution": ({"label": "pure-NE", "members": [[0, 0], [1, 1]]},
+                 ("degree", "matrix2", "DOC", "--saturate"), {"label"}, {"label"}),
+    "network": (json.loads(fixture_path("pigou-pair").read_text()),
+                ("routing", "analyze", "DOC"), set(), set()),
+    "graph": ({"nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+               "colors": [[1, 2], [2, 1], [1, 2], [1, 2]]},
+              ("graph", "bounds", "DOC"), {"colors"}, set()),
+}
+
+
+_DELETE = object()
+
+
+def _fuzz_cases(doc, optional, free):
+    """(label, broken copy) for each deleted key and each wrong-type swap."""
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            sub = path + (key,)
+            name = "/".join(map(str, sub))
+            if isinstance(node, dict) and name not in optional:
+                yield f"delete {name}", sub, _DELETE
+            if any(fnmatch.fnmatchcase(name, pattern) for pattern in free):
+                continue
+            if isinstance(value, (dict, list)):
+                wrong = (7, "x")
+                yield from walk(value, sub)
+            else:
+                wrong = ("x", [], None)
+            for w in wrong:
+                yield f"{name} = {w!r}", sub, w
+
+    for label, path, value in walk(doc, ()):
+        broken = copy.deepcopy(doc)
+        parent = broken
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        yield label, broken
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_KINDS))
+def test_malformed_documents_exit_2(capsys, tmp_path, kind):
+    doc, argv, optional, free = FUZZ_KINDS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, *(str(path) if a == "DOC" else a for a in argv))[0] == 0
+    bad = []
+    cases = 0
+    for label, broken in _fuzz_cases(doc, optional, free):
+        path.write_text(json.dumps(broken))
+        try:
+            code, out, err = run_cli(capsys, *(str(path) if a == "DOC" else a for a in argv))
+        except Exception as exc:  # a traceback: the error escaped the CLI
+            code, out, err = None, "", repr(exc)
+        if not (code == 2 and out == "" and err.startswith("error: ")
+                and err.count("\n") == 1):
+            bad.append((label, code, err))
+        cases += 1
+    assert bad == []
+    assert cases >= 10
 
 
 def test_empty_solution_set_exit_code(capsys, tmp_path):

@@ -17,6 +17,7 @@ from transit.coordination import (
     cycle_graph,
     efficiency_bounds,
     is_ne_coloring,
+    is_stable_non_equilibrium,
     ne_floor,
     observation5_violations,
     path_graph,
@@ -32,7 +33,6 @@ from transit.cli import main
 from transit.errors import (
     NotTwoColour,
     ParseError,
-    PreconditionFailed,
     TooLarge,
     TopologyMismatch,
     UndefinedPrice,
@@ -65,9 +65,10 @@ def test_game_conversion_matches_graph_utilities():
         assert list(game.payoffs[s]) == utilities(inst, col)
 
 
-def test_game_conversion_respects_cap():
+def test_game_conversion_respects_cap(monkeypatch):
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "100")
     with pytest.raises(TooLarge):
-        coordination_to_game(cycle_graph(8), cap=100)
+        coordination_to_game(cycle_graph(8))
 
 
 def test_thresholds():
@@ -83,16 +84,45 @@ def test_fast_check_accepts_equilibria():
 
 
 def test_fast_check_requires_two_colours():
-    inst = GraphColoringInstance(2, ((0, 1),), colors=((1, 2, 3), (1, 2)))
-    with pytest.raises(NotTwoColour):
-        check_stable_transition_fast(inst, (1, 1))
+    for colors in (
+        ((1, 2, 3), (1, 2)),  # three colours
+        ((1, 2), (1, 3)),  # two colours each, but not the same two
+        ((1, 1), (1, 1)),  # one colour listed twice
+    ):
+        inst = GraphColoringInstance(2, ((0, 1),), colors=colors)
+        with pytest.raises(NotTwoColour):
+            check_stable_transition_fast(inst, (1, 1))
+
+
+def test_fast_check_refuses_more_nodes_than_the_kernel_holds():
+    big = path_graph(coordination._KERNEL_NODES + 1)
+    with pytest.raises(TooLarge):
+        check_stable_transition_fast(big, (1,) * big.n_nodes)
+    # the last node holds bit 62, the highest below the int64 sign bit
+    top = path_graph(coordination._KERNEL_NODES)
+    for col in ((1,) * (top.n_nodes - 2) + (2, 2), (1,) * (top.n_nodes - 1) + (2,)):
+        assert check_stable_transition_fast(top, col) == \
+            check_stable_transition_exact(top, col, "strict")
+
+
+def test_graph_check_leaves_the_fast_verdict_out_beyond_the_kernel(tmp_path, capsys):
+    n = coordination._KERNEL_NODES + 1
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"nodes": n, "edges": [[i, i + 1] for i in range(n - 1)]}))
+    assert main(["graph", "check", str(path), "--coloring", ",".join(["1"] * n)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["stable_fast"] is None and results["stable_exact"] is True
 
 
 def test_fast_equals_exact_strict_on_random_graphs():
+    # default menus, and every node holding (1, 2) or (2, 1)
     rng = random.Random(2)
     mismatches = []
-    for _ in range(300):
+    for k in range(300):
         inst = random_graph(rng, rng.randint(2, 7), p=rng.uniform(0.2, 0.8))
+        if k % 2:
+            menus = tuple(rng.choice([(1, 2), (2, 1)]) for _ in range(inst.n_nodes))
+            inst = GraphColoringInstance(inst.n_nodes, inst.edges, menus)
         for col in inst.colorings():
             fast = check_stable_transition_fast(inst, col)
             exact = check_stable_transition_exact(inst, col, "strict")
@@ -184,6 +214,10 @@ def test_forest_construction_on_path3_matches_exhaustive():
 def test_topology_mismatch_raised():
     with pytest.raises(TopologyMismatch):
         construct_st_not_ne(star_graph(4), "cycle")
+    two_triangles = GraphColoringInstance(
+        6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    with pytest.raises(TopologyMismatch):
+        construct_st_not_ne(two_triangles, "cycle")
     with pytest.raises(TopologyMismatch):
         construct_st_not_ne(cycle_graph(4), "forest")
     with pytest.raises(TopologyMismatch):
@@ -222,10 +256,12 @@ def test_efficiency_bounds_random_graphs():
 
 
 def _bounds_by_colouring(inst):
-    """efficiency_bounds recomputed one colouring at a time."""
+    """efficiency_bounds recomputed one colouring at a time from the
+    definitions."""
     welfare = [social_welfare(inst, col) for col in inst.colorings()]
-    stable = [check_stable_transition_fast(inst, col) for col in inst.colorings()]
-    ne = [s and is_ne_coloring(inst, col) for s, col in zip(stable, inst.colorings())]
+    stable = [check_stable_transition_exact(inst, col, "strict")
+              for col in inst.colorings()]
+    ne = [is_ne_coloring(inst, col) for col in inst.colorings()]
     n, e = inst.n_nodes, len(inst.edges)
     assert max(welfare) == 2 * e
     poa = F(min(w for w, ok in zip(welfare, ne) if ok), 2 * e)
@@ -238,9 +274,9 @@ def _bounds_by_colouring(inst):
 
 @pytest.mark.parametrize("block", [8, coordination._SWEEP_BLOCK])
 def test_efficiency_bounds_sweep_matches_colouring_by_colouring(monkeypatch, block):
-    # menus (1, 2), (2, 1) and (1, 3) all hold colour 1, so the optimum is
-    # 2|E|; differing menus make agreement depend on colour values; blocks
-    # of 8 colourings carry the extremes across blocks
+    # menus (1, 2) and (2, 1) share one pair; (1, 3) next to either breaks
+    # the shared pair and is refused; blocks of 8 colourings carry the extremes
+    # across blocks
     monkeypatch.setattr(coordination, "_SWEEP_BLOCK", block)
     rng = random.Random(404)
     checked = {"default": 0, "reordered": 0, "differing": 0}
@@ -254,20 +290,27 @@ def test_efficiency_bounds_sweep_matches_colouring_by_colouring(monkeypatch, blo
         menus = None if kind == "default" else tuple(
             rng.choice(pool) for _ in range(inst.n_nodes))
         inst = GraphColoringInstance(inst.n_nodes, inst.edges, menus)
-        assert efficiency_bounds(inst) == _bounds_by_colouring(inst), (inst, kind)
+        if menus is not None and len({frozenset(m) for m in menus}) > 1:
+            with pytest.raises(NotTwoColour):
+                efficiency_bounds(inst)
+        else:
+            assert efficiency_bounds(inst) == _bounds_by_colouring(inst), (inst, kind)
         checked[kind] += 1
     assert min(checked.values()) > 50
 
 
-def test_efficiency_bounds_error_order():
+def test_efficiency_bounds_error_order(monkeypatch):
     edgeless_three = GraphColoringInstance(3, (), ((1, 2, 3),) * 3)
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "26")
     with pytest.raises(TooLarge):
-        efficiency_bounds(edgeless_three, cap=26)
+        efficiency_bounds(edgeless_three)
+    monkeypatch.delenv("TRANSIT_PROFILE_CAP")
     with pytest.raises(UndefinedPrice):
         efficiency_bounds(edgeless_three)
     with pytest.raises(NotTwoColour):
         efficiency_bounds(GraphColoringInstance(3, ((0, 1),), ((1, 2, 3),) * 3))
-    assert efficiency_bounds(cycle_graph(4), cap=16)["poa"] == F(1, 2)
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "16")
+    assert efficiency_bounds(cycle_graph(4))["poa"] == F(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -285,17 +328,47 @@ def test_bounds_refused_when_no_colouring_agrees_on_every_edge(doc, tmp_path, ca
         tuple(tuple(e) for e in doc["edges"]),
         tuple(tuple(m) for m in doc["colors"]),
     )
-    for bounds in (efficiency_bounds, coordination.audit_instance):
-        with pytest.raises(PreconditionFailed, match="no colouring agrees on every edge"):
-            bounds(inst)
+    # the bounds need one colour pair shared by every menu
+    with pytest.raises(NotTwoColour):
+        efficiency_bounds(inst)
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc))
     assert main(["graph", "bounds", str(path)]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: no colouring agrees on every edge, so the optimum is not 2|E|\n"
-    )
+    assert captured.err == "error: every colour menu must hold the same two colours\n"
+
+
+MIXED_PAIRS = {"nodes": 4, "edges": [[1, 2], [1, 3], [2, 3]],
+               "colors": [[1, 2], [1, 3], [2, 1], [2, 1]]}
+
+
+def test_mixed_colour_pairs_stay_outside_the_threshold_rule(tmp_path, capsys):
+    # the worst equilibrium (1, 1, 2, 2) keeps 2 of the 6 agreements, so a
+    # threshold rule read on these menus reported poa 1 and a false
+    # fast-exact disagreement
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_PAIRS))
+    assert main(["graph", "check", str(path), "--coloring", "1,1,2,2"]) == 0
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)["results"]
+    assert results["stable_fast"] is None
+    assert results["stable_exact"] is True and results["is_equilibrium"] is True
+    assert captured.err == ""
+    assert main(["graph", "bounds", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: every colour menu must hold the same two colours\n"
+
+
+def test_constructions_on_reordered_menus():
+    # one shared pair in either order per node is enough for every construction
+    for inst, topology in ((cycle_graph(6), "cycle"), (clique_graph(4), "clique"),
+                           (path_graph(5), "forest")):
+        menus = tuple((1, 2) if i % 3 else (2, 1) for i in range(inst.n_nodes))
+        inst = GraphColoringInstance(inst.n_nodes, inst.edges, menus)
+        col = construct_st_not_ne(inst, topology)
+        assert is_stable_non_equilibrium(inst, col), (topology, col)
 
 
 def test_neighbours_are_built_once():

@@ -31,6 +31,7 @@ def test_inducement_matches_pairwise_sums():
     game = pg.to_game()
     assert game.payoffs[(0, 1)] == (F(2), F(7))
     assert game.payoffs[(1, 0)] == (F(3), F(6))
+    assert pg.to_game() is game  # built once, with the instance
 
 
 def test_identical_constant_matrices_are_symmetric():
