@@ -12,8 +12,8 @@ built only on demand for cross-validation.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,12 +67,15 @@ class GraphColoringInstance:
                 raise ParseError("one colour menu per node required")
             if any(len(menu) == 0 for menu in self.colors):
                 raise ParseError("colour menus must be nonempty")
+
+    @functools.cached_property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        # built on first use, so a graph refused by size never allocates it
         adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        # built once; every check reads it through neighbors()
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
+        return tuple(tuple(a) for a in adj)
 
     def menus(self) -> tuple[tuple[int, ...], ...]:
         if self.colors is None:
@@ -97,8 +100,18 @@ class GraphColoringInstance:
     def colorings(self) -> Iterator[Coloring]:
         return itertools.product(*self.menus())
 
-    def num_colorings(self) -> int:
-        return math.prod(len(m) for m in self.menus())
+    def colorings_exceed(self, cap: int) -> bool:
+        """Whether there are more than cap colourings.
+
+        Multiplies the menu sizes only until the product passes cap, so a
+        huge graph is refused in time linear in the nodes read.
+        """
+        count = 1
+        for menu in self.menus():
+            count *= len(menu)
+            if count > cap:
+                return True
+        return False
 
 
 def utilities(inst: GraphColoringInstance, col: Sequence[int]) -> list[int]:
@@ -113,10 +126,8 @@ def social_welfare(inst: GraphColoringInstance, col: Sequence[int]) -> int:
 def coordination_to_game(inst: GraphColoringInstance) -> Game:
     """Dense strategic-form view; refuse beyond the profile cap."""
     limit = profile_cap()
-    if inst.num_colorings() > limit:
-        raise TooLarge(
-            f"{inst.num_colorings()} colourings exceed the cap {limit}"
-        )
+    if inst.colorings_exceed(limit):
+        raise TooLarge(f"the colourings exceed the cap {limit}")
     menus = inst.menus()
 
     def pay(s: Sequence[int]) -> tuple[Fraction, ...]:
@@ -416,7 +427,7 @@ def efficiency_bounds(inst: GraphColoringInstance) -> dict:
     stable transition all but one agreement per node.  The colourings, at
     most `profile_cap()`, are swept in blocks by `_threshold_kernel`.
     """
-    if inst.num_colorings() > profile_cap():
+    if inst.colorings_exceed(profile_cap()):
         raise TooLarge("too many colourings to enumerate")
     if not inst.edges:
         raise UndefinedPrice("edgeless graphs have zero optimal welfare")

@@ -12,27 +12,29 @@ condition and an extensive smoothness certificate round out the toolkit.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import Infeasible, UndefinedPrice, WrongArity, WrongConvention
 from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne
 from .transitions import degree_map, is_stable_transition
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
-def _sw(game: Game, s: Profile) -> Fraction:
-    return sum(game.payoffs[s])
+def _welfare_table(game: Game) -> dict[Profile, Fraction]:
+    """Social welfare of every profile, in lexicographic profile order."""
+    return {s: sum(game.payoffs[s]) for s in game.profiles()}
 
 
-def _extreme(game: Game, profiles, pick) -> tuple[Profile, Fraction]:
+def _extreme(sw: dict, profiles, pick) -> tuple[Profile, Fraction]:
     """First profile of least (pick=min) or greatest (pick=max) welfare."""
-    arg = pick(profiles, key=lambda s: _sw(game, s))
-    return arg, _sw(game, arg)
+    arg = pick(profiles, key=sw.__getitem__)
+    return arg, sw[arg]
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,8 @@ def price_report(
         anarchy_of, stability_of, opt_name = min, max, "maximum social welfare"
     else:
         anarchy_of, stability_of, opt_name = max, min, "minimum social cost"
-    opt_arg, opt = _extreme(game, game.profiles(), stability_of)
+    sw = _welfare_table(game)
+    opt_arg, opt = _extreme(sw, sw, stability_of)
     if opt <= 0:
         raise UndefinedPrice(f"{opt_name} is {opt}; prices are undefined")
 
@@ -146,7 +149,7 @@ def price_report(
     wit: dict = {"optimum": opt_arg}
 
     def price(profiles, pick, key):
-        arg, val = _extreme(game, profiles, pick)
+        arg, val = _extreme(sw, profiles, pick)
         wit[key] = arg
         return val / opt
 
@@ -228,6 +231,7 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
     degs = degree_map(D)
     trans = sorted(degs)
     n = game.n
+    sw = _welfare_table(game)
     wit: dict = {}
 
     def stage(m: int) -> list[Profile]:
@@ -251,7 +255,7 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
         # u_i(s) >= u_i(t) / beta; only pairs with u_i(t) > 0 constrain beta.
         b: Fraction | None = ONE
         for s, t in itertools.product(D.members, repeat=2):
-            if _sw(game, s) >= _sw(game, t) and u(t) > 0:
+            if sw[s] >= sw[t] and u(t) > 0:
                 cand = _tightest(u(t), u(s))
                 if cand is None:
                     b = None
@@ -259,14 +263,14 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
                 if b is not None and cand > b:
                     b = cand
                     wit[f"beta[{i}]"] = (s, t)
-        if b is not None and not _beta_verifies(game, D, i, b):
+        if b is not None and not _beta_verifies(game, sw, D, i, b):
             b = None
         beta.append(b)
 
-    min_sw_d = min(_sw(game, d) for d in D.members)
-    max_sw_d = max(_sw(game, d) for d in D.members)
-    min_sw_t = min(_sw(game, t) for t in trans)
-    max_sw_t = max(_sw(game, t) for t in trans)
+    min_sw_d = min(sw[d] for d in D.members)
+    max_sw_d = max(sw[d] for d in D.members)
+    min_sw_t = min(sw[t] for t in trans)
+    max_sw_t = max(sw[t] for t in trans)
     sw_alpha_lower = _tightest(min_sw_d, min_sw_t)
     sw_alpha_upper = _tightest(max_sw_t, max_sw_d)
 
@@ -277,10 +281,10 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
     for m in range(1, n):
         small, large = stages[m], stages[m + 1]
         sw_deg_lower.append(
-            _tightest(min(_sw(game, t) for t in small), min(_sw(game, t) for t in large))
+            _tightest(min(sw[t] for t in small), min(sw[t] for t in large))
         )
         sw_deg_upper.append(
-            _tightest(max(_sw(game, t) for t in large), max(_sw(game, t) for t in small))
+            _tightest(max(sw[t] for t in large), max(sw[t] for t in small))
         )
         row_lo = []
         row_up = []
@@ -305,7 +309,7 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
     )
 
 
-def _beta_verifies(game: Game, D: SolutionSet, i: int, b: Fraction) -> bool:
+def _beta_verifies(game: Game, sw: dict, D: SolutionSet, i: int, b: Fraction) -> bool:
     """Confirm the variation bound with the candidate constant.
 
     Needed because negative utilities turn some pair constraints into upper
@@ -313,7 +317,7 @@ def _beta_verifies(game: Game, D: SolutionSet, i: int, b: Fraction) -> bool:
     fail and the honest answer is "undefined".
     """
     for s, t in itertools.product(D.members, repeat=2):
-        if _sw(game, s) >= _sw(game, t):
+        if sw[s] >= sw[t]:
             if game.payoffs[s][i] * b < game.payoffs[t][i]:
                 return False
     return True
@@ -528,19 +532,25 @@ class SmoothnessResult:
     holds: bool
 
 
-def extensive_smoothness(
-    game: Game,
-    D: SolutionSet | None = None,
-    lambda_grid: Sequence[Fraction] | None = None,
-) -> SmoothnessResult:
+def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> SmoothnessResult:
     """Best certified lower bound on the transition price of anarchy.
 
     The three smoothness conditions are instantiated with their tightest
     constants: alpha from comparing transitions against the solutions they
     borrow a coordinate from, beta from swapping the transition completing an
-    optimal strategy, and for each lambda in the grid the least feasible mu.
-    The certified bound alpha*beta*lambda / (1 + alpha*beta*mu) is maximised
-    over the grid and checked against the exhaustively computed price.
+    optimal strategy, and for each lambda in `default_lambda_grid()` the
+    least feasible mu.  The certified bound alpha*beta*lambda / (1 +
+    alpha*beta*mu) is maximised over the grid and checked against the
+    exhaustively computed price.
+
+    No constant loops over pairs.  The pairs behind alpha and beta form
+    product sets, one per player and strategy, whose extremes decide the
+    constant (`_ratio_floor`).  Every optimum has welfare opt, so mu reads
+    each transition t only through m_t, the least sum_i u_i(s*_i, t_-i) over
+    optima s*, and sw(t): the lines lambda -> (lambda*opt - m_t) / sw(t) are
+    built once into the two envelopes that each grid row reads.  Over the
+    transitions T the cost is O(n*|T|*|optima| + n*|D|) sums plus
+    O(|T| log |T|) for the envelopes and a bisection per grid row.
     """
     if game.convention != "max":
         raise WrongConvention("smoothness certificates require utility games")
@@ -548,43 +558,60 @@ def extensive_smoothness(
         D = enumerate_pure_ne(game)
     D.require_nonempty()
     trans = sorted(degree_map(D))
-    grid = list(lambda_grid) if lambda_grid is not None else default_lambda_grid()
+    sw = _welfare_table(game)
+    opt = max(sw.values())
+    optima = [s for s, w in sw.items() if w == opt]
+    n = game.n
 
-    def sw(s):
-        return _sw(game, s)
-
-    opt = max(sw(s) for s in game.profiles())
-    optima = [s for s in game.profiles() if sw(s) == opt]
+    def by_strategy(i, profiles):
+        groups: dict[int, list[Fraction]] = {}
+        for s in profiles:
+            groups.setdefault(s[i], []).append(game.payoffs[s][i])
+        return groups
 
     # condition 1 constant: u_i(s) >= alpha * u_i(d) whenever s_i = d_i.
-    alpha = _ratio_floor(
-        (game.payoffs[s][i], game.payoffs[d][i])
-        for i in range(game.n)
-        for s in trans
-        for d in D.members
-        if s[i] == d[i]
-    )
+    alpha_groups = []
+    for i in range(n):
+        nums = by_strategy(i, trans)
+        for x, dens in by_strategy(i, D.members).items():
+            alpha_groups.append((nums[x], dens))
+    alpha = _ratio_floor(alpha_groups)
 
     # condition 2 constant: completing an optimal strategy with one
     # transition versus another moves the utility by at most 1/beta.
-    def completed(i, star, t):
-        prof = t[:i] + (star[i],) + t[i + 1 :]
-        return game.payoffs[prof][i]
+    completed = {
+        (i, x): [game.payoffs[t[:i] + (x,) + t[i + 1 :]][i] for t in trans]
+        for i in range(n)
+        for x in {star[i] for star in optima}
+    }
+    beta = _ratio_floor((vals, vals) for vals in completed.values())
 
-    beta = _ratio_floor(
-        (completed(i, star, t), completed(i, star, v))
-        for i in range(game.n)
-        for star in optima
-        for t in trans
-        for v in trans
-    )
+    # condition 3: mu >= (lambda*opt - m_t) / sw(t) when sw(t) > 0, mu <= it
+    # when sw(t) < 0, and lambda*opt <= m_t when sw(t) = 0.
+    totals = [
+        [sum(us) for us in zip(*(completed[i, star[i]] for i in range(n)))] for star in optima
+    ]
+    rising, falling, flat = [], [], []
+    for t, m in zip(trans, [min(ms) for ms in zip(*totals)]):
+        w = sw[t]
+        if w > 0:
+            rising.append((opt / w, -m / w))
+        elif w < 0:
+            falling.append((-opt / w, m / w))  # negated: min is -max
+        else:
+            flat.append(m)
+    mu_floor = _upper_envelope(rising)
+    mu_ceiling = _upper_envelope(falling)
+    flat_least = min(flat, default=None)
 
     ab = alpha * beta
     rows = []
     best = None
-    for lam in grid:
-        mu = _min_mu(game, optima, trans, lam)
-        if mu is None:
+    for lam in default_lambda_grid():
+        if flat_least is not None and lam * opt > flat_least:
+            continue
+        mu = max(ZERO, mu_floor(lam)) if rising else ZERO
+        if falling and mu > -mu_ceiling(lam):
             continue
         denom = 1 + ab * mu
         if denom <= 0:
@@ -596,7 +623,7 @@ def extensive_smoothness(
     if best is None:
         raise Infeasible("no (lambda, mu) pair with mu >= 0 is feasible on the grid")
 
-    pota = min(sw(t) for t in trans) / opt
+    pota = min(sw[t] for t in trans) / opt
     return SmoothnessResult(
         alpha=alpha,
         beta=beta,
@@ -607,23 +634,29 @@ def extensive_smoothness(
     )
 
 
-def _ratio_floor(pairs) -> Fraction:
-    """Largest a with num >= a * den for all pairs (positive denominators).
+def _ratio_floor(groups) -> Fraction:
+    """Largest a with num >= a * den for every pair with a positive denominator.
 
+    Each group (nums, dens) stands for every pair in nums x dens, so only
+    min(nums) and the extremes of the positive and negative dens are read.
     Zero denominators with nonnegative numerators bind nothing; a negative
-    numerator over a zero or negative denominator has no feasible constant.
+    numerator over a zero denominator, a lack of positive denominators, or a
+    negative denominator asking for more than the positive ones allow leaves
+    no feasible constant, and the first of these reasons wins.
     """
     hi = None
     lo = None
-    for num, den in pairs:
-        if den > 0:
-            r = num / den
+    for nums, dens in groups:
+        least = min(nums)
+        pos = [d for d in dens if d > 0]
+        neg = [d for d in dens if d < 0]
+        if least < 0 and len(pos) + len(neg) < len(dens):
+            raise Infeasible("smoothness constant infeasible: u >= a*0 fails")
+        if pos:
+            r = least / (max(pos) if least >= 0 else min(pos))
             hi = r if hi is None else min(hi, r)
-        elif den == 0:
-            if num < 0:
-                raise Infeasible("smoothness constant infeasible: u >= a*0 fails")
-        else:
-            r = num / den
+        if neg:
+            r = least / (min(neg) if least >= 0 else max(neg))
             lo = r if lo is None else max(lo, r)
     if hi is None:
         raise Infeasible("no positive-denominator ratio to pin the constant")
@@ -632,32 +665,34 @@ def _ratio_floor(pairs) -> Fraction:
     return hi
 
 
-def _min_mu(game: Game, optima, trans, lam) -> Fraction | None:
-    """Least mu >= 0 with sum_i u_i(s*_i, t_{-i}) >= lam*sw(s*) - mu*sw(t)."""
-    lo = None
-    hi = None
-    for star in optima:
-        sw_star = _sw(game, star)
-        for t in trans:
-            total = sum(
-                game.payoffs[t[:i] + (star[i],) + t[i + 1 :]][i]
-                for i in range(game.n)
-            )
-            sw_t = _sw(game, t)
-            need = lam * sw_star - total  # need <= mu * sw(t)
-            if sw_t > 0:
-                r = need / sw_t
-                lo = r if lo is None else max(lo, r)
-            elif sw_t == 0:
-                if need > 0:
-                    return None
-            else:
-                r = need / sw_t
-                hi = r if hi is None else min(hi, r)
-    mu = Fraction(0) if lo is None or lo < 0 else lo
-    if hi is not None and mu > hi:
-        return None
-    return mu
+def _upper_envelope(lines):
+    """x -> the greatest a*x + b over the lines (a, b), by the convex-hull trick.
+
+    Lines are kept in rising slope, the best intercept per slope, and a line
+    is dropped once its neighbours meet at or above it, so the points where
+    the top line changes rise and one bisection finds the top at any x.
+    """
+    best: dict[Fraction, Fraction] = {}
+    for a, b in lines:
+        if a not in best or b > best[a]:
+            best[a] = b
+    hull: list[tuple[Fraction, Fraction]] = []
+    for line in sorted(best.items()):
+        while len(hull) >= 2 and _meet(hull[-2], line) <= _meet(hull[-2], hull[-1]):
+            hull.pop()
+        hull.append(line)
+    breaks = [_meet(p, q) for p, q in zip(hull, hull[1:])]
+
+    def top(x: Fraction) -> Fraction:
+        a, b = hull[bisect.bisect_left(breaks, x)]
+        return a * x + b
+
+    return top
+
+
+def _meet(low, high) -> Fraction:
+    """Where the steeper line `high` overtakes `low`."""
+    return (low[1] - high[1]) / (high[0] - low[0])
 
 
 # -- structural observations --------------------------------------------------

@@ -5,6 +5,7 @@ import fnmatch
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -289,6 +290,24 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["pota"]["exact"] == "0"
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "transit", "fixtures"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "matrix2" in proc.stdout
+
+
+def test_million_node_graph_refused_at_once(capsys, tmp_path):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"nodes": 10**6, "edges": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "graph", "bounds", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 5 and out == ""
+    assert err == "error: too many colourings to enumerate\n"
 
 
 def test_graph_check_from_edge_list_text(capsys, tmp_path):

@@ -69,6 +69,10 @@ def test_game_conversion_respects_cap(monkeypatch):
     monkeypatch.setenv("TRANSIT_PROFILE_CAP", "100")
     with pytest.raises(TooLarge):
         coordination_to_game(cycle_graph(8))
+    # 2**20000 colourings: the count stops at the cap, so the message stays short
+    monkeypatch.delenv("TRANSIT_PROFILE_CAP")
+    with pytest.raises(TooLarge, match="exceed the cap"):
+        coordination_to_game(GraphColoringInstance(20000, ()))
 
 
 def test_thresholds():

@@ -12,6 +12,8 @@ from transit.errors import Infeasible, UndefinedPrice, WrongArity, WrongConventi
 from transit.efficiency import (
     check_bound_observations,
     coordination_dependence,
+    SmoothnessResult,
+    _upper_envelope,
     default_lambda_grid,
     extensive_smoothness,
     price_report,
@@ -28,6 +30,7 @@ from transit.fixtures import (
 )
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.io import game_to_dict
+from transit.transitions import degree_map
 from transit import oracle
 
 F = Fraction
@@ -401,6 +404,223 @@ def test_smoothness_requires_utility_convention():
     game = Game.from_function((2, 2), lambda s: (F(1), F(1)), convention="min")
     with pytest.raises(WrongConvention):
         extensive_smoothness(game)
+
+
+# -- smoothness against the pairwise scan ------------------------------------------
+#
+# The reference below is the pairwise certificate the linear one replaced: it
+# scans every (transition, solution) pair for alpha, every pair of
+# transitions for beta, and every (optimum, transition) pair at each lambda.
+
+
+def _pairwise_ratio_floor(pairs):
+    hi = None
+    lo = None
+    for num, den in pairs:
+        if den > 0:
+            r = num / den
+            hi = r if hi is None else min(hi, r)
+        elif den == 0:
+            if num < 0:
+                raise Infeasible("smoothness constant infeasible: u >= a*0 fails")
+        else:
+            r = num / den
+            lo = r if lo is None else max(lo, r)
+    if hi is None:
+        raise Infeasible("no positive-denominator ratio to pin the constant")
+    if lo is not None and lo > hi:
+        raise Infeasible("smoothness constant constraints are contradictory")
+    return hi
+
+
+def _pairwise_min_mu(game, optima, trans, lam):
+    lo = None
+    hi = None
+    for star in optima:
+        sw_star = sum(game.payoffs[star])
+        for t in trans:
+            total = sum(
+                game.payoffs[t[:i] + (star[i],) + t[i + 1 :]][i] for i in range(game.n)
+            )
+            sw_t = sum(game.payoffs[t])
+            need = lam * sw_star - total
+            if sw_t > 0:
+                r = need / sw_t
+                lo = r if lo is None else max(lo, r)
+            elif sw_t == 0:
+                if need > 0:
+                    return None
+            else:
+                r = need / sw_t
+                hi = r if hi is None else min(hi, r)
+    mu = F(0) if lo is None or lo < 0 else lo
+    if hi is not None and mu > hi:
+        return None
+    return mu
+
+
+def _pairwise_smoothness(game, D):
+    trans = sorted(degree_map(D))
+    sw = {s: sum(game.payoffs[s]) for s in game.profiles()}
+    opt = max(sw.values())
+    optima = [s for s in game.profiles() if sw[s] == opt]
+    alpha = _pairwise_ratio_floor(
+        (game.payoffs[s][i], game.payoffs[d][i])
+        for i in range(game.n)
+        for s in trans
+        for d in D.members
+        if s[i] == d[i]
+    )
+
+    def completed(i, star, t):
+        return game.payoffs[t[:i] + (star[i],) + t[i + 1 :]][i]
+
+    beta = _pairwise_ratio_floor(
+        (completed(i, star, t), completed(i, star, v))
+        for i in range(game.n)
+        for star in optima
+        for t in trans
+        for v in trans
+    )
+    ab = alpha * beta
+    rows = []
+    best = None
+    for lam in default_lambda_grid():
+        mu = _pairwise_min_mu(game, optima, trans, lam)
+        if mu is None or 1 + ab * mu <= 0:
+            continue
+        bound = ab * lam / (1 + ab * mu)
+        rows.append((lam, mu, bound))
+        if best is None or bound > best:
+            best = bound
+    if best is None:
+        raise Infeasible("no (lambda, mu) pair with mu >= 0 is feasible on the grid")
+    pota = min(sw[t] for t in trans) / opt
+    return SmoothnessResult(alpha, beta, tuple(rows), best, pota, best <= pota)
+
+
+def _smoothness_outcome(certify, game, D):
+    try:
+        return certify(game, D)
+    except Infeasible as exc:
+        return str(exc)
+
+
+def _assert_matches_pairwise(game, D):
+    got = _smoothness_outcome(extensive_smoothness, game, D)
+    assert got == _smoothness_outcome(_pairwise_smoothness, game, D)
+    return got
+
+
+# (shape, planted equilibria): the thirteen games of the benchmark's bounds ops
+BOUNDS_GAMES = (
+    ((7, 6), 5), ((3, 3, 3), 9), ((8, 7), 7), ((8, 8), 7), ((8, 8), 8),
+    ((4, 4, 4), 4), ((5, 5, 5), 4), ((4, 6, 5), 4), ((6, 6, 5), 4),
+    ((3, 5, 4, 6), 3), ((3, 3, 3, 3), 3), ((4, 3, 4, 3), 3), ((5, 5, 6), 5),
+)
+
+
+def _planted_game(rng, shape, k):
+    """Utility game whose pure equilibria are k planted profiles.
+
+    A player earns a step for every coordinate in which the profile agrees
+    with its nearest planted profile, plus noise below the step; planted
+    profiles sit at Hamming distance 2 or more.
+    """
+    n = len(shape)
+    if k == 9:
+        code = [(x, y, (x + y) % 3) for x in range(3) for y in range(3)]
+    else:
+        code = [(j,) * n for j in range(k)]
+    perms = [rng.sample(range(m), m) for m in shape]
+    planted = [tuple(perms[i][c[i]] for i in range(n)) for c in code]
+    steps = [rng.randint(20, 40) for _ in range(n)]
+
+    def pay(s):
+        d = min(sum(a != b for a, b in zip(s, p)) for p in planted)
+        return tuple(F(steps[i] * (n - d) + rng.randrange(steps[i] - 1)) for i in range(n))
+
+    return Game.from_function(shape, pay), planted
+
+
+def test_smoothness_matches_pairwise_on_planted_bounds_games():
+    rng = random.Random(8)
+    for shape, k in BOUNDS_GAMES:
+        game, planted = _planted_game(rng, shape, k)
+        D = enumerate_pure_ne(game)
+        assert sorted(D.members) == sorted(planted)
+        assert isinstance(_assert_matches_pairwise(game, D), SmoothnessResult)
+
+
+def test_smoothness_matches_pairwise_on_random_games():
+    """Negative and zero payoffs, equilibrium and arbitrary solution sets."""
+    rng = random.Random(2015)
+    outcomes = []
+    while len(outcomes) < 420:
+        shape = tuple(rng.randint(2, 4) for _ in range(rng.randint(2, 3)))
+        low = rng.choice((-4, -1, 0))
+        game = Game.from_function(
+            shape, lambda s: tuple(F(rng.randint(low, 4)) for _ in shape)
+        )
+        ne = enumerate_pure_ne(game)
+        if not ne.is_empty:
+            outcomes.append(_assert_matches_pairwise(game, ne))
+        pair = rng.sample(list(game.profiles()), 2)
+        outcomes.append(_assert_matches_pairwise(game, SolutionSet(game, tuple(pair))))
+    messages = {o for o in outcomes if isinstance(o, str)}
+    assert messages >= {
+        "smoothness constant infeasible: u >= a*0 fails",
+        "no positive-denominator ratio to pin the constant",
+        "smoothness constant constraints are contradictory",
+        "no (lambda, mu) pair with mu >= 0 is feasible on the grid",
+    }
+    assert sum(isinstance(o, SmoothnessResult) for o in outcomes) > len(outcomes) // 3
+
+
+def test_smoothness_matches_pairwise_when_no_transition_has_positive_welfare():
+    # D = {(0, 0)} is its own only transition, of welfare -2 or 0, so mu has
+    # only an upper envelope or only the zero-welfare test; both allow mu = 0
+    # up to lambda = 1/2 against the optimum (1, 1) of welfare 8.
+    for corner in ((F(3), F(-5)), (F(3), F(-3))):
+        table = {(0, 0): corner, (0, 1): (F(0), F(2)), (1, 0): (F(2), F(0)),
+                 (1, 1): (F(4), F(4))}
+        game = Game.from_function((2, 2), table.__getitem__)
+        res = _assert_matches_pairwise(game, SolutionSet(game, ((0, 0),)))
+        assert [lam for lam, _, _ in res.grid] == [
+            lam for lam in default_lambda_grid() if lam <= F(1, 2)
+        ]
+
+
+def _brute_top(lines, x):
+    return max(a * x + b for a, b in lines)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [(F(1), F(0))],  # a single line
+        [(F(1), F(0)), (F(1), F(3)), (F(1), F(-2))],  # equal slopes
+        [(F(-1), F(2)), (F(0), F(1)), (F(1), F(0))],  # three lines through (1, 1)
+        [(F(-1), F(2)), (F(0), F(1)), (F(1), F(0)), (F(2), F(-1))],  # four through it
+        [(F(0), F(5)), (F(1, 2), F(1)), (F(3), F(-7, 3)), (F(3), F(-9)), (F(-2), F(1))],
+    ],
+)
+def test_upper_envelope_is_the_greatest_line(lines):
+    top = _upper_envelope(lines)
+    for x in [F(k, 4) for k in range(-12, 13)] + default_lambda_grid():
+        assert top(x) == _brute_top(lines, x)
+
+
+def test_upper_envelope_on_random_lines():
+    rng = random.Random(4)
+    for _ in range(200):
+        lines = [
+            (F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-9, 9), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        top = _upper_envelope(lines)
+        for x in [F(k, 3) for k in range(-9, 10)]:
+            assert top(x) == _brute_top(lines, x)
 
 
 # -- identical utility -------------------------------------------------------------
