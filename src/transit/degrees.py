@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import Infeasible, NotATransition
 
 Profile = tuple[int, ...]
@@ -60,6 +62,31 @@ class CoverInstance:
         return got == self.universe
 
 
+def _agreement_masks(members: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """masks[r, d] = sum over i of (rows[r, i] == members[d, i]) << i.
+
+    Bit i of a mask says that solution d matches the target row in player
+    i's coordinate.  The dtype is the smallest unsigned one holding n bits
+    (object, i.e. Python ints, past 64 players).
+    """
+    n = members.shape[1]
+    dtype = np.min_scalar_type((1 << n) - 1)
+    masks = np.zeros((len(rows), len(members)), dtype=dtype)
+    for i in range(n):
+        masks |= (rows[:, i, None] == members[None, :, i]).astype(dtype) << i
+    return masks
+
+
+def _instance(masks: Sequence[int], universe: int) -> CoverInstance:
+    """Cover instance of one row of agreement masks: empty masks dropped,
+    duplicates keeping their lowest solution index."""
+    first: dict[int, int] = {}
+    for idx, mask in enumerate(masks):
+        if mask:
+            first.setdefault(mask, idx)
+    return CoverInstance(universe, tuple(first), tuple(first.values()))
+
+
 def reduce_to_cover(members: Sequence[Profile], t: Sequence[int]) -> CoverInstance:
     """Build the cover instance whose optimum is the transition degree of t.
 
@@ -68,20 +95,18 @@ def reduce_to_cover(members: Sequence[Profile], t: Sequence[int]) -> CoverInstan
     """
     target = tuple(t)
     n = len(target)
-    first: dict[int, int] = {}
+    solutions = np.array(members, dtype=np.int64).reshape(len(members), n)
+    row = _agreement_masks(solutions, np.array([target], dtype=np.int64))[0]
+    ci = _instance(row.tolist(), (1 << n) - 1)
     covered = 0
-    for idx, d in enumerate(members):
-        mask = sum(1 << i for i in range(n) if d[i] == target[i])
-        if mask:
-            first.setdefault(mask, idx)
-            covered |= mask
-    universe = (1 << n) - 1
-    if covered != universe:
+    for mask in ci.sets:
+        covered |= mask
+    if covered != ci.universe:
         raise NotATransition(
             f"profile {target} is not a transition; players "
             f"{[i for i in range(n) if not covered >> i & 1]} are uncovered"
         )
-    return CoverInstance(universe, tuple(first), tuple(first.values()))
+    return ci
 
 
 def greedy_cover(ci: CoverInstance) -> list[int]:
@@ -153,14 +178,40 @@ def greedy_basis(members: Sequence[Profile]) -> list[int]:
     return basis
 
 
+# box profiles per agreement-mask block: the block's mask array holds this
+# many rows of one mask per solution (one byte each for up to 8 players)
+_BLOCK = 512
+
+
 def degree_map(members: Sequence[Profile]) -> dict[Profile, int]:
     """Exact transition degree of every profile in the transition box.
 
     The box is the product of the per-player projections of the nonempty
-    solution list; it is walked in lexicographic order.
+    solution list; it is walked in lexicographic order, a block of profiles
+    at a time, each block's agreement masks built in one array pass.  A
+    profile's degree depends only on the set of its masks, so the cover
+    search runs once per distinct set.
     """
-    box = product_profiles(projections(members, len(members[0])))
-    return {t: len(exact_cover(reduce_to_cover(members, t))) for t in box}
+    n = len(members[0])
+    projs = projections(members, n)
+    shape = tuple(len(p) for p in projs)
+    size = math.prod(shape)
+    solutions = np.array(members)
+    axes = [np.array(p) for p in projs]
+    universe = (1 << n) - 1
+    memo: dict[frozenset, int] = {}
+    degs = []
+    for start in range(0, size, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, size))
+        rows = np.stack(
+            [a[k] for a, k in zip(axes, np.unravel_index(flat, shape))], axis=1
+        )
+        for row in _agreement_masks(solutions, rows).tolist():
+            key = frozenset(row)
+            if key not in memo:
+                memo[key] = len(exact_cover(_instance(row, universe)))
+            degs.append(memo[key])
+    return dict(zip(product_profiles(projs), degs))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import Infeasible, UndefinedPrice, WrongArity, WrongConvention
 from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne
-from .transitions import degree_map, is_stable_transition
+from .transitions import degree_map, stable_transition_set
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -139,7 +139,7 @@ def price_report(
 
     degs = degree_map(D)
     trans = sorted(degs)
-    stable = [t for t in trans if is_stable_transition(D, t, stable_variant)]
+    stable = stable_transition_set(D, stable_variant)
     if not stable:
         raise UndefinedPrice(
             f"solution set {D.label!r} has no {stable_variant} stable transition; "

@@ -5,16 +5,23 @@ are exact `Fraction`s, so equilibrium ties and epsilon comparisons are
 decided exactly.  Both utility-maximisation ("max") and
 cost-minimisation ("min") games are represented natively and every consumer
 dispatches on the convention rather than negating payoffs.
+
+Best responses, equilibria and stable transitions are decided on one exact
+integer view of the payoffs, built on first use: the signed payoffs times
+the lcm of their denominators, as a numpy array over the profile grid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import EmptySolutionSet, ParseError, TooLarge
 
@@ -143,6 +150,73 @@ class Game:
             raise ParseError("epsilon must be nonnegative")
         return eps
 
+    # -- integer view -------------------------------------------------------
+
+    @functools.cached_property
+    def regret(self) -> tuple[int, np.ndarray]:
+        """(L, G): L is the lcm of every payoff denominator, and G[i, *s] is
+        how much player i gains, times L, by switching from s_i to a best
+        response against s_-i.
+
+        G is the single definition of best response: x is one for player i
+        against s_-i exactly when G[i] is 0 at (s_-i, x).  The signed payoffs
+        times L are exact integers U; G_i = max over axis i of U_i, minus
+        U_i.  The dtype is int64, or object (Python ints) when some |U|
+        reaches 2**62, so that no difference can overflow.
+        """
+        flat = [v for s in self.profiles() for v in self.payoffs[s]]
+        scale = math.lcm(*{v.denominator for v in flat})
+        sign = 1 if self.convention == "max" else -1
+        ints = np.fromiter(
+            (sign * v.numerator * (scale // v.denominator) for v in flat),
+            dtype=object,
+            count=len(flat),
+        )
+        if max(-ints.min(), ints.max()) < 2**62:
+            ints = ints.astype(np.int64)
+        payoff = np.moveaxis(ints.reshape(*self.shape, self.n), -1, 0)
+        regret = np.stack(
+            [u.max(axis=i, keepdims=True) - u for i, u in enumerate(payoff)]
+        )
+        return scale, regret
+
+    def stable_grid(self, variant: str = "strict") -> np.ndarray:
+        """Boolean grid over all profiles: the stable-transition condition.
+
+        A profile s passes when every player i that is not best responding
+        has a helper j != i with a best response alt != s_j that makes s_i a
+        best response of i at (s_-j, alt); the strict variant also requires
+        s_j not to be a best response of j.  Only membership in a transition
+        box is left for the solution set to decide.  Built once per variant.
+        """
+        if variant not in ("strict", "weak"):
+            raise ValueError(f"unknown variant {variant!r}")
+        grids = self._stable_grids
+        if variant not in grids:
+            br = self.regret[1] == 0
+            grid = np.ones(self.shape, dtype=bool)
+            for i in range(self.n):
+                passes = br[i].copy()
+                for j in range(self.n):
+                    if j == i:
+                        continue
+                    # j's best responses do not depend on s_j, so at
+                    # (s_-j, alt) both conditions read off the grids; the
+                    # count along axis j minus the entry at s_j is the
+                    # number of helping alternatives other than s_j
+                    both = br[j] & br[i]
+                    helps = both.sum(axis=j, keepdims=True) > both
+                    if variant == "strict":
+                        helps &= ~br[j]
+                    passes |= helps
+                grid &= passes
+            grids[variant] = grid
+        return grids[variant]
+
+    @functools.cached_property
+    def _stable_grids(self) -> dict[str, np.ndarray]:
+        return {}
+
     # -- builders ----------------------------------------------------------
 
     @classmethod
@@ -230,46 +304,29 @@ def best_responses(
         if len(base) != game.n:
             raise ParseError("opponent profile has wrong length")
 
-    values = []
-    for x in range(len(game.strategies[player])):
-        base[player] = x
-        values.append(game.signed_utility(player, base))
-    best = max(values)
-    return {x for x, v in enumerate(values) if v == best}
-
-
-def _max_gain(game: Game, s: Profile, player: int) -> Fraction:
-    """Largest signed improvement `player` can get by deviating from s."""
-    current = game.signed_utility(player, s)
-    base = list(s)
-    best = current
-    for x in range(len(game.strategies[player])):
-        if x == s[player]:
-            continue
-        base[player] = x
-        v = game.signed_utility(player, base)
-        if v > best:
-            best = v
-    base[player] = s[player]
-    return best - current
+    base[player] = 0
+    t = game.validate_profile(base)
+    row = game.regret[1][(player,) + t[:player] + (slice(None),) + t[player + 1 :]]
+    return {int(x) for x in np.flatnonzero(row == 0)}
 
 
 def enumerate_pure_ne(game: Game, epsilon: object = 0) -> SolutionSet:
     """All profiles where no player can unilaterally gain more than epsilon.
 
-    epsilon = 0 gives the exact pure equilibria.  The result may be empty;
-    the label then records it and downstream transition operations refuse
-    the set.
+    epsilon = 0 gives the exact pure equilibria.  The regrets are integers
+    in units of 1/L, so comparing them with floor(epsilon * L) is exact.
+    The members come in lexicographic order.  The result may be empty; the
+    label then records it and downstream transition operations refuse the
+    set.
     """
     eps = game.epsilon_value(epsilon)
-    members = []
-    for s in game.profiles():
-        if all(_max_gain(game, s, i) <= eps for i in range(game.n)):
-            members.append(s)
+    scale, regret = game.regret
+    ok = (regret <= math.floor(eps * scale)).all(axis=0)
+    members = tuple(zip(*(idx.tolist() for idx in np.nonzero(ok))))
     label = "pure-NE" if eps == 0 else f"eps-NE({eps})"
     if not members:
         label += " (empty)"
-    return SolutionSet(game, tuple(members), label)
+    return SolutionSet(game, members, label)
 
 
 def social_value(game: Game, s: Sequence[int]) -> Welfare:

@@ -70,6 +70,20 @@ def game_from_dict(data: dict) -> Game:
     payoffs = {}
     tensor = data["payoffs"]
     n = len(players)
+    # payoff files repeat a few values many times, so each distinct scalar
+    # is parsed once; the type is part of the key so that true never
+    # aliases 1
+    parsed: dict = {}
+
+    def exact(v):
+        key = (type(v), v)
+        try:
+            return parsed[key]
+        except KeyError:
+            parsed[key] = value = as_exact(v)
+            return value
+        except TypeError:  # unhashable, which as_exact rejects
+            return as_exact(v)
 
     def walk(node, prefix):
         depth = len(prefix)
@@ -78,7 +92,7 @@ def game_from_dict(data: dict) -> Game:
                 raise ParseError(
                     f"payoff vector at {prefix} must list {n} values"
                 )
-            payoffs[tuple(prefix)] = tuple(as_exact(v) for v in node)
+            payoffs[tuple(prefix)] = tuple(exact(v) for v in node)
             return
         if not isinstance(node, list) or len(node) != shape[depth]:
             raise ParseError(

@@ -11,16 +11,21 @@ sampling and reports exactly which checks passed.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .efficiency import price_report
 from .errors import ParseError, PreconditionFailed, UndefinedPrice
-from .games import Game, Profile, SolutionSet, as_exact, enumerate_pure_ne
-from .transitions import degree_map, is_stable_transition, transition_set
+from .degrees import product_profiles, projections
+from .games import Game, Profile, SolutionSet, as_exact
+from .transitions import degree_map, stable_transition_set
 
 F = Fraction
 
@@ -49,11 +54,6 @@ class PolymatrixGame:
                 len(row) != self.strategy_counts[j] for row in m
             ):
                 raise ParseError(f"matrix ({i}, {j}) has the wrong shape")
-        # built once; every analysis reads it through to_game()
-        object.__setattr__(self, "_game", Game.from_function(
-            self.strategy_counts,
-            lambda s: tuple(self.utility(i, s) for i in range(n)),
-        ))
 
     @classmethod
     def build(cls, matrices: Mapping[tuple[int, int], Sequence[Sequence]], n=None):
@@ -77,7 +77,38 @@ class PolymatrixGame:
         )
 
     def to_game(self) -> Game:
+        """The dense game, built on first use; every analysis reads this one."""
         return self._game
+
+    @functools.cached_property
+    def _game(self) -> Game:
+        return Game.from_function(
+            self.strategy_counts,
+            lambda s: tuple(self.utility(i, s) for i in range(self.n_players)),
+        )
+
+    @functools.cached_property
+    def scaled_utilities(self) -> np.ndarray:
+        """U[i, *s]: u_i(s) times the lcm of every matrix denominator.
+
+        Exact Python ints (dtype object) summed from the matrices by
+        broadcasting, without building the dense game; comparisons of
+        utilities and welfare read the same on U.
+        """
+        n, shape = self.n_players, self.strategy_counts
+        scale = math.lcm(
+            *{v.denominator for m in self.matrices.values() for row in m for v in row}
+        )
+        utilities = np.zeros((n, *shape), dtype=object)
+        for (i, j), m in self.matrices.items():
+            pair = np.array(
+                [[v.numerator * (scale // v.denominator) for v in row] for row in m],
+                dtype=object,
+            )
+            axes = [1] * n
+            axes[i], axes[j] = shape[i], shape[j]
+            utilities[i] += (pair if i < j else pair.T).reshape(axes)
+        return utilities
 
     def is_nonnegative(self) -> bool:
         return all(
@@ -96,6 +127,77 @@ def symmetric_members(D: SolutionSet) -> list[Profile]:
     return [s for s in D.members if is_symmetric_profile(s)]
 
 
+def symmetric_equilibria(pg: PolymatrixGame) -> list[Profile]:
+    """The pure equilibria (x, ..., x) in increasing x, read off the
+    matrices: no player gains by a switch against x everywhere else."""
+    utilities = pg.scaled_utilities
+    out = []
+    for x in range(min(pg.strategy_counts)):
+        s = (x,) * pg.n_players
+        if all(
+            utilities[(i,) + s[:i] + (slice(None),) + s[i + 1 :]].max()
+            <= utilities[(i,) + s]
+            for i in range(pg.n_players)
+        ):
+            out.append(s)
+    return out
+
+
+def _one_matrix_per_player(pg: PolymatrixGame) -> tuple[bool, tuple | None]:
+    """Part 1: each player uses one matrix against every opponent."""
+    n = pg.n_players
+    for i in range(n):
+        js = [j for j in range(n) if j != i]
+        for j in js[1:]:
+            if pg.matrices[(i, j)] != pg.matrices[(i, js[0])]:
+                return False, (i, js[0], j)
+    return True, None
+
+
+def _welfare_monotone(pg: PolymatrixGame) -> tuple[bool, tuple | None]:
+    """Part 2: welfare-ordered profiles order every player's utility alike.
+
+    Equivalently, in order of welfare (ties in profile order) each
+    profile's utilities are all at least the previous profile's: equal
+    welfare then forces equal utilities, and the chain covers every pair.
+    The witness (hi, lo, i) is the first adjacent pair where i loses.
+    """
+    utilities = pg.scaled_utilities.reshape(pg.n_players, -1)
+    order = np.argsort(utilities.sum(axis=0), kind="stable")
+    drops = np.diff(utilities[:, order], axis=1) < 0
+    if not drops.any():
+        return True, None
+    step, i = (int(v) for v in np.argwhere(drops.T)[0])
+    lo, hi = (
+        tuple(int(v) for v in np.unravel_index(order[k], pg.strategy_counts))
+        for k in (step, step + 1)
+    )
+    return False, (hi, lo, i)
+
+
+def _regularity(
+    pg: PolymatrixGame, members: Sequence[Profile]
+) -> tuple[bool, dict | None]:
+    """Regularity of a nonempty solution list, read off the matrices."""
+    n = pg.n_players
+    rhs_of = [2 * max(pg.pair_max(i, j) for j in range(n) if j != i) for i in range(n)]
+    for t in product_profiles(projections(members, n)):
+        for s in members:
+            p_s = {p for p in range(n) if t[p] == s[p]}
+            for i in range(n):
+                if i in p_s:
+                    continue
+                lhs = sum(
+                    (pg.matrices[(i, k)][s[i]][t[k]]
+                     for k in range(n) if k not in p_s and k != i),
+                    start=F(0),
+                )
+                if lhs < rhs_of[i]:
+                    return False, {"transition": t, "solution": s, "player": i,
+                                   "lhs": lhs, "rhs": rhs_of[i]}
+    return True, None
+
+
 def check_polymatrix_symmetry_and_regularity(
     pg: PolymatrixGame, D: SolutionSet | None = None
 ) -> dict:
@@ -109,68 +211,17 @@ def check_polymatrix_symmetry_and_regularity(
     P(s) u {i} playing t, evaluated at s_i, covers twice the largest single
     pairwise payoff i can see.
     """
-    game = pg.to_game()
-    n = pg.n_players
-
-    part1 = True
-    witness1 = None
-    for i in range(n):
-        mats = [pg.matrices[(i, j)] for j in range(n) if j != i]
-        for k in range(1, len(mats)):
-            if mats[k] != mats[0]:
-                part1 = False
-                js = [j for j in range(n) if j != i]
-                witness1 = (i, js[0], js[k])
-                break
-        if not part1:
-            break
-
-    part2 = True
-    witness2 = None
-    profiles = list(game.profiles())
-    sw = {s: sum(game.payoffs[s]) for s in profiles}
-    for s, t in itertools.combinations(profiles, 2):
-        lo, hi = (s, t) if sw[s] <= sw[t] else (t, s)
-        for i in range(n):
-            if game.payoffs[hi][i] < game.payoffs[lo][i]:
-                part2 = False
-                witness2 = (hi, lo, i)
-                break
-        if not part2:
-            break
+    part1, witness1 = _one_matrix_per_player(pg)
+    part2, witness2 = _welfare_monotone(pg)
 
     if D is None:
-        ne = enumerate_pure_ne(game)
-        sym = symmetric_members(ne)
-        D = SolutionSet(game, tuple(sym), "symmetric-NE") if sym else None
+        sym = symmetric_equilibria(pg)
+        D = SolutionSet(pg.to_game(), tuple(sym), "symmetric-NE") if sym else None
 
     regular = None
     witness_reg = None
     if D is not None and not D.is_empty:
-        regular = True
-        for t in transition_set(D):
-            for s in D.members:
-                p_s = {p for p in range(n) if t[p] == s[p]}
-                for i in range(n):
-                    if i in p_s:
-                        continue
-                    lhs = sum(
-                        (pg.matrices[(i, k)][s[i]][t[k]]
-                         for k in range(n) if k not in p_s and k != i),
-                        start=F(0),
-                    )
-                    rhs = 2 * max(
-                        pg.pair_max(i, j) for j in range(n) if j != i
-                    )
-                    if lhs < rhs:
-                        regular = False
-                        witness_reg = {"transition": t, "solution": s, "player": i,
-                                       "lhs": lhs, "rhs": rhs}
-                        break
-                if regular is False:
-                    break
-            if regular is False:
-                break
+        regular, witness_reg = _regularity(pg, D.members)
 
     return {
         "symmetric": part1 and part2,
@@ -189,7 +240,8 @@ def check_polymatrix_symmetry_and_regularity(
 def m_posta(game: Game, D: SolutionSet, m: int) -> Fraction:
     """Worst welfare ratio over transitions that are both stable and m-limited."""
     degs = degree_map(D)
-    pool = [t for t, d in degs.items() if d <= m and is_stable_transition(D, t)]
+    stable = set(stable_transition_set(D))
+    pool = [t for t, d in degs.items() if d <= m and t in stable]
     sw = lambda s: sum(game.payoffs[s])
     opt = max(sw(s) for s in game.profiles())
     if opt <= 0:
@@ -277,15 +329,18 @@ def generate_theorem1_instances(
             if j != i
         }
         pg = PolymatrixGame(n, (k,) * n, matrices)
+        # every hypothesis is read off the matrices, so the dense game is
+        # built for accepted candidates only
+        sym = symmetric_equilibria(pg)
+        if not (
+            sym
+            and _one_matrix_per_player(pg)[0]
+            and _welfare_monotone(pg)[0]
+            and _regularity(pg, sym)[0]
+        ):
+            continue
         game = pg.to_game()
-        ne = enumerate_pure_ne(game)
-        sym = symmetric_members(ne)
-        if not sym:
-            continue
         D = SolutionSet(game, tuple(sym), "symmetric-NE")
-        checks = check_polymatrix_symmetry_and_regularity(pg, D)
-        if not (checks["symmetric"] and checks["regular"]):
-            continue
         try:
             price_report(game, D)
         except UndefinedPrice:

@@ -15,9 +15,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import degrees
 from .errors import EmptySolutionSet, TooLarge
-from .games import Game, Profile, SolutionSet, best_responses, profile_cap
+from .games import Profile, SolutionSet, profile_cap
 
 
 @dataclass(frozen=True)
@@ -127,54 +129,25 @@ def is_stable_transition(D: SolutionSet, s: Sequence[int], variant: str = "stric
     current strategy a best response.  In the strict variant (the default)
     the helper must itself not be best responding; the weak variant only
     requires the helper to have a best response differing from its current
-    strategy (a tie suffices).
+    strategy (a tie suffices).  The condition is read off the game's
+    stable grid (`Game.stable_grid`).
     """
-    if variant not in ("strict", "weak"):
-        raise ValueError(f"unknown variant {variant!r}")
     D.require_nonempty()
-    game = D.game
-    t = game.validate_profile(s)
-    if not degrees.covers(D.members, t):
-        return False
-
-    br_cache = [best_responses(game, i, t) for i in range(game.n)]
-    for i in range(game.n):
-        if t[i] in br_cache[i]:
-            continue
-        if not _has_helper(game, t, i, br_cache, variant):
-            return False
-    return True
-
-
-def _has_helper(
-    game: Game,
-    t: Profile,
-    i: int,
-    br_cache: list[set[int]],
-    variant: str,
-) -> bool:
-    for j in range(game.n):
-        if j == i:
-            continue
-        brj = br_cache[j]
-        if variant == "strict" and t[j] in brj:
-            continue
-        for alt in sorted(brj):
-            if alt == t[j]:
-                continue
-            shifted = list(t)
-            shifted[j] = alt
-            if t[i] in best_responses(game, i, shifted):
-                return True
-    return False
+    t = D.game.validate_profile(s)
+    grid = D.game.stable_grid(variant)
+    return degrees.covers(D.members, t) and bool(grid[t])
 
 
 def stable_transition_set(D: SolutionSet, variant: str = "strict") -> list[Profile]:
-    """All stable transitions, enumerated from the transition set."""
+    """All stable transitions, in lexicographic order."""
     ts = transition_set(D)
     if len(ts) > profile_cap():
         raise TooLarge("transition set exceeds the profile cap")
-    return [t for t in ts if is_stable_transition(D, t, variant)]
+    box = D.game.stable_grid(variant)[np.ix_(*ts.projections)]
+    return [
+        tuple(p[k] for p, k in zip(ts.projections, idx))
+        for idx in zip(*(a.tolist() for a in np.nonzero(box)))
+    ]
 
 
 def saturation_degree(D: SolutionSet) -> degrees.SaturationResult:

@@ -247,6 +247,21 @@ def test_malformed_documents_exit_2(capsys, tmp_path, kind):
     assert cases >= 10
 
 
+def test_boolean_payoff_after_an_equal_number_exits_2(capsys, tmp_path):
+    # the loader parses each distinct payoff scalar once; true == 1 in
+    # Python, so true must not reuse the parse of the 1 before it
+    game = {
+        "players": ["a", "b"],
+        "strategies": [["x", "y"], ["x", "y"]],
+        "payoffs": [[[1, 0], [0, 0]], [[0, 0], [0, True]]],
+    }
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(game))
+    code, out, err = run_cli(capsys, "prices", str(path), "--ne")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "boolean" in err and err.count("\n") == 1
+
+
 def test_empty_solution_set_exit_code(capsys, tmp_path):
     # matching pennies has no pure equilibrium
     game = {

@@ -1,5 +1,6 @@
 """Polymatrix hypothesis checks, generator, and the welfare floor."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from transit.polymatrix import (
     check_polymatrix_symmetry_and_regularity,
     generate_theorem1_instances,
     m_posta,
+    symmetric_equilibria,
     symmetric_members,
     verify_theorem1,
 )
@@ -31,7 +33,7 @@ def test_inducement_matches_pairwise_sums():
     game = pg.to_game()
     assert game.payoffs[(0, 1)] == (F(2), F(7))
     assert game.payoffs[(1, 0)] == (F(3), F(6))
-    assert pg.to_game() is game  # built once, with the instance
+    assert pg.to_game() is game  # built once, on first use
 
 
 def test_identical_constant_matrices_are_symmetric():
@@ -124,3 +126,40 @@ def test_m_posta_between_posta_and_poa():
     for m in range(1, game.n + 1):
         val = m_posta(game, D, m)
         assert r.posta <= val <= r.poa
+
+
+def _pairwise_welfare_monotone(game):
+    # every pair of profiles, as the check read the dense game before
+    sw = {s: sum(game.payoffs[s]) for s in game.profiles()}
+    for s, t in itertools.combinations(list(game.profiles()), 2):
+        lo, hi = (s, t) if sw[s] <= sw[t] else (t, s)
+        if any(game.payoffs[hi][i] < game.payoffs[lo][i] for i in range(game.n)):
+            return False
+    return True
+
+
+def test_matrix_checks_match_the_dense_game():
+    # random polymatrix games, some with one matrix per player as the
+    # generator draws them, some with every matrix drawn, some fractional
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        n, k = rng.randint(2, 4), rng.randint(1, 3)
+        values = [F(v, rng.choice((1, 1, 2, 3))) for v in range(-1, 3)]
+        draw = lambda: tuple(tuple(rng.choice(values) for _ in range(k)) for _ in range(k))
+        if trial % 3:
+            per_player = [draw() for _ in range(n)]
+            mats = {(i, j): per_player[i] for i in range(n) for j in range(n) if j != i}
+        else:
+            mats = {(i, j): draw() for i in range(n) for j in range(n) if j != i}
+        pg = PolymatrixGame(n, (k,) * n, mats)
+        game = pg.to_game()
+        assert symmetric_equilibria(pg) == symmetric_members(enumerate_pure_ne(game))
+        out = check_polymatrix_symmetry_and_regularity(pg)
+        assert out["part2"] == _pairwise_welfare_monotone(game)
+        seen[out["part2"]] += 1
+        if not out["part2"]:
+            hi, lo, i = out["witnesses"]["part2"]
+            assert sum(game.payoffs[hi]) >= sum(game.payoffs[lo])
+            assert game.payoffs[hi][i] < game.payoffs[lo][i]
+    assert min(seen.values()) > 10

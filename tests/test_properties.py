@@ -4,6 +4,7 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,9 @@ from transit.congestion import (
 from transit.degrees import CoverInstance, exact_cover
 from transit.efficiency import price_report
 from transit.errors import UndefinedPrice
-from transit.games import Game, SolutionSet, enumerate_pure_ne
+from transit.games import Game, SolutionSet, best_responses, enumerate_pure_ne
 from transit.transitions import (
+    degree_map,
     is_stable_transition,
     m_transition_set,
     stable_transition_set,
@@ -127,6 +129,70 @@ def test_solutions_stay_stable(pair):
     game, ne = pair
     for d in ne.members:
         assert is_stable_transition(ne, d)
+
+
+# a small value pool makes ties common; scaling every payoff and epsilon by
+# 2**62 + 1 puts the integers of the exact view past 2**62, so both its
+# int64 and its Python-int path run, and 1 / (2**61 + 1) gives a large lcm
+PAYOFF_POOL = [F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(2)]
+SCALES = [F(1), F(2**62 + 1), F(1, 2**61 + 1)]
+
+
+@st.composite
+def exact_instances(draw):
+    """(game, solution set, epsilon): either convention, uneven strategy
+    counts, an epsilon-equilibrium set or a user-supplied profile list."""
+    import itertools
+
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = len(shape)
+    scale = draw(st.sampled_from(SCALES))
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    cells = draw(st.lists(st.tuples(*(st.sampled_from(PAYOFF_POOL) for _ in range(n))),
+                          min_size=len(profiles), max_size=len(profiles)))
+    table = {s: tuple(v * scale for v in vec) for s, vec in zip(profiles, cells)}
+    game = Game.from_function(shape, table.__getitem__,
+                              convention=draw(st.sampled_from(["max", "min"])))
+    eps = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(5, 2)])) * scale
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.sampled_from(profiles), min_size=1, max_size=4,
+                              unique=True))
+        D = SolutionSet(game, tuple(picks))
+    else:
+        D = enumerate_pure_ne(game, eps)
+    return game, D, eps
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_instances())
+def test_array_passes_match_the_oracle(instance):
+    game, D, eps = instance
+    assert list(enumerate_pure_ne(game, eps).members) == oracle.ne_profiles(game, eps)
+    for i in range(game.n):
+        for s in game.profiles():
+            assert best_responses(game, i, s) == oracle._best_set(game, s, i)
+    if D.is_empty:
+        return
+    members = list(D.members)
+    for variant in ("strict", "weak"):
+        ref = oracle.stable_transitions(game, members, variant)
+        assert stable_transition_set(D, variant) == ref
+        for s in game.profiles():
+            assert is_stable_transition(D, s, variant) == (s in ref)
+    assert degree_map(D) == {
+        t: oracle.degree(members, t) for t in oracle.transitions(game, members)
+    }
+
+
+def test_exact_view_switches_to_python_ints_past_2_to_the_62():
+    small = Game.from_function((2, 2), lambda s: (F(2**61), F(-(2**61))))
+    big = Game.from_function((2, 2), lambda s: (F(2**62), F(s[0])))
+    # 1/3 times the lcm 3 * (2**62 + 1) of the denominators passes 2**62
+    tiny = Game.from_function((2, 2), lambda s: (F(s[1], 2**62 + 1), F(1, 3)))
+    assert small.regret[1].dtype == np.int64
+    assert big.regret[1].dtype == object
+    assert tiny.regret[0] == 3 * (2**62 + 1)
+    assert tiny.regret[1].dtype == object
 
 
 @settings(max_examples=40, deadline=None)
