@@ -13,10 +13,9 @@ conditional gradient run on the actual cost.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,22 +97,105 @@ class PwlCost:
         return ys[k] + t * (ys[k + 1] - ys[k])
 
     def marginal(self, x: float) -> float:
-        eps = 1e-9
-        slope = (self(x + eps) - self(x)) / eps
-        return self(x) + x * slope
+        """d/dx of x * c(x) with the slope right of x: 0 before the first
+        point, the last segment's slope from the last point on."""
+        if x < self.points[0][0]:
+            return self(x)
+        k = max(i for i, p in enumerate(self.points[:-1]) if p[0] <= x)
+        (x0, y0), (x1, y1) = self.points[k], self.points[k + 1]
+        return self(x) + x * ((y1 - y0) / (x1 - x0))
 
     def is_convex_load_cost(self) -> bool:
         # x * c(x) is convex when c is convex; check slopes nondecreasing
         slopes = []
         for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
             slopes.append((y1 - y0) / (x1 - x0))
-        flat_head = self.points[0][0] > 0  # constant before the first point
-        if flat_head and slopes and slopes[0] < 0:
-            return False
         return all(b >= a - 1e-12 for a, b in zip(slopes, slopes[1:]))
 
     def spec(self) -> dict:
         return {"pwl": [list(p) for p in self.points]}
+
+
+class EdgeCosts:
+    """Every edge's cost c_e, or its marginal d/dx[x * c_e(x)], in one pass.
+
+    Both map edge flows of shape (..., E) to an array of that shape, by the
+    rules of `PolyCost` and `PwlCost`.  Polynomial edges are evaluated by
+    Horner over a zero-padded coefficient matrix, the marginal over the
+    coefficients (k + 1) * a_k of x * c(x).  Table edges share one
+    breakpoint matrix padded with +inf; counting the breakpoints below x
+    replaces the search for its segment.
+    """
+
+    def __init__(self, costs: Sequence[PolyCost | PwlCost]) -> None:
+        kinds = [isinstance(c, PolyCost) for c in costs]
+        self.poly = np.flatnonzero(kinds)
+        width = max([2] + [len(costs[e].coeffs) for e in self.poly])
+        coeffs = np.zeros((len(self.poly), width))
+        for row, e in enumerate(self.poly):
+            coeffs[row, : len(costs[e].coeffs)] = costs[e].coeffs
+        self.coeffs = coeffs
+        self.marginal_coeffs = coeffs * np.arange(1, width + 1)
+
+        self.tables = np.flatnonzero(np.logical_not(kinds))
+        points = [costs[e].points for e in self.tables]
+        width = max(map(len, points), default=2)
+        # tables padded to `width` breakpoints at +inf, so the count j of
+        # breakpoints below x locates x without a search: segment[row, j] is
+        # the flat index of the segment that prices x, and right_slope[row, j]
+        # the slope right of x when j breakpoints lie at or below it
+        self.xs = np.full((len(points), width), np.inf)
+        self.segment = np.zeros((len(points), width + 1), dtype=np.intp)
+        self.right_slope = np.zeros((len(points), width + 1))
+        x0, dx, y0, dy = np.zeros((4, len(points), width))
+        for row, table in enumerate(points):
+            xs, ys = np.array(table).T
+            last = len(table) - 2  # the last segment, extrapolated beyond the table
+            self.xs[row, : last + 2] = xs
+            x0[row, : last + 1], dx[row, : last + 1] = xs[:-1], np.diff(xs)
+            y0[row, : last + 1], dy[row, : last + 1] = ys[:-1], np.diff(ys)
+            self.segment[row] = row * width + np.clip(np.arange(-1, width), 0, last)
+            slopes = np.diff(ys) / np.diff(xs)
+            self.right_slope[row, 1:] = slopes[np.clip(np.arange(width), 0, last)]
+        self.segments = x0.ravel(), dx.ravel(), y0.ravel(), dy.ravel()
+        self.row_offset = np.arange(len(points)) * (width + 1)
+
+    def cost(self, fe: np.ndarray) -> np.ndarray:
+        return self._evaluate(fe, marginal=False)
+
+    def marginal(self, fe: np.ndarray) -> np.ndarray:
+        return self._evaluate(fe, marginal=True)
+
+    def _evaluate(self, fe: np.ndarray, marginal: bool) -> np.ndarray:
+        coeffs = self.marginal_coeffs if marginal else self.coeffs
+        if not self.tables.size:
+            return _horner(fe, coeffs)
+        out = np.empty_like(fe)
+        out[..., self.poly] = _horner(fe[..., self.poly], coeffs)
+        x = fe[..., self.tables]
+        out[..., self.tables] = self._table_values(x)
+        if marginal:
+            at_or_below = (self.xs <= x[..., None]).sum(axis=-1)
+            out[..., self.tables] += x * self.right_slope.ravel()[self.row_offset + at_or_below]
+        return out
+
+    def _table_values(self, x: np.ndarray) -> np.ndarray:
+        # up to the first point t = 0, which holds the first value
+        x = np.maximum(x, self.xs[:, 0])
+        k = self.segment.ravel()[self.row_offset + (self.xs < x[..., None]).sum(axis=-1)]
+        x0, dx, y0, dy = self.segments
+        return y0[k] + (x - x0[k]) / dx[k] * dy[k]
+
+
+def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Row e of coeffs (lowest degree first, at least two columns) evaluated
+    at x[..., e], step by step as `PolyCost.__call__` does."""
+    acc = x * coeffs[:, -1]
+    acc += coeffs[:, -2]
+    for column in coeffs.T[-3::-1]:
+        acc *= x
+        acc += column
+    return acc
 
 
 def cost_from_spec(spec: dict) -> PolyCost | PwlCost:
@@ -174,6 +256,7 @@ class RoutingInstance:
                 incidence[row, e] += 1.0
         incidence.flags.writeable = False
         object.__setattr__(self, "_incidence", incidence)
+        object.__setattr__(self, "_edge_costs", EdgeCosts(self.costs))
 
     @property
     def all_paths(self) -> list[tuple[int, int]]:
@@ -186,6 +269,10 @@ class RoutingInstance:
         """0/1 incidence of paths (rows) on edges (columns), built once with
         the instance and read-only."""
         return self._incidence
+
+    def edge_costs(self) -> EdgeCosts:
+        """Vector evaluator of every edge's cost, built once with the instance."""
+        return self._edge_costs
 
     def total_demand(self) -> float:
         return sum(c.rate for c in self.commodities)
@@ -239,14 +326,12 @@ class Flow:
         return True
 
     def path_costs(self) -> np.ndarray:
-        fe = self.edge_flows()
-        ce = np.array([cost(fe[e]) for e, cost in enumerate(self.inst.costs)])
-        return self.inst.path_edge_matrix() @ ce
+        return self.inst.path_edge_matrix() @ self.inst.edge_costs().cost(self.edge_flows())
 
     def cost(self) -> float:
         """Edge form of the total cost, sum_e c_e(f_e) * f_e."""
         fe = self.edge_flows()
-        return float(sum(cost(fe[e]) * fe[e] for e, cost in enumerate(self.inst.costs)))
+        return float((self.inst.edge_costs().cost(fe) * fe).sum())
 
     def cost_path_form(self) -> float:
         """Path form, sum_P c_P(f) * f_P; agrees with cost() analytically."""
@@ -264,6 +349,9 @@ def _line_search(derivative, lo: float = 0.0, hi: float = 1.0, iters: int = 70) 
         return hi
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # the ends are adjacent floats: every later midpoint is this one
+            return mid
         if derivative(mid) > 0:
             hi = mid
         else:
@@ -273,15 +361,15 @@ def _line_search(derivative, lo: float = 0.0, hi: float = 1.0, iters: int = 70) 
 
 def _conditional_gradient(
     inst: RoutingInstance,
-    edge_price,
+    price,
     allowed: Sequence[Sequence[int]] | None,
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
     """Minimise a convex separable objective over the path-flow polytope.
 
-    edge_price(f_e, e) is the objective's derivative wrt the edge flow
-    (c_e for the equilibrium potential, the marginal cost for the total
+    price(fe) maps edge flows to the objective's derivative wrt each edge
+    flow (c_e for the equilibrium potential, the marginal cost for the total
     cost).  `allowed` optionally restricts each commodity to a path subset.
     The relative gap compares the current pricing of the flow against the
     all-or-nothing assignment onto cheapest allowed paths.
@@ -295,30 +383,27 @@ def _conditional_gradient(
     for ci, (c, sl) in enumerate(zip(inst.commodities, slices)):
         f[sl.start + allowed[ci][0]] = c.rate
 
-    def prices(flows: np.ndarray) -> np.ndarray:
-        fe = incidence.T @ flows
-        return np.array([edge_price(fe[e], e) for e in range(len(inst.edges))])
-
     rel_gap = math.inf
     for _ in range(max_iter):
-        pe = prices(f)
-        path_prices = incidence @ pe
+        fe = incidence.T @ f
+        path_prices = incidence @ price(fe)
         y = np.zeros_like(f)
         current = float(np.dot(path_prices, f))
         best_total = 0.0
         for ci, (c, sl) in enumerate(zip(inst.commodities, slices)):
             opts = [(path_prices[sl.start + p], p) for p in allowed[ci]]
-            price, pick = min(opts)
+            cheapest, pick = min(opts)
             y[sl.start + pick] = c.rate
-            best_total += price * c.rate
+            best_total += cheapest * c.rate
         rel_gap = (current - best_total) / max(abs(current), 1e-30)
         if rel_gap <= tol:
             return f
         direction = y - f
+        # the line search works on edge flows: fe + gamma * de
+        de = incidence.T @ direction
 
         def deriv(gamma: float) -> float:
-            pe_g = prices(f + gamma * direction)
-            return float(np.dot(incidence @ pe_g, direction))
+            return float(np.dot(price(fe + gamma * de), de))
 
         step = _line_search(deriv)
         if step <= 0:
@@ -337,9 +422,7 @@ def equilibrium_flow(
     Minimises the potential whose edge derivative is c_e itself; edge flows
     are unique whenever all costs are strictly increasing.
     """
-    flows = _conditional_gradient(
-        inst, lambda x, e: inst.costs[e](x), None, tol, max_iter
-    )
+    flows = _conditional_gradient(inst, inst.edge_costs().cost, None, tol, max_iter)
     return Flow(inst, flows)
 
 
@@ -354,9 +437,7 @@ def min_cost_flow(
     Requires convex load costs x * c_e(x); with polynomial costs that is
     automatic.
     """
-    flows = _conditional_gradient(
-        inst, lambda x, e: inst.costs[e].marginal(x), allowed, tol, max_iter
-    )
+    flows = _conditional_gradient(inst, inst.edge_costs().marginal, allowed, tol, max_iter)
     return Flow(inst, flows)
 
 
@@ -417,14 +498,48 @@ def is_transition_flow(
     return True
 
 
-def _vertex_flows(inst: RoutingInstance, allowed: Sequence[Sequence[int]]) -> Iterator[np.ndarray]:
-    """Vertices of the restricted polytope: each commodity on one path."""
+# supported-path vertices priced per array pass.  The pass holds a few
+# (VERTEX_BLOCK, E) float arrays whatever the vertex count: at 128 it peaks
+# at about 0.1 MB on fig2_family(11, 3) and 0.2 MB on fig2_family(16, 4)
+VERTEX_BLOCK = 128
+
+
+def _worst_vertex(
+    inst: RoutingInstance, allowed: Sequence[Sequence[int]]
+) -> tuple[float, np.ndarray]:
+    """Cost and path flows of the first costliest vertex of the restricted
+    polytope (each commodity on one allowed path), in `itertools.product`
+    order of `allowed`."""
+    incidence = inst.path_edge_matrix()
     slices = inst.commodity_slices()
-    for combo in itertools.product(*allowed):
-        f = np.zeros(sum(len(c.paths) for c in inst.commodities))
-        for ci, pick in enumerate(combo):
-            f[slices[ci].start + pick] = inst.commodities[ci].rate
-        yield f
+    costs = inst.edge_costs()
+    # loads[k][j]: the edge flows of commodity k alone on its j-th allowed path
+    loads = [
+        c.rate * incidence[sl.start + np.asarray(paths)]
+        for c, sl, paths in zip(inst.commodities, slices, allowed)
+    ]
+    n_vertices = math.prod(len(paths) for paths in allowed)
+    worst, worst_at = None, 0
+    for start in range(0, n_vertices, VERTEX_BLOCK):
+        # mixed-radix digits of the block's vertex numbers, last commodity fastest
+        block = np.arange(start, min(start + VERTEX_BLOCK, n_vertices))
+        picks, rest = [], block
+        for paths in reversed(allowed):
+            rest, pick = np.divmod(rest, len(paths))
+            picks.append(pick)
+        fe = np.zeros((len(block), len(inst.edges)))
+        for load, pick in zip(loads, reversed(picks)):
+            fe += load[pick]
+        vertex_costs = (costs.cost(fe) * fe).sum(axis=1)
+        best = int(np.argmax(vertex_costs))
+        if worst is None or vertex_costs[best] > worst:
+            worst, worst_at = float(vertex_costs[best]), start + best
+
+    flows = np.zeros(incidence.shape[0])
+    for c, sl, paths in zip(reversed(inst.commodities), reversed(slices), reversed(allowed)):
+        worst_at, pick = divmod(worst_at, len(paths))
+        flows[sl.start + paths[pick]] = c.rate
+    return worst, flows
 
 
 def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
@@ -446,12 +561,7 @@ def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
             f"{n_vertices} supported-path vertices exceed the enumeration cap"
         )
     convex = inst.convex_load_costs()
-    worst = None
-    worst_flow = None
-    for f in _vertex_flows(inst, allowed):
-        c = Flow(inst, f).cost()
-        if worst is None or c > worst:
-            worst, worst_flow = c, f
+    worst, worst_flow = _worst_vertex(inst, allowed)
 
     best_flow = min_cost_flow(inst, allowed, tol)
     opt_flow = min_cost_flow(inst, None, tol)

@@ -1,14 +1,19 @@
 """Equilibrium flows, transition flows, stretch bound, instance families."""
 
+import itertools
+import json
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from transit import routing
 from transit.cli import main
-from transit.errors import BadParams, ParseError
+from transit.errors import BadParams, NoConvergence, ParseError, TooLarge
 from transit.fixtures import REGISTRY
+from transit.io import routing_to_dict
 from transit.routing import (
     Commodity,
     Flow,
@@ -43,6 +48,38 @@ def test_pwl_cost_interpolation_and_validation():
     assert c(2.0) == pytest.approx(5.0)  # extrapolated slope 2
     with pytest.raises(ParseError):
         PwlCost(((0.0, 3.0), (1.0, 1.0)))  # decreasing
+
+
+def test_pwl_marginal_uses_the_right_hand_slope():
+    # c = 2 up to x = 1, then slope 2 up to (3, 6), then slope 4 on and beyond (4, 10)
+    c = PwlCost(((1.0, 2.0), (3.0, 6.0), (4.0, 10.0)))
+    cases = {
+        0.5: 2.0,  # before the first point: flat, so c itself
+        1.0: 2.0 + 1.0 * 2.0,  # first point: the first segment's slope
+        2.0: 4.0 + 2.0 * 2.0,  # inside the first segment
+        3.0: 6.0 + 3.0 * 4.0,  # interior breakpoint: the segment to its right
+        3.5: 8.0 + 3.5 * 4.0,
+        4.0: 10.0 + 4.0 * 4.0,  # last point: the extrapolated slope
+        6.0: 18.0 + 6.0 * 4.0,  # past the table
+    }
+    for x, want in cases.items():
+        assert c.marginal(x) == want
+    xs = np.array(list(cases))
+    costs = routing.EdgeCosts((c, PolyCost((1.0, 1.0))))
+    fe = np.stack([xs, xs], axis=1)
+    assert np.array_equal(costs.marginal(fe)[:, 0], list(cases.values()))
+    assert np.array_equal(costs.cost(fe)[:, 0], [c(x) for x in xs])
+
+
+@pytest.mark.parametrize(
+    "points, convex",
+    [
+        (((1.0, 1.0), (2.0, 2.0), (3.0, 4.0)), True),  # flat head, then convex
+        (((0.0, 0.0), (1.0, 10.0), (2.0, 11.0)), False),  # concave
+    ],
+)
+def test_pwl_convexity_reads_the_slopes(points, convex):
+    assert PwlCost(points).is_convex_load_cost() is convex
 
 
 def test_cost_spec_roundtrip():
@@ -322,9 +359,258 @@ def test_nonconvex_pwl_flags_worst_as_lower_bound():
 def test_no_convergence_reports_gap():
     # two-path instances converge in one exact line search, so use a
     # multi-path family where a single iteration cannot finish
-    from transit.errors import NoConvergence
-
     inst = fig2_family(4, 2, 0.5)
     with pytest.raises(NoConvergence) as err:
         equilibrium_flow(inst, tol=1e-16, max_iter=1)
     assert err.value.gap is not None and err.value.gap > 0
+
+
+def _bisection_70(derivative, lo=0.0, hi=1.0, iters=70):
+    """The line search before its early exit: always 70 halvings."""
+    if derivative(lo) >= 0:
+        return lo
+    if derivative(hi) <= 0:
+        return hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if derivative(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_line_search_early_exit_returns_the_same_bits():
+    rng = random.Random(7)
+    roots = [0.0, 1.0, 5e-324, 1e-320, 3e-310, 1e-300, 1 - 1e-8, 0.5, 0.25]
+    roots += [rng.random() for _ in range(300)]
+    roots += [10.0 ** rng.uniform(-320, -1) for _ in range(300)]
+    for root in roots:
+        scale = 10.0 ** rng.uniform(-3, 3)
+        for derivative in (
+            lambda g: scale * (g - root),
+            lambda g: (g - root) ** 3,
+            lambda g: 1.0 if g > root else -1.0,
+            lambda g: 0.0 if g <= root else 1.0,
+        ):
+            got = routing._line_search(derivative)
+            want = _bisection_70(derivative)
+            assert got.hex() == want.hex(), (root, got, want)
+
+
+def _cap_network(n_commodities):
+    """n commodities, each over two identical private links: 2**n vertices."""
+    edges, costs, commodities = [], [], []
+    for _ in range(n_commodities):
+        first = len(edges)
+        edges += [(0, 1), (0, 1)]
+        costs += [PolyCost((0.0, 1.0)), PolyCost((0.0, 1.0))]
+        commodities.append(Commodity(0, 1, 1.0, ((first,), (first + 1,))))
+    return RoutingInstance(2, tuple(edges), tuple(costs), tuple(commodities))
+
+
+def test_vertex_cap_fails_fast(tmp_path, capsys):
+    inst = _cap_network(21)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="2097152 supported-path vertices"):
+            transition_costs(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(routing_to_dict(inst)))
+    capsys.readouterr()
+    assert main(["routing", "analyze", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_vertex_pass_memory_stays_small():
+    inst = fig2_family(16, 4, 0.1)  # 65,536 supported-path vertices
+    tracemalloc.start()
+    try:
+        out = transition_costs(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
+    assert out["worst_flow"].path_flows[[0, 16, 32, 48]].tolist() == [1.0] * 4
+
+
+# -- the per-edge reference: the scalar cost loops the array passes replaced --
+
+
+def _reference_conditional_gradient(inst, edge_price, allowed, tol, max_iter):
+    incidence = inst.path_edge_matrix()
+    slices = inst.commodity_slices()
+    if allowed is None:
+        allowed = [list(range(len(c.paths))) for c in inst.commodities]
+    f = np.zeros(incidence.shape[0])
+    for ci, (c, sl) in enumerate(zip(inst.commodities, slices)):
+        f[sl.start + allowed[ci][0]] = c.rate
+
+    def prices(flows):
+        fe = incidence.T @ flows
+        return np.array([edge_price(fe[e], e) for e in range(len(inst.edges))])
+
+    rel_gap = math.inf
+    for _ in range(max_iter):
+        path_prices = incidence @ prices(f)
+        y = np.zeros_like(f)
+        current = float(np.dot(path_prices, f))
+        best_total = 0.0
+        for ci, (c, sl) in enumerate(zip(inst.commodities, slices)):
+            price, pick = min((path_prices[sl.start + p], p) for p in allowed[ci])
+            y[sl.start + pick] = c.rate
+            best_total += price * c.rate
+        rel_gap = (current - best_total) / max(abs(current), 1e-30)
+        if rel_gap <= tol:
+            return f
+        direction = y - f
+
+        def deriv(gamma):
+            return float(np.dot(incidence @ prices(f + gamma * direction), direction))
+
+        step = _bisection_70(deriv)
+        if step <= 0:
+            return f
+        f = f + step * direction
+    raise NoConvergence(f"conditional gradient hit {max_iter} iterations", gap=rel_gap)
+
+
+def _reference_cost(inst, path_flows):
+    fe = inst.path_edge_matrix().T @ path_flows
+    return float(sum(cost(fe[e]) * fe[e] for e, cost in enumerate(inst.costs)))
+
+
+def _reference_worst_vertex(inst, allowed):
+    slices = inst.commodity_slices()
+    worst = worst_flow = None
+    for combo in itertools.product(*allowed):
+        f = np.zeros(sum(len(c.paths) for c in inst.commodities))
+        for ci, pick in enumerate(combo):
+            f[slices[ci].start + pick] = inst.commodities[ci].rate
+        c = _reference_cost(inst, f)
+        if worst is None or c > worst:
+            worst, worst_flow = c, f
+    return worst, worst_flow
+
+
+def _random_cost(rng):
+    if rng.random() < 0.6:
+        return PolyCost(tuple(rng.uniform(0.1, 2.0) for _ in range(rng.randint(1, 4))))
+    x, y = rng.choice([0.0, rng.uniform(0.1, 1.0)]), rng.uniform(0.0, 1.0)
+    points = [(x, y)]
+    for _ in range(rng.randint(1, 3)):
+        x += rng.uniform(0.2, 1.5)
+        y += rng.uniform(0.05, 3.0)
+        points.append((x, y))
+    return PwlCost(tuple(points))
+
+
+def _random_network(rng):
+    """A DAG on 6 nodes; each commodity routes over 2-4 distinct paths, whose
+    edges are shared with its other paths and with other commodities."""
+    edges, costs, index = [], [], {}
+
+    def edge(u, v):
+        if (u, v) not in index:
+            index[(u, v)] = len(edges)
+            edges.append((u, v))
+            costs.append(_random_cost(rng))
+        return index[(u, v)]
+
+    commodities = []
+    for _ in range(rng.randint(1, 3)):
+        s, t = sorted(rng.sample(range(6), 2))
+        paths = set()
+        for _ in range(rng.randint(2, 4)):
+            hops = sorted(rng.sample(range(s + 1, t), rng.randint(0, t - s - 1)))
+            nodes = [s, *hops, t]
+            paths.add(tuple(edge(u, v) for u, v in zip(nodes, nodes[1:])))
+        if len(paths) == 1:  # a parallel link keeps a choice
+            edges.append((s, t))
+            costs.append(_random_cost(rng))
+            paths.add((len(edges) - 1,))
+        commodities.append(Commodity(s, t, rng.uniform(0.5, 2.0), tuple(sorted(paths))))
+    return RoutingInstance(6, tuple(edges), tuple(costs), tuple(commodities))
+
+
+def _capped(solve):
+    """The solve's result, or the NoConvergence it raised."""
+    try:
+        return solve()
+    except NoConvergence as exc:
+        return exc
+
+
+def test_array_passes_match_the_per_edge_reference():
+    # conditional gradient needs thousands of steps on many of these networks
+    # (where the optimum leaves paths unused), so both sides stop after the
+    # same few steps; when the reference gives up, the array pass must too
+    steps, tol = 10, routing.DEFAULT_TOL
+    rng = random.Random(11)
+    converged = 0
+    for _ in range(100):
+        inst = _random_network(rng)
+        incidence = inst.path_edge_matrix()
+        for solve, edge_price in (
+            (lambda: equilibrium_flow(inst, tol, steps), lambda x, e: inst.costs[e](x)),
+            (
+                lambda: min_cost_flow(inst, None, tol, steps),
+                lambda x, e: inst.costs[e].marginal(x),
+            ),
+        ):
+            got = _capped(solve)
+            want = _capped(
+                lambda: _reference_conditional_gradient(inst, edge_price, None, tol, steps)
+            )
+            if isinstance(want, NoConvergence):
+                assert isinstance(got, NoConvergence)
+                continue
+            converged += 1
+            fe = got.edge_flows()
+            assert np.max(np.abs(fe - incidence.T @ want)) <= 1e-9
+            assert got.cost() == pytest.approx(_reference_cost(inst, got.path_flows), rel=1e-12)
+            ce = np.array([cost(fe[e]) for e, cost in enumerate(inst.costs)])
+            assert np.allclose(got.path_costs(), incidence @ ce, rtol=1e-12, atol=0)
+
+        _assert_worst_vertex_matches(inst)
+    assert converged >= 100
+
+
+def _assert_worst_vertex_matches(inst):
+    for allowed in ([range(len(c.paths)) for c in inst.commodities],
+                    [[0] + list(range(len(c.paths)))[2:] for c in inst.commodities]):
+        worst, flows = routing._worst_vertex(inst, allowed)
+        ref_worst, ref_flows = _reference_worst_vertex(inst, allowed)
+        assert worst == pytest.approx(ref_worst, rel=1e-12)
+        assert np.array_equal(flows, ref_flows)
+
+
+def test_worst_vertex_spanning_many_blocks_matches_the_reference():
+    # three commodities on a shared link plus six private links each: 343
+    # vertices, so the vertex pass crosses several blocks
+    rng = random.Random(5)
+    for _ in range(5):
+        edges, costs, commodities = [(0, 1)], [_random_cost(rng)], []
+        for _ in range(3):
+            first = len(edges)
+            edges += [(0, 1)] * 6
+            costs += [_random_cost(rng) for _ in range(6)]
+            paths = ((0,),) + tuple((e,) for e in range(first, first + 6))
+            commodities.append(Commodity(0, 1, rng.uniform(0.5, 2.0), paths))
+        inst = RoutingInstance(2, tuple(edges), tuple(costs), tuple(commodities))
+        assert 7**3 > 2 * routing.VERTEX_BLOCK
+        _assert_worst_vertex_matches(inst)
+
+
+def test_worst_vertex_keeps_the_first_of_tied_maxima():
+    # every vertex of fig1 costs rate**2: the first one must win, across blocks
+    n = 3 * routing.VERTEX_BLOCK
+    worst, flows = routing._worst_vertex(fig1_family(n, 1.5), [range(n)])
+    assert worst == 2.25
+    assert flows[0] == 1.5 and flows.sum() == 1.5
