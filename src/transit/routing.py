@@ -46,7 +46,8 @@ class PolyCost:
         return acc
 
     def marginal(self, x: float) -> float:
-        """d/dx of x * c(x)."""
+        """d/dx of x * c(x), one x at a time: the reference that the tests
+        hold `EdgeCosts.marginal` to."""
         deriv = 0.0
         for k in range(len(self.coeffs) - 1, 0, -1):
             deriv = deriv * x + k * self.coeffs[k]
@@ -98,7 +99,8 @@ class PwlCost:
 
     def marginal(self, x: float) -> float:
         """d/dx of x * c(x) with the slope right of x: 0 before the first
-        point, the last segment's slope from the last point on."""
+        point, the last segment's slope from the last point on.  One x at a
+        time: the reference that the tests hold `EdgeCosts.marginal` to."""
         if x < self.points[0][0]:
             return self(x)
         k = max(i for i, p in enumerate(self.points[:-1]) if p[0] <= x)
@@ -122,43 +124,21 @@ class EdgeCosts:
     Both map edge flows of shape (..., E) to an array of that shape, by the
     rules of `PolyCost` and `PwlCost`.  Polynomial edges are evaluated by
     Horner over a zero-padded coefficient matrix, the marginal over the
-    coefficients (k + 1) * a_k of x * c(x).  Table edges share one
-    breakpoint matrix padded with +inf; counting the breakpoints below x
-    replaces the search for its segment.
+    coefficients (k + 1) * a_k of x * c(x); table edges one at a time, with a
+    search of their breakpoints.
     """
 
     def __init__(self, costs: Sequence[PolyCost | PwlCost]) -> None:
-        kinds = [isinstance(c, PolyCost) for c in costs]
-        self.poly = np.flatnonzero(kinds)
+        self.poly = np.flatnonzero([isinstance(c, PolyCost) for c in costs])
         width = max([2] + [len(costs[e].coeffs) for e in self.poly])
         coeffs = np.zeros((len(self.poly), width))
         for row, e in enumerate(self.poly):
             coeffs[row, : len(costs[e].coeffs)] = costs[e].coeffs
         self.coeffs = coeffs
         self.marginal_coeffs = coeffs * np.arange(1, width + 1)
-
-        self.tables = np.flatnonzero(np.logical_not(kinds))
-        points = [costs[e].points for e in self.tables]
-        width = max(map(len, points), default=2)
-        # tables padded to `width` breakpoints at +inf, so the count j of
-        # breakpoints below x locates x without a search: segment[row, j] is
-        # the flat index of the segment that prices x, and right_slope[row, j]
-        # the slope right of x when j breakpoints lie at or below it
-        self.xs = np.full((len(points), width), np.inf)
-        self.segment = np.zeros((len(points), width + 1), dtype=np.intp)
-        self.right_slope = np.zeros((len(points), width + 1))
-        x0, dx, y0, dy = np.zeros((4, len(points), width))
-        for row, table in enumerate(points):
-            xs, ys = np.array(table).T
-            last = len(table) - 2  # the last segment, extrapolated beyond the table
-            self.xs[row, : last + 2] = xs
-            x0[row, : last + 1], dx[row, : last + 1] = xs[:-1], np.diff(xs)
-            y0[row, : last + 1], dy[row, : last + 1] = ys[:-1], np.diff(ys)
-            self.segment[row] = row * width + np.clip(np.arange(-1, width), 0, last)
-            slopes = np.diff(ys) / np.diff(xs)
-            self.right_slope[row, 1:] = slopes[np.clip(np.arange(width), 0, last)]
-        self.segments = x0.ravel(), dx.ravel(), y0.ravel(), dy.ravel()
-        self.row_offset = np.arange(len(points)) * (width + 1)
+        self.tables = [
+            (e, *np.array(c.points).T) for e, c in enumerate(costs) if isinstance(c, PwlCost)
+        ]
 
     def cost(self, fe: np.ndarray) -> np.ndarray:
         return self._evaluate(fe, marginal=False)
@@ -168,23 +148,24 @@ class EdgeCosts:
 
     def _evaluate(self, fe: np.ndarray, marginal: bool) -> np.ndarray:
         coeffs = self.marginal_coeffs if marginal else self.coeffs
-        if not self.tables.size:
+        if not self.tables:
             return _horner(fe, coeffs)
         out = np.empty_like(fe)
         out[..., self.poly] = _horner(fe[..., self.poly], coeffs)
-        x = fe[..., self.tables]
-        out[..., self.tables] = self._table_values(x)
-        if marginal:
-            at_or_below = (self.xs <= x[..., None]).sum(axis=-1)
-            out[..., self.tables] += x * self.right_slope.ravel()[self.row_offset + at_or_below]
+        for e, xs, ys in self.tables:
+            x = fe[..., e]
+            # the segment k with xs[k] < x <= xs[k + 1], the last one beyond
+            # the table; up to the first point t = 0 holds the first value
+            k = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
+            t = (np.maximum(x, xs[0]) - xs[k]) / (xs[k + 1] - xs[k])
+            out[..., e] = ys[k] + t * (ys[k + 1] - ys[k])
+            if marginal:
+                # the slope right of x: 0 before the first point
+                k = np.searchsorted(xs, x, side="right") - 1
+                right = np.clip(k, 0, len(xs) - 2)
+                slope = (ys[right + 1] - ys[right]) / (xs[right + 1] - xs[right])
+                out[..., e] += x * np.where(k < 0, 0.0, slope)
         return out
-
-    def _table_values(self, x: np.ndarray) -> np.ndarray:
-        # up to the first point t = 0, which holds the first value
-        x = np.maximum(x, self.xs[:, 0])
-        k = self.segment.ravel()[self.row_offset + (self.xs < x[..., None]).sum(axis=-1)]
-        x0, dx, y0, dy = self.segments
-        return y0[k] + (x - x0[k]) / dx[k] * dy[k]
 
 
 def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -256,7 +237,6 @@ class RoutingInstance:
                 incidence[row, e] += 1.0
         incidence.flags.writeable = False
         object.__setattr__(self, "_incidence", incidence)
-        object.__setattr__(self, "_edge_costs", EdgeCosts(self.costs))
 
     @property
     def all_paths(self) -> list[tuple[int, int]]:
@@ -271,7 +251,9 @@ class RoutingInstance:
         return self._incidence
 
     def edge_costs(self) -> EdgeCosts:
-        """Vector evaluator of every edge's cost, built once with the instance."""
+        """Vector evaluator of every edge's cost, built on first use."""
+        if "_edge_costs" not in self.__dict__:
+            object.__setattr__(self, "_edge_costs", EdgeCosts(self.costs))
         return self._edge_costs
 
     def total_demand(self) -> float:
