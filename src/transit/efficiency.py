@@ -13,28 +13,46 @@ condition and an extensive smoothness certificate round out the toolkit.
 from __future__ import annotations
 
 import bisect
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import Infeasible, UndefinedPrice, WrongArity, WrongConvention
 from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne
-from .transitions import degree_map, stable_transition_set
+from .transitions import degree_map, transition_set
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def _welfare_table(game: Game) -> dict[Profile, Fraction]:
-    """Social welfare of every profile, in lexicographic profile order."""
-    return {s: sum(game.payoffs[s]) for s in game.profiles()}
+def transition_box(D: SolutionSet) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(box, degree): the `np.ix_` index of D's transition box into the
+    profile grid, and the exact transition degree at every box entry.  The
+    projections are sorted, so C order over the box is lexicographic.
+    """
+    degs = degree_map(D)
+    projs = transition_set(D).projections
+    degree = np.fromiter(degs.values(), dtype=np.int64, count=len(degs))
+    return np.ix_(*projs), degree.reshape([len(p) for p in projs])
 
 
-def _extreme(sw: dict, profiles, pick) -> tuple[Profile, Fraction]:
-    """First profile of least (pick=min) or greatest (pick=max) welfare."""
-    arg = pick(profiles, key=sw.__getitem__)
-    return arg, sw[arg]
+def _optimum(game: Game) -> tuple[Profile, int, Fraction]:
+    """(s, w, opt): the first profile of best signed welfare, that welfare
+    times L, and the optimum (best welfare, or least cost) it stands for.
+
+    Raises UndefinedPrice when the optimum is not strictly positive.
+    """
+    welfare = game.welfare
+    k = int(np.argmax(welfare))
+    top = int(welfare.flat[k])
+    name = "maximum social welfare" if game.convention == "max" else "minimum social cost"
+    opt = Fraction(top if game.convention == "max" else -top, game.ints[0])
+    if opt <= 0:
+        raise UndefinedPrice(f"{name} is {opt}; prices are undefined")
+    return tuple(int(x) for x in np.unravel_index(k, welfare.shape)), top, opt
 
 
 @dataclass(frozen=True)
@@ -120,52 +138,46 @@ def price_report(
 ) -> PriceReport:
     """Exhaustively compute every price of D over its game.
 
-    Raises UndefinedPrice when the denominator (best welfare, or least cost)
-    is not strictly positive, or when no transition is stable so that posta
-    and posts extremise over nothing; ratios are never silently clamped.
+    Each price is an extreme of the signed welfare W (`Game.welfare`) over
+    the solutions or a masked part of D's transition box, over the best W:
+    anarchy is the first least W, stability the first greatest, under either
+    convention.  Raises UndefinedPrice when the denominator (best welfare,
+    or least cost) is not strictly positive, or when no transition is
+    stable so that posta and posts extremise over nothing; ratios are never
+    silently clamped.
     """
     D.require_nonempty()
     if D.game is not game:
         D = SolutionSet(game, D.members, D.label)
 
-    if game.convention == "max":
-        anarchy_of, stability_of, opt_name = min, max, "maximum social welfare"
-    else:
-        anarchy_of, stability_of, opt_name = max, min, "minimum social cost"
-    sw = _welfare_table(game)
-    opt_arg, opt = _extreme(sw, sw, stability_of)
-    if opt <= 0:
-        raise UndefinedPrice(f"{opt_name} is {opt}; prices are undefined")
-
-    degs = degree_map(D)
-    trans = sorted(degs)
-    stable = stable_transition_set(D, stable_variant)
-    if not stable:
+    best, top, opt = _optimum(game)
+    box, degree = transition_box(D)
+    stable = game.stable_grid(stable_variant)
+    if not stable[box].any():
         raise UndefinedPrice(
             f"solution set {D.label!r} has no {stable_variant} stable transition; "
             "posta and posts are undefined"
         )
 
-    wit: dict = {"optimum": opt_arg}
+    wit: dict = {"optimum": best}
 
-    def price(profiles, pick, key):
-        arg, val = _extreme(sw, profiles, pick)
-        wit[key] = arg
-        return val / opt
+    def prices(keys, profiles):
+        """Anarchy then stability ratio over the rows of profiles, with the
+        first extreme of each as its witness."""
+        values = game.welfare[tuple(profiles.T)]
+        picks = int(np.argmin(values)), int(np.argmax(values))
+        wit.update((key, tuple(profiles[k].tolist())) for key, k in zip(keys, picks))
+        return [Fraction(int(values[k]), top) for k in picks]
 
-    poa = price(D.members, anarchy_of, "poa")
-    pos = price(D.members, stability_of, "pos")
-    pota = price(trans, anarchy_of, "pota")
-    pots = price(trans, stability_of, "pots")
-    posta = price(stable, anarchy_of, "posta")
-    posts = price(stable, stability_of, "posts")
-
-    m_pota = []
-    m_pots = []
-    for m in range(1, game.n + 1):
-        sub = [t for t in trans if degs[t] <= m]
-        m_pota.append(price(sub, anarchy_of, f"m_pota[{m}]"))
-        m_pots.append(price(sub, stability_of, f"m_pots[{m}]"))
+    members = np.array(D.members)
+    trans = np.stack(np.broadcast_arrays(*box), axis=-1).reshape(-1, game.n)
+    poa, pos = prices(("poa", "pos"), members)
+    pota, pots = prices(("pota", "pots"), trans)
+    posta, posts = prices(("posta", "posts"), trans[stable[box].ravel()])
+    m_pota, m_pots = zip(*(
+        prices((f"m_pota[{m}]", f"m_pots[{m}]"), trans[degree.ravel() <= m])
+        for m in range(1, game.n + 1)
+    ))
 
     return PriceReport(
         convention=game.convention,
@@ -175,10 +187,10 @@ def price_report(
         pots=pots,
         posta=posta,
         posts=posts,
-        m_pota=tuple(m_pota),
-        m_pots=tuple(m_pots),
+        m_pota=m_pota,
+        m_pots=m_pots,
         optimum=Welfare(opt, game.convention),
-        solutions_stable=set(D.members) <= set(stable),
+        solutions_stable=bool(stable[tuple(members.T)].all()),
         witnesses=wit,
     )
 
@@ -186,15 +198,23 @@ def price_report(
 # -- tightest regularity constants -----------------------------------------
 
 
-def _tightest(num: Fraction, den: Fraction) -> Fraction | None:
+def _tightest(num, den) -> Fraction | None:
     """Smallest constant a >= 1 with den >= num / a (equivalently num <= a*den).
 
-    A 0/0 constraint binds nothing and yields 1; a positive numerator over a
-    nonpositive denominator admits no finite constant and yields None.
+    num and den are integers in one unit.  A 0/0 constraint binds nothing
+    and yields 1; a positive numerator over a nonpositive denominator admits
+    no finite constant and yields None.
     """
     if den > 0:
-        return max(num / den, ONE)
+        return max(Fraction(int(num), int(den)), ONE)
     return ONE if num <= 0 else None
+
+
+def _dependence(small: np.ndarray, large: np.ndarray) -> tuple[tuple, tuple]:
+    """Row by row, the tightest constants from the columns of small to those
+    of large: min(small) >= min(large) / a and max(large) <= a * max(small)."""
+    return (tuple(map(_tightest, small.min(axis=1), large.min(axis=1))),
+            tuple(map(_tightest, large.max(axis=1), small.max(axis=1))))
 
 
 @dataclass(frozen=True)
@@ -223,104 +243,74 @@ class CoordinationDependence:
 
 
 def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependence:
-    """Exhaustive tightest-constant search; utility convention only."""
+    """Exhaustive tightest-constant search; utility convention only.
+
+    Every constant compares extremes of the welfare W or a utility U_i, in
+    the game's unit 1/L, over the solutions, the box or its degree stages.
+    """
     if game.convention != "max":
         raise WrongConvention("dependence constants are defined for utility games")
     D.require_nonempty()
 
-    degs = degree_map(D)
-    trans = sorted(degs)
-    n = game.n
-    sw = _welfare_table(game)
+    box, degree = transition_box(D)
+    payoff, welfare = game.ints[1], game.welfare
+    members = tuple(np.array(D.members).T)
+    # rows: the welfare, then each player's utility; columns: the solutions,
+    # or the box entries with their degrees
+    solutions = np.vstack([welfare[members], payoff[(slice(None),) + members]])
+    box_rows = np.vstack([welfare[box].ravel(),
+                          payoff[(slice(None),) + box].reshape(game.n, -1)])
+    degree = degree.ravel()
+
     wit: dict = {}
-
-    def stage(m: int) -> list[Profile]:
-        return [t for t in trans if degs[t] <= m]
-
-    stages = {m: stage(m) for m in range(1, n + 1)}
-
-    alpha_lower = []
-    alpha_upper = []
     beta = []
-    for i in range(n):
-        u = lambda s: game.payoffs[s][i]
-        min_d = min(u(d) for d in D.members)
-        max_d = max(u(d) for d in D.members)
-        min_t = min(u(t) for t in trans)
-        max_t = max(u(t) for t in trans)
-        alpha_lower.append(_tightest(min_d, min_t))
-        alpha_upper.append(_tightest(max_t, max_d))
-
-        # beta: for every welfare-ordered pair (s, t) in D x D we need
-        # u_i(s) >= u_i(t) / beta; only pairs with u_i(t) > 0 constrain beta.
-        b: Fraction | None = ONE
-        for s, t in itertools.product(D.members, repeat=2):
-            if sw[s] >= sw[t] and u(t) > 0:
-                cand = _tightest(u(t), u(s))
-                if cand is None:
-                    b = None
-                    break
-                if b is not None and cand > b:
-                    b = cand
-                    wit[f"beta[{i}]"] = (s, t)
-        if b is not None and not _beta_verifies(game, sw, D, i, b):
-            b = None
+    for i, u in enumerate(solutions[1:]):
+        b, pair = _beta(u, solutions[0])
+        if pair is not None:
+            wit[f"beta[{i}]"] = tuple(D.members[k] for k in pair)
         beta.append(b)
-
-    min_sw_d = min(sw[d] for d in D.members)
-    max_sw_d = max(sw[d] for d in D.members)
-    min_sw_t = min(sw[t] for t in trans)
-    max_sw_t = max(sw[t] for t in trans)
-    sw_alpha_lower = _tightest(min_sw_d, min_sw_t)
-    sw_alpha_upper = _tightest(max_sw_t, max_sw_d)
-
-    sw_deg_lower = []
-    sw_deg_upper = []
-    player_deg_lower = []
-    player_deg_upper = []
-    for m in range(1, n):
-        small, large = stages[m], stages[m + 1]
-        sw_deg_lower.append(
-            _tightest(min(sw[t] for t in small), min(sw[t] for t in large))
-        )
-        sw_deg_upper.append(
-            _tightest(max(sw[t] for t in large), max(sw[t] for t in small))
-        )
-        row_lo = []
-        row_up = []
-        for i in range(n):
-            u = lambda s: game.payoffs[s][i]
-            row_lo.append(_tightest(min(u(t) for t in small), min(u(t) for t in large)))
-            row_up.append(_tightest(max(u(t) for t in large), max(u(t) for t in small)))
-        player_deg_lower.append(tuple(row_lo))
-        player_deg_upper.append(tuple(row_up))
+    lower, upper = _dependence(solutions, box_rows)
+    # from the m-transitions to the (m + 1)-transitions, m = 1..n-1
+    steps = [_dependence(box_rows[:, degree <= m], box_rows[:, degree <= m + 1])
+             for m in range(1, game.n)]
 
     return CoordinationDependence(
-        alpha_lower=tuple(alpha_lower),
-        alpha_upper=tuple(alpha_upper),
+        alpha_lower=lower[1:],
+        alpha_upper=upper[1:],
         beta=tuple(beta),
-        sw_alpha_lower=sw_alpha_lower,
-        sw_alpha_upper=sw_alpha_upper,
-        sw_degree_alpha_lower=tuple(sw_deg_lower),
-        sw_degree_alpha_upper=tuple(sw_deg_upper),
-        player_degree_alpha_lower=tuple(player_deg_lower),
-        player_degree_alpha_upper=tuple(player_deg_upper),
+        sw_alpha_lower=lower[0],
+        sw_alpha_upper=upper[0],
+        sw_degree_alpha_lower=tuple(lo[0] for lo, _ in steps),
+        sw_degree_alpha_upper=tuple(up[0] for _, up in steps),
+        player_degree_alpha_lower=tuple(lo[1:] for lo, _ in steps),
+        player_degree_alpha_upper=tuple(up[1:] for _, up in steps),
         witnesses=wit,
     )
 
 
-def _beta_verifies(game: Game, sw: dict, D: SolutionSet, i: int, b: Fraction) -> bool:
-    """Confirm the variation bound with the candidate constant.
+def _beta(u: np.ndarray, w: np.ndarray) -> tuple[Fraction | None, tuple[int, int] | None]:
+    """One player's tightest variation constant over solution pairs, and the
+    first pair (s, t) that sets it, as member indices (None while beta is 1).
 
-    Needed because negative utilities turn some pair constraints into upper
-    bounds on the constant; the candidate from the lower-bound scan may then
-    fail and the honest answer is "undefined".
+    Each pair with sw(s) >= sw(t) asks u(s) * beta >= u(t).  In scan order,
+    pairs with u(t) > 0 raise beta to u(t) / u(s) up to the first with
+    u(s) <= 0, which leaves it undefined (the pair found so far stays).
+    Negative utilities make other pairs upper bounds, so the constant is
+    then checked against every pair.
     """
-    for s, t in itertools.product(D.members, repeat=2):
-        if sw[s] >= sw[t]:
-            if game.payoffs[s][i] * b < game.payoffs[t][i]:
-                return False
-    return True
+    ordered = w[:, None] >= w[None, :]
+    # the largest u(t) over the pairs of each s; (s, s) is always one
+    top = np.where(ordered, u[None, :], u.min()).max(axis=1)
+    infinite = (top > 0) & (u <= 0)
+    stop = int(np.argmax(infinite)) if infinite.any() else len(u)
+    b, pair = ONE, None
+    for s in np.flatnonzero(top[:stop] > 0):
+        r = Fraction(int(top[s]), int(u[s]))
+        if r > b:
+            b, pair = r, (int(s), int(np.flatnonzero(ordered[s] & (u == top[s]))[0]))
+    if infinite.any() or any(int(us) * b < int(ts) for us, ts in zip(u, top)):
+        return None, pair
+    return b, pair
 
 
 # -- condition-based bounds -------------------------------------------------
@@ -499,19 +489,12 @@ def two_player_pots_condition(game: Game) -> bool:
     """
     if game.n != 2:
         raise WrongArity("condition is defined for exactly two players")
-    k1, k2 = game.shape
-
-    def u(i, x, y):
-        return game.signed_utility(i, (x, y))
-
-    def sw(x, y):
-        return u(0, x, y) + u(1, x, y)
-
-    for x, xp, y, yp in itertools.product(range(k1), range(k1), range(k2), range(k2)):
-        if u(0, x, y) <= u(0, xp, y) and u(1, x, y) <= u(1, x, yp):
-            if not (sw(x, y) <= sw(xp, y) or sw(x, y) <= sw(x, yp)):
-                return False
-    return True
+    (u1, u2), w = game.ints[1], game.welfare
+    # (x, y) fails when some x' that player 1 weakly prefers has less welfare
+    # and so does some y' that player 2 weakly prefers
+    row = ((u1[:, None, :] <= u1[None, :, :]) & (w[:, None, :] > w[None, :, :])).any(axis=1)
+    col = ((u2[:, :, None] <= u2[:, None, :]) & (w[:, :, None] > w[:, None, :])).any(axis=2)
+    return not (row & col).any()
 
 
 # -- extensive smoothness ----------------------------------------------------
@@ -541,68 +524,71 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     optimal strategy, and for each lambda in `default_lambda_grid()` the
     least feasible mu.  The certified bound alpha*beta*lambda / (1 +
     alpha*beta*mu) is maximised over the grid and checked against the
-    exhaustively computed price.
+    exhaustively computed price.  Raises UndefinedPrice, as `price_report`
+    does, when the maximum social welfare is not strictly positive.
 
-    No constant loops over pairs.  The pairs behind alpha and beta form
-    product sets, one per player and strategy, whose extremes decide the
-    constant (`_ratio_floor`).  Every optimum has welfare opt, so mu reads
-    each transition t only through m_t, the least sum_i u_i(s*_i, t_-i) over
-    optima s*, and sw(t): the lines lambda -> (lambda*opt - m_t) / sw(t) are
-    built once into the two envelopes that each grid row reads.  Over the
-    transitions T the cost is O(n*|T|*|optima| + n*|D|) sums plus
-    O(|T| log |T|) for the envelopes and a bisection per grid row.
+    No constant loops over pairs or profiles; every pass reduces the
+    integers U and W (`Game.ints`, `Game.welfare`) over D's transition box.
+    The pairs behind alpha and beta form product sets, one per player and
+    strategy, whose extremes decide the constant (`_ratio_floor`).  Every
+    optimum has welfare opt, so mu reads each transition t only through
+    sw(t) and m_t, the least sum_i u_i(s*_i, t_-i) over optima s*: the lines
+    lambda -> (lambda*opt - m_t) / sw(t), the least m_t per welfare value,
+    form the two envelopes that each grid row reads.
     """
     if game.convention != "max":
         raise WrongConvention("smoothness certificates require utility games")
     if D is None:
         D = enumerate_pure_ne(game)
     D.require_nonempty()
-    trans = sorted(degree_map(D))
-    sw = _welfare_table(game)
-    opt = max(sw.values())
-    optima = [s for s, w in sw.items() if w == opt]
+    _, opt, _ = _optimum(game)
+    box, _ = transition_box(D)
+    payoff, welfare = game.ints[1], game.welfare
+    box_w = welfare[box]
+    projs = [a.ravel() for a in box]
     n = game.n
 
-    def by_strategy(i, profiles):
-        groups: dict[int, list[Fraction]] = {}
-        for s in profiles:
-            groups.setdefault(s[i], []).append(game.payoffs[s][i])
-        return groups
-
     # condition 1 constant: u_i(s) >= alpha * u_i(d) whenever s_i = d_i.
+    members = np.array(D.members).T
     alpha_groups = []
     for i in range(n):
-        nums = by_strategy(i, trans)
-        for x, dens in by_strategy(i, D.members).items():
-            alpha_groups.append((nums[x], dens))
+        least = payoff[i][box].min(axis=tuple(j for j in range(n) if j != i))
+        dens = payoff[i][tuple(members)]
+        alpha_groups += [(lo, dens[members[i] == x]) for x, lo in zip(projs[i], least)]
     alpha = _ratio_floor(alpha_groups)
 
     # condition 2 constant: completing an optimal strategy with one
     # transition versus another moves the utility by at most 1/beta.
-    completed = {
-        (i, x): [game.payoffs[t[:i] + (x,) + t[i + 1 :]][i] for t in trans]
+    # completed[i][..., x, ...] = u_i(x, t_-i) over the box, x on axis i
+    completed = [
+        payoff[i][np.ix_(*(range(k) if j == i else p
+                           for j, (k, p) in enumerate(zip(game.shape, projs))))]
+        .astype(welfare.dtype, copy=False)
         for i in range(n)
-        for x in {star[i] for star in optima}
-    }
-    beta = _ratio_floor((vals, vals) for vals in completed.values())
+    ]
+    optima = np.argwhere(welfare == opt)
+    beta = _ratio_floor(
+        (vals.min(), vals.ravel())
+        for i in range(n)
+        for vals in (np.take(completed[i], [x], axis=i) for x in np.unique(optima[:, i]))
+    )
 
     # condition 3: mu >= (lambda*opt - m_t) / sw(t) when sw(t) > 0, mu <= it
     # when sw(t) < 0, and lambda*opt <= m_t when sw(t) = 0.
-    totals = [
-        [sum(us) for us in zip(*(completed[i, star[i]] for i in range(n)))] for star in optima
-    ]
-    rising, falling, flat = [], [], []
-    for t, m in zip(trans, [min(ms) for ms in zip(*totals)]):
-        w = sw[t]
-        if w > 0:
-            rising.append((opt / w, -m / w))
-        elif w < 0:
-            falling.append((-opt / w, m / w))  # negated: min is -max
-        else:
-            flat.append(m)
+    totals = (
+        sum(np.take(completed[i], [star[i]], axis=i) for i in range(n)) for star in optima
+    )
+    least = np.broadcast_to(functools.reduce(np.minimum, totals), box_w.shape)
+    values, index = np.unique(box_w, return_inverse=True)
+    least_m = np.full(len(values), least.max(), dtype=least.dtype)
+    np.minimum.at(least_m, index.ravel(), least.ravel())
+    lines = list(zip(values.tolist(), least_m.tolist()))
+    rising = [(Fraction(opt, w), Fraction(-m, w)) for w, m in lines if w > 0]
+    # negated: min is -max
+    falling = [(Fraction(-opt, w), Fraction(m, w)) for w, m in lines if w < 0]
     mu_floor = _upper_envelope(rising)
     mu_ceiling = _upper_envelope(falling)
-    flat_least = min(flat, default=None)
+    flat_least = min((m for w, m in lines if w == 0), default=None)
 
     ab = alpha * beta
     rows = []
@@ -623,7 +609,7 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     if best is None:
         raise Infeasible("no (lambda, mu) pair with mu >= 0 is feasible on the grid")
 
-    pota = min(sw[t] for t in trans) / opt
+    pota = Fraction(int(box_w.min()), opt)
     return SmoothnessResult(
         alpha=alpha,
         beta=beta,
@@ -637,8 +623,9 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
 def _ratio_floor(groups) -> Fraction:
     """Largest a with num >= a * den for every pair with a positive denominator.
 
-    Each group (nums, dens) stands for every pair in nums x dens, so only
-    min(nums) and the extremes of the positive and negative dens are read.
+    Each group (least, dens) stands for every pair in nums x dens, where
+    least is min(nums) and dens an integer array in the same unit, so only
+    least and the extremes of the positive and negative dens are read.
     Zero denominators with nonnegative numerators bind nothing; a negative
     numerator over a zero denominator, a lack of positive denominators, or a
     negative denominator asking for more than the positive ones allow leaves
@@ -646,17 +633,17 @@ def _ratio_floor(groups) -> Fraction:
     """
     hi = None
     lo = None
-    for nums, dens in groups:
-        least = min(nums)
-        pos = [d for d in dens if d > 0]
-        neg = [d for d in dens if d < 0]
-        if least < 0 and len(pos) + len(neg) < len(dens):
+    for least, dens in groups:
+        least = int(least)
+        pos = dens[dens > 0]
+        neg = dens[dens < 0]
+        if least < 0 and pos.size + neg.size < dens.size:
             raise Infeasible("smoothness constant infeasible: u >= a*0 fails")
-        if pos:
-            r = least / (max(pos) if least >= 0 else min(pos))
+        if pos.size:
+            r = Fraction(least, int(pos.max() if least >= 0 else pos.min()))
             hi = r if hi is None else min(hi, r)
-        if neg:
-            r = least / (min(neg) if least >= 0 else max(neg))
+        if neg.size:
+            r = Fraction(least, int(neg.min() if least >= 0 else neg.max()))
             lo = r if lo is None else max(lo, r)
     if hi is None:
         raise Infeasible("no positive-denominator ratio to pin the constant")

@@ -6,9 +6,10 @@ decided exactly.  Both utility-maximisation ("max") and
 cost-minimisation ("min") games are represented natively and every consumer
 dispatches on the convention rather than negating payoffs.
 
-Best responses, equilibria and stable transitions are decided on one exact
-integer view of the payoffs, built on first use: the signed payoffs times
-the lcm of their denominators, as a numpy array over the profile grid.
+Best responses, equilibria, stable transitions, prices and welfare extremes
+are decided on one exact integer view of the payoffs, built on first use:
+the signed payoffs times the lcm of their denominators, as a numpy array
+over the profile grid (`Game.ints`, `Game.welfare`).
 """
 
 from __future__ import annotations
@@ -153,16 +154,10 @@ class Game:
     # -- integer view -------------------------------------------------------
 
     @functools.cached_property
-    def regret(self) -> tuple[int, np.ndarray]:
-        """(L, G): L is the lcm of every payoff denominator, and G[i, *s] is
-        how much player i gains, times L, by switching from s_i to a best
-        response against s_-i.
-
-        G is the single definition of best response: x is one for player i
-        against s_-i exactly when G[i] is 0 at (s_-i, x).  The signed payoffs
-        times L are exact integers U; G_i = max over axis i of U_i, minus
-        U_i.  The dtype is int64, or object (Python ints) when some |U|
-        reaches 2**62, so that no difference can overflow.
+    def ints(self) -> tuple[int, np.ndarray]:
+        """(L, U): L is the lcm of every payoff denominator, and U[i, *s] is
+        player i's signed payoff at s times L.  The dtype is int64, or object
+        (Python ints) when some |U| reaches 2**62, so no difference overflows.
         """
         flat = [v for s in self.profiles() for v in self.payoffs[s]]
         scale = math.lcm(*{v.denominator for v in flat})
@@ -174,11 +169,27 @@ class Game:
         )
         if max(-ints.min(), ints.max()) < 2**62:
             ints = ints.astype(np.int64)
-        payoff = np.moveaxis(ints.reshape(*self.shape, self.n), -1, 0)
-        regret = np.stack(
-            [u.max(axis=i, keepdims=True) - u for i, u in enumerate(payoff)]
-        )
-        return scale, regret
+        return scale, np.moveaxis(ints.reshape(*self.shape, self.n), -1, 0)
+
+    @functools.cached_property
+    def welfare(self) -> np.ndarray:
+        """W = sum over i of U_i, the signed social welfare times L; summed
+        over Python ints when n * max|U| reaches 2**62 and int64 could not."""
+        payoff = self.ints[1]
+        if payoff.dtype != object and self.n * int(np.abs(payoff).max()) >= 2**62:
+            payoff = payoff.astype(object)
+        return payoff.sum(axis=0)
+
+    @functools.cached_property
+    def regret(self) -> tuple[int, np.ndarray]:
+        """(L, G): G[i, *s] is how much player i gains, times L, by switching
+        from s_i to a best response against s_-i: max over axis i of U_i,
+        minus U_i, in U's dtype.  G is the single definition of best
+        response: x is one for i against s_-i exactly when G[i] is 0 there.
+        """
+        scale, payoff = self.ints
+        gains = [u.max(axis=i, keepdims=True) - u for i, u in enumerate(payoff)]
+        return scale, np.stack(gains)
 
     def stable_grid(self, variant: str = "strict") -> np.ndarray:
         """Boolean grid over all profiles: the stable-transition condition.
@@ -341,15 +352,10 @@ def identical_utilities(game: Game) -> bool:
 
 
 def has_independent_best_responses(game: Game) -> bool:
-    """Exhaustive check that each player's best-response set ignores others."""
-    for i in range(game.n):
-        others = [range(k) for j, k in enumerate(game.shape) if j != i]
-        reference: set[int] | None = None
-        for rest in itertools.product(*others):
-            prof = list(rest[:i]) + [0] + list(rest[i:])
-            br = best_responses(game, i, prof)
-            if reference is None:
-                reference = br
-            elif br != reference:
-                return False
+    """Whether each player's best-response set ignores the others: player
+    i's best-response grid (`Game.regret` at 0) is constant off axis i."""
+    for i, br in enumerate(game.regret[1] == 0):
+        rest = tuple(j for j in range(game.n) if j != i)
+        if (br.any(axis=rest) != br.all(axis=rest)).any():
+            return False
     return True

@@ -21,11 +21,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .efficiency import price_report
+from .efficiency import price_report, transition_box
 from .errors import ParseError, PreconditionFailed, UndefinedPrice
 from .degrees import product_profiles, projections
 from .games import Game, Profile, SolutionSet, as_exact
-from .transitions import degree_map, stable_transition_set
 
 F = Fraction
 
@@ -239,14 +238,13 @@ def check_polymatrix_symmetry_and_regularity(
 
 def m_posta(game: Game, D: SolutionSet, m: int) -> Fraction:
     """Worst welfare ratio over transitions that are both stable and m-limited."""
-    degs = degree_map(D)
-    stable = set(stable_transition_set(D))
-    pool = [t for t, d in degs.items() if d <= m and t in stable]
-    sw = lambda s: sum(game.payoffs[s])
-    opt = max(sw(s) for s in game.profiles())
+    box, degree = transition_box(D)
+    welfare = game.welfare if game.convention == "max" else -game.welfare
+    pool = welfare[box][(degree <= m) & game.stable_grid("strict")[box]]
+    opt = welfare.max()
     if opt <= 0:
         raise UndefinedPrice("maximum social welfare is nonpositive")
-    return min(sw(t) for t in pool) / opt
+    return Fraction(int(pool.min()), int(opt))
 
 
 def verify_theorem1(pg: PolymatrixGame, D: SolutionSet, m: int) -> dict:

@@ -1,6 +1,8 @@
 """Price measures, tightest constants, condition-based bounds, smoothness."""
 
 import dataclasses
+import functools
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from transit.cli import main
 from transit.errors import Infeasible, UndefinedPrice, WrongArity, WrongConvention
 from transit.efficiency import (
+    CoordinationDependence,
     check_bound_observations,
     coordination_dependence,
     SmoothnessResult,
@@ -433,26 +436,34 @@ def _pairwise_ratio_floor(pairs):
     return hi
 
 
-def _pairwise_min_mu(game, optima, trans, lam):
+def _pairwise_sums(game, optima, trans):
+    """(sw(s*), sum_i u_i(s*_i, t_-i), sw(t)) of every (optimum, transition)
+    pair, summed once for all lambdas."""
+    return [
+        (
+            sum(game.payoffs[star]),
+            sum(game.payoffs[t[:i] + (star[i],) + t[i + 1 :]][i] for i in range(game.n)),
+            sum(game.payoffs[t]),
+        )
+        for star in optima
+        for t in trans
+    ]
+
+
+def _pairwise_min_mu(sums, lam):
     lo = None
     hi = None
-    for star in optima:
-        sw_star = sum(game.payoffs[star])
-        for t in trans:
-            total = sum(
-                game.payoffs[t[:i] + (star[i],) + t[i + 1 :]][i] for i in range(game.n)
-            )
-            sw_t = sum(game.payoffs[t])
-            need = lam * sw_star - total
-            if sw_t > 0:
-                r = need / sw_t
-                lo = r if lo is None else max(lo, r)
-            elif sw_t == 0:
-                if need > 0:
-                    return None
-            else:
-                r = need / sw_t
-                hi = r if hi is None else min(hi, r)
+    for sw_star, total, sw_t in sums:
+        need = lam * sw_star - total
+        if sw_t > 0:
+            r = need / sw_t
+            lo = r if lo is None else max(lo, r)
+        elif sw_t == 0:
+            if need > 0:
+                return None
+        else:
+            r = need / sw_t
+            hi = r if hi is None else min(hi, r)
     mu = F(0) if lo is None or lo < 0 else lo
     if hi is not None and mu > hi:
         return None
@@ -460,9 +471,11 @@ def _pairwise_min_mu(game, optima, trans, lam):
 
 
 def _pairwise_smoothness(game, D):
-    trans = sorted(degree_map(D))
     sw = {s: sum(game.payoffs[s]) for s in game.profiles()}
     opt = max(sw.values())
+    if opt <= 0:
+        raise UndefinedPrice(f"maximum social welfare is {opt}; prices are undefined")
+    trans = sorted(degree_map(D))
     optima = [s for s in game.profiles() if sw[s] == opt]
     alpha = _pairwise_ratio_floor(
         (game.payoffs[s][i], game.payoffs[d][i])
@@ -485,8 +498,9 @@ def _pairwise_smoothness(game, D):
     ab = alpha * beta
     rows = []
     best = None
+    sums = _pairwise_sums(game, optima, trans)
     for lam in default_lambda_grid():
-        mu = _pairwise_min_mu(game, optima, trans, lam)
+        mu = _pairwise_min_mu(sums, lam)
         if mu is None or 1 + ab * mu <= 0:
             continue
         bound = ab * lam / (1 + ab * mu)
@@ -502,7 +516,7 @@ def _pairwise_smoothness(game, D):
 def _smoothness_outcome(certify, game, D):
     try:
         return certify(game, D)
-    except Infeasible as exc:
+    except (Infeasible, UndefinedPrice) as exc:
         return str(exc)
 
 
@@ -552,11 +566,18 @@ def test_smoothness_matches_pairwise_on_planted_bounds_games():
         assert isinstance(_assert_matches_pairwise(game, D), SmoothnessResult)
 
 
-def test_smoothness_matches_pairwise_on_random_games():
-    """Negative and zero payoffs, equilibrium and arbitrary solution sets."""
+# 1 keeps the exact view in int64; 2**62 + 1 pushes its integers past 2**62
+# and 1 / (2**61 + 1) gives a large lcm of the denominators
+SCALES = (F(1), F(2**62 + 1), F(1, 2**61 + 1))
+
+
+@functools.cache
+def _random_instances():
+    """420 (game, solution set) pairs of 2-3 players with 2-4 strategies each:
+    negative and zero payoffs, equilibrium and arbitrary solution sets."""
     rng = random.Random(2015)
-    outcomes = []
-    while len(outcomes) < 420:
+    instances = []
+    while len(instances) < 420:
         shape = tuple(rng.randint(2, 4) for _ in range(rng.randint(2, 3)))
         low = rng.choice((-4, -1, 0))
         game = Game.from_function(
@@ -564,17 +585,166 @@ def test_smoothness_matches_pairwise_on_random_games():
         )
         ne = enumerate_pure_ne(game)
         if not ne.is_empty:
-            outcomes.append(_assert_matches_pairwise(game, ne))
+            instances.append((game, ne))
         pair = rng.sample(list(game.profiles()), 2)
-        outcomes.append(_assert_matches_pairwise(game, SolutionSet(game, tuple(pair))))
-    messages = {o for o in outcomes if isinstance(o, str)}
-    assert messages >= {
-        "smoothness constant infeasible: u >= a*0 fails",
-        "no positive-denominator ratio to pin the constant",
-        "smoothness constant constraints are contradictory",
-        "no (lambda, mu) pair with mu >= 0 is feasible on the grid",
-    }
-    assert sum(isinstance(o, SmoothnessResult) for o in outcomes) > len(outcomes) // 3
+        instances.append((game, SolutionSet(game, tuple(pair))))
+    return instances
+
+
+def _scaled(game, D, scale):
+    """The game with every payoff times scale > 0, and D on it."""
+    if scale == 1:
+        return game, D
+    big = Game.from_function(
+        game.shape, lambda s: tuple(v * scale for v in game.payoffs[s])
+    )
+    return big, SolutionSet(big, D.members, D.label)
+
+
+def test_smoothness_matches_pairwise_on_random_games():
+    for scale in SCALES:
+        outcomes = [
+            _assert_matches_pairwise(*_scaled(game, D, scale))
+            for game, D in _random_instances()
+        ]
+        messages = {o for o in outcomes if isinstance(o, str)}
+        assert messages >= {
+            "smoothness constant infeasible: u >= a*0 fails",
+            "no positive-denominator ratio to pin the constant",
+            "smoothness constant constraints are contradictory",
+            f"maximum social welfare is {-scale}; prices are undefined",
+        }
+        assert sum(isinstance(o, SmoothnessResult) for o in outcomes) > len(outcomes) // 3
+
+
+def test_smoothness_matches_pairwise_when_no_lambda_is_feasible():
+    # D = {(0, 0)} is its own only transition, of welfare 0; completing the
+    # optimum (1, 1) pays 1 - 2 < 0 there, so lambda * 8 <= -1 fails at
+    # every lambda although alpha = beta = 1
+    table = {(0, 0): (F(1), F(-1)), (0, 1): (F(0), F(-2)), (1, 0): (F(1), F(0)),
+             (1, 1): (F(4), F(4))}
+    game = Game.from_function((2, 2), table.__getitem__)
+    for scale in SCALES:
+        outcome = _assert_matches_pairwise(*_scaled(game, SolutionSet(game, ((0, 0),)), scale))
+        assert outcome == (
+            "no (lambda, mu) pair with mu >= 0 is feasible on the grid"
+        )
+
+
+def test_smoothness_is_undefined_without_positive_welfare(tmp_path, capsys):
+    # best welfare 0 (a 1 x 1 game) and -1 (a constant 2 x 2 game): no
+    # certificate is measured against a nonpositive optimum
+    for shape, pay, opt in (((1, 1), (F(1), F(-1)), 0), ((2, 2), (F(1), F(-2)), -1)):
+        game = Game.from_function(shape, lambda s: pay)
+        message = f"maximum social welfare is {opt}; prices are undefined"
+        with pytest.raises(UndefinedPrice) as exc:
+            extensive_smoothness(game)
+        assert str(exc.value) == message
+        D = enumerate_pure_ne(game)
+        assert _smoothness_outcome(_pairwise_smoothness, game, D) == message
+
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game_to_dict(game)))
+        assert main(["bounds", str(path), "--ne"]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# -- regularity constants against the Fraction tables --------------------------
+#
+# The reference below is the dependence search the integer array passes
+# replaced: a Fraction welfare table, per-player scans of the transitions and
+# of every welfare-ordered solution pair, and a second pass confirming beta.
+
+
+def _reference_tightest(num, den):
+    if den > 0:
+        return max(num / den, F(1))
+    return F(1) if num <= 0 else None
+
+
+def _reference_beta_verifies(game, sw, D, i, b):
+    for s, t in itertools.product(D.members, repeat=2):
+        if sw[s] >= sw[t]:
+            if game.payoffs[s][i] * b < game.payoffs[t][i]:
+                return False
+    return True
+
+
+def _reference_dependence(game, D):
+    degs = degree_map(D)
+    trans = sorted(degs)
+    n = game.n
+    sw = {s: sum(game.payoffs[s]) for s in game.profiles()}
+    wit = {}
+    stages = {m: [t for t in trans if degs[t] <= m] for m in range(1, n + 1)}
+
+    alpha_lower, alpha_upper, beta = [], [], []
+    for i in range(n):
+        u = lambda s: game.payoffs[s][i]
+        alpha_lower.append(_reference_tightest(min(u(d) for d in D.members),
+                                               min(u(t) for t in trans)))
+        alpha_upper.append(_reference_tightest(max(u(t) for t in trans),
+                                               max(u(d) for d in D.members)))
+        b = F(1)
+        for s, t in itertools.product(D.members, repeat=2):
+            if sw[s] >= sw[t] and u(t) > 0:
+                cand = _reference_tightest(u(t), u(s))
+                if cand is None:
+                    b = None
+                    break
+                if b is not None and cand > b:
+                    b = cand
+                    wit[f"beta[{i}]"] = (s, t)
+        if b is not None and not _reference_beta_verifies(game, sw, D, i, b):
+            b = None
+        beta.append(b)
+
+    sw_lower, sw_upper, player_lower, player_upper = [], [], [], []
+    for m in range(1, n):
+        small, large = stages[m], stages[m + 1]
+        sw_lower.append(_reference_tightest(min(sw[t] for t in small),
+                                            min(sw[t] for t in large)))
+        sw_upper.append(_reference_tightest(max(sw[t] for t in large),
+                                            max(sw[t] for t in small)))
+        player_lower.append(tuple(
+            _reference_tightest(min(game.payoffs[t][i] for t in small),
+                                min(game.payoffs[t][i] for t in large))
+            for i in range(n)))
+        player_upper.append(tuple(
+            _reference_tightest(max(game.payoffs[t][i] for t in large),
+                                max(game.payoffs[t][i] for t in small))
+            for i in range(n)))
+
+    return CoordinationDependence(
+        alpha_lower=tuple(alpha_lower),
+        alpha_upper=tuple(alpha_upper),
+        beta=tuple(beta),
+        sw_alpha_lower=_reference_tightest(min(sw[d] for d in D.members),
+                                           min(sw[t] for t in trans)),
+        sw_alpha_upper=_reference_tightest(max(sw[t] for t in trans),
+                                           max(sw[d] for d in D.members)),
+        sw_degree_alpha_lower=tuple(sw_lower),
+        sw_degree_alpha_upper=tuple(sw_upper),
+        player_degree_alpha_lower=tuple(player_lower),
+        player_degree_alpha_upper=tuple(player_upper),
+        witnesses=wit,
+    )
+
+
+def test_dependence_constants_match_the_fraction_reference():
+    undefined_betas = witnessed = 0
+    for scale in SCALES:
+        for game, D in _random_instances():
+            game, D = _scaled(game, D, scale)
+            got = coordination_dependence(game, D)
+            ref = _reference_dependence(game, D)
+            for f in dataclasses.fields(CoordinationDependence):
+                assert getattr(got, f.name) == getattr(ref, f.name), f.name
+            undefined_betas += None in got.beta
+            witnessed += bool(got.witnesses)
+    # both beta paths run: undefined constants, and pairs that set one
+    assert undefined_betas > 0 and witnessed > 0
 
 
 def test_smoothness_matches_pairwise_when_no_transition_has_positive_welfare():

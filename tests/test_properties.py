@@ -1,10 +1,12 @@
 """Property suites: randomised invariants backed by brute-force oracles."""
 
 import ast
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +16,16 @@ from transit.congestion import (
     verify_merge_lemma,
 )
 from transit.degrees import CoverInstance, exact_cover
-from transit.efficiency import price_report
+from transit.efficiency import price_report, two_player_pots_condition
 from transit.errors import UndefinedPrice
-from transit.games import Game, SolutionSet, best_responses, enumerate_pure_ne
+from transit.games import (
+    Game,
+    SolutionSet,
+    best_responses,
+    enumerate_pure_ne,
+    has_independent_best_responses,
+)
+from transit.polymatrix import m_posta
 from transit.transitions import (
     degree_map,
     is_stable_transition,
@@ -182,6 +191,69 @@ def test_array_passes_match_the_oracle(instance):
     assert degree_map(D) == {
         t: oracle.degree(members, t) for t in oracle.transitions(game, members)
     }
+    for variant in ("strict", "weak"):
+        ref = oracle.prices(game, members, variant)
+        try:
+            rep = price_report(game, D, variant)
+        except UndefinedPrice:
+            assert ref == {"undefined": True}
+            continue
+        assert {k: v for k, v in rep.as_dict().items() if k != "convention"} == ref
+        assert rep.witnesses == _first_extremes(game, members, variant)
+        # witnesses are plain ints, so reports render them as JSON numbers
+        assert all(type(x) is int for w in rep.witnesses.values() for x in w)
+    if game.convention == "min":
+        return
+    sw = {s: sum(game.payoffs[s]) for s in game.profiles()}
+    opt = max(sw.values())
+    stable = set(oracle.stable_transitions(game, members))
+    for m in range(1, game.n + 1):
+        pool = [sw[t] for t in oracle.m_transitions(game, members, m) if t in stable]
+        if opt <= 0:
+            with pytest.raises(UndefinedPrice):
+                m_posta(game, D, m)
+        elif pool:
+            assert m_posta(game, D, m) == min(pool) / opt
+
+
+def _first_extremes(game, members, variant):
+    """Witness of every price: the first profile, in member or lexicographic
+    order, of least and of greatest welfare (cost under min)."""
+    sw = lambda s: sum(game.payoffs[s])
+    anarchy, stability = (min, max) if game.convention == "max" else (max, min)
+    sets = [(("poa", "pos"), members),
+            (("pota", "pots"), oracle.transitions(game, members)),
+            (("posta", "posts"), oracle.stable_transitions(game, members, variant))]
+    sets += [((f"m_pota[{m}]", f"m_pots[{m}]"), oracle.m_transitions(game, members, m))
+             for m in range(1, game.n + 1)]
+    out = {"optimum": stability(game.profiles(), key=sw)}
+    for (worst, best), profiles in sets:
+        out[worst] = anarchy(profiles, key=sw)
+        out[best] = stability(profiles, key=sw)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_instances())
+def test_array_conditions_match_the_profile_loops(instance):
+    # the loops the array passes replaced, kept as the reference
+    game = instance[0]
+    u = game.signed_utility
+    independent = all(
+        len({frozenset(oracle._best_set(game, s, i)) for s in game.profiles()}) == 1
+        for i in range(game.n)
+    )
+    assert has_independent_best_responses(game) == independent
+    if game.n != 2:
+        return
+    k1, k2 = game.shape
+    sw = lambda x, y: u(0, (x, y)) + u(1, (x, y))
+    monotone = all(
+        sw(x, y) <= sw(xp, y) or sw(x, y) <= sw(x, yp)
+        for x, xp, y, yp in itertools.product(range(k1), range(k1), range(k2), range(k2))
+        if u(0, (x, y)) <= u(0, (xp, y)) and u(1, (x, y)) <= u(1, (x, yp))
+    )
+    assert two_player_pots_condition(game) == monotone
 
 
 def test_exact_view_switches_to_python_ints_past_2_to_the_62():
@@ -193,6 +265,14 @@ def test_exact_view_switches_to_python_ints_past_2_to_the_62():
     assert big.regret[1].dtype == object
     assert tiny.regret[0] == 3 * (2**62 + 1)
     assert tiny.regret[1].dtype == object
+    # every |U| stays below 2**62, so U and G keep int64, but three players
+    # earning 2**62 - 1 each sum past 2**63: the welfare widens to Python ints
+    wide = Game.from_function((2, 1, 1), lambda s: (F(2**62 - 1 - s[0]),) * 3)
+    assert wide.ints[1].dtype == np.int64
+    assert wide.regret[1].dtype == np.int64
+    assert wide.welfare.dtype == object
+    assert wide.welfare.ravel().tolist() == [3 * (2**62 - 1), 3 * (2**62 - 2)]
+    assert Game.from_function((2, 2), lambda s: (F(s[0]), F(-3))).welfare.dtype == np.int64
 
 
 @settings(max_examples=40, deadline=None)
