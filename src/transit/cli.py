@@ -9,6 +9,7 @@ finding, printed prominently), 2 parse errors, 3 empty solution sets,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -447,7 +448,10 @@ def cmd_fixtures(args) -> Report:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every verb, built once per process and shared
+    by every call of `main`; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="transit",
         description="Transitions between game solutions and their efficiency.",

@@ -13,14 +13,17 @@ cap and attains it exactly when m divides n.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .efficiency import price_report
 from .errors import ParseError, PreconditionFailed
-from .games import Game, Profile, SolutionSet, as_exact, enumerate_pure_ne
+from .games import Game, Profile, SolutionSet, as_exact, checked_shape, enumerate_pure_ne
 from .transitions import merge_set
 
 F = Fraction
@@ -89,17 +92,44 @@ class CongestionGame:
 
 
 def congestion_to_game(cg: CongestionGame, convention: str = "min") -> Game:
-    """Dense strategic-form view; costs by default, utilities on request."""
+    """Dense strategic-form view; costs by default, utilities on request.
+
+    Built by array passes over the profile grid, one resource at a time: with
+    A_i[r, x] = 1 when player i's strategy x uses resource r, r's load at s
+    is sum_i A_i[r, s_i], and player i pays sum_r A_i[r, s_i] * c_r(load).
+    The costs are integers over the tables' common denominator, in Python
+    ints when max c * n * m could reach 2**62.  The profile cap is checked
+    before any array is allocated.
+    """
+    n, m = cg.n_players, cg.n_resources
+    players = tuple(f"p{i + 1}" for i in range(n))
     names = tuple(
         tuple("{" + ",".join(str(j) for j in sorted(sub)) + "}" for sub in menu)
         for menu in cg.strategies
     )
-    return Game.from_function(
-        cg.shape(),
-        lambda s: tuple(cg.player_cost(i, s) for i in range(cg.n_players)),
-        convention=convention,
-        strategies=names,
+    shape = checked_shape(players, names, convention)
+    costs = [c for table in cg.costs for c in table]
+    scale = math.lcm(*(c.denominator for c in costs))
+    wide = max(costs) * scale * n * m >= 2**62
+    dtype = object if wide else np.int64
+    # table[r, k]: resource r's cost at load k, times scale; load 0 costs 0
+    table = np.array(
+        [[0] + [c.numerator * (scale // c.denominator) for c in row] for row in cg.costs],
+        dtype=dtype,
     )
+    totals = np.zeros((n, *shape), dtype=dtype)
+    for r in range(m):
+        uses = [
+            np.array([r in sub for sub in menu], dtype=np.intp).reshape(
+                [k if j == i else 1 for j, k in enumerate(shape)]
+            )
+            for i, menu in enumerate(cg.strategies)
+        ]
+        cost = table[r][sum(uses)]
+        for total, use in zip(totals, uses):
+            if use.any():
+                total += use * cost
+    return Game(players, names, scale, totals, convention)
 
 
 def _additivity(tables, superadditive: bool) -> bool:

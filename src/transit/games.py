@@ -1,15 +1,18 @@
 """Finite strategic-form games.
 
-Games are stored as dense payoff maps over the full profile space.  Payoffs
-are exact `Fraction`s, so equilibrium ties and epsilon comparisons are
-decided exactly.  Both utility-maximisation ("max") and
-cost-minimisation ("min") games are represented natively and every consumer
-dispatches on the convention rather than negating payoffs.
+A game is stored as one exact integer grid over its profile space
+(`Game.ints`): L, the least common denominator of every payoff, and U, where
+U[i, *s] is player i's payoff at profile s times L, signed so that larger is
+always better for the player.  Utility-maximisation ("max") games keep the
+sign and cost-minimisation ("min") games negate it.  U is int64, or Python
+ints (dtype object) once some |U| reaches 2**62, so no difference of two
+entries overflows.  Equilibrium ties and epsilon comparisons are therefore
+decided exactly.
 
 Best responses, equilibria, stable transitions, prices and welfare extremes
-are decided on one exact integer view of the payoffs, built on first use:
-the signed payoffs times the lcm of their denominators, as a numpy array
-over the profile grid (`Game.ints`, `Game.welfare`).
+all read U and the welfare W = sum over i of U_i (`Game.welfare`).  The
+payoffs as written, exact `Fraction`s keyed by profile (`Game.payoffs`), are
+a view built from U on first read.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import functools
 import itertools
 import math
 import os
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -62,49 +66,116 @@ def as_exact(x: object) -> Fraction:
     raise ParseError(f"cannot interpret {x!r} as a payoff value")
 
 
-@dataclass(frozen=True)
+def checked_shape(
+    players: Sequence[str], strategies: Sequence[Sequence[str]], convention: str
+) -> tuple[int, ...]:
+    """The profile grid's shape, once the game's outline passes every check.
+
+    The profile count is read from the shape alone, so a builder that calls
+    this first refuses an oversized game before it computes or allocates any
+    payoff.
+    """
+    if len(players) < 1:
+        raise ParseError("a game needs at least one player")
+    if len(strategies) != len(players):
+        raise ParseError("one strategy list per player is required")
+    if any(len(s) == 0 for s in strategies):
+        raise ParseError("every strategy set must be nonempty")
+    if convention not in ("max", "min"):
+        raise ParseError(f"unknown convention {convention!r}")
+    shape = tuple(len(s) for s in strategies)
+    count = math.prod(shape)
+    if count > profile_cap():
+        raise TooLarge(
+            f"{count} profiles exceed the cap {profile_cap()}; "
+            "raise TRANSIT_PROFILE_CAP to force enumeration"
+        )
+    return shape
+
+
+def _exact_values(values: Sequence[object]) -> tuple[int, np.ndarray]:
+    """(d, x): d is the least common denominator of the payoff scalars
+    `values`, and x[k] is values[k] times d, as an int64 or object array.
+
+    Payoff tables repeat a few values many times, so each distinct scalar is
+    parsed once.  When the values mix types, the type is part of the key, so
+    that true never aliases 1 nor a float the exact rational it equals; when
+    they share one type, as the strings of a written game do, the values are
+    their own keys, which halves the time of this pass.  A value that does
+    not parse raises at its first occurrence, so the error names the first
+    bad value.
+    """
+    typed = len(set(map(type, values))) > 1
+    keys = list(zip(map(type, values), values)) if typed else values
+    try:
+        distinct = dict.fromkeys(keys)
+    except TypeError:  # an unhashable value, which as_exact rejects
+        for v in values:
+            as_exact(v)
+        raise
+    exact = [as_exact(key[1] if typed else key) for key in distinct]
+    scale = math.lcm(*(v.denominator for v in exact))
+    scaled = [v.numerator * (scale // v.denominator) for v in exact]
+    code = dict(zip(distinct, scaled))
+    dtype = np.int64 if max(map(abs, scaled)) < 2**62 else object
+    return scale, np.fromiter(map(code.__getitem__, keys), dtype=dtype, count=len(keys))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Game:
-    """A finite strategic-form game with dense payoffs.
+    """A finite strategic-form game on a dense exact integer payoff grid.
 
     players:    ordered player names.
     strategies: per-player ordered strategy names.
-    payoffs:    full profile (tuple of strategy indices) -> per-player
-                exact rational values.
     convention: "max" for utility maximisation, "min" for cost minimisation.
+    ints:       (L, U), L the least common denominator of every payoff and
+                U[i, *s] player i's payoff at s times L, negated under "min";
+                U is read-only, int64 while every |U| < 2**62 and Python ints
+                (dtype object) beyond.
+
+    Game(players, strategies, denominator, numerators, convention) takes
+    player i's payoff at s, as written, as numerators[i, *s] / denominator
+    (numerators an integer array of shape (players, *shape)); it divides out
+    any common factor so that L is least, and fixes U's sign and dtype.
     """
 
     players: tuple[str, ...]
     strategies: tuple[tuple[str, ...], ...]
-    payoffs: Mapping[Profile, tuple[Fraction, ...]]
-    convention: str = "max"
+    convention: str
+    ints: tuple[int, np.ndarray]
 
-    def __post_init__(self) -> None:
-        if len(self.players) < 1:
-            raise ParseError("a game needs at least one player")
-        if len(self.strategies) != len(self.players):
-            raise ParseError("one strategy list per player is required")
-        if any(len(s) == 0 for s in self.strategies):
-            raise ParseError("every strategy set must be nonempty")
-        if self.convention not in ("max", "min"):
-            raise ParseError(f"unknown convention {self.convention!r}")
-        count = self.num_profiles
-        if count > profile_cap():
-            raise TooLarge(
-                f"{count} profiles exceed the cap {profile_cap()}; "
-                "raise TRANSIT_PROFILE_CAP to force enumeration"
-            )
-        if len(self.payoffs) != count:
+    def __init__(
+        self,
+        players: Sequence[str],
+        strategies: Sequence[Sequence[str]],
+        denominator: int,
+        numerators: np.ndarray,
+        convention: str = "max",
+    ) -> None:
+        players = tuple(players)
+        strategies = tuple(tuple(s) for s in strategies)
+        shape = checked_shape(players, strategies, convention)
+        values = np.asarray(numerators)
+        if values.shape != (len(players), *shape):
             raise ParseError(
-                f"payoff map has {len(self.payoffs)} entries, expected {count}"
+                f"payoff grid has shape {values.shape}, expected {(len(players), *shape)}"
             )
-        n = len(self.players)
-        for s, vec in self.payoffs.items():
-            if len(s) != n or any(
-                not (0 <= s[i] < len(self.strategies[i])) for i in range(n)
-            ):
-                raise ParseError(f"invalid profile key {s!r}")
-            if len(vec) != n:
-                raise ParseError(f"payoff vector arity mismatch at {s!r}")
+        common = math.gcd(denominator, int(np.gcd.reduce(values, axis=None)))
+        scale = denominator // common
+        if common > 1:
+            values = values // common
+        wide = max(-int(values.min()), int(values.max())) >= 2**62
+        values = np.array(values, dtype=object if wide else np.int64, order="C")
+        if convention == "min":
+            np.negative(values, out=values)
+        values.flags.writeable = False
+        for name, value in (
+            ("players", players),
+            ("strategies", strategies),
+            ("convention", convention),
+            ("ints", (scale, values)),
+        ):
+            object.__setattr__(self, name, value)
 
     # -- shape ------------------------------------------------------------
 
@@ -134,6 +205,19 @@ class Game:
 
     # -- payoffs ----------------------------------------------------------
 
+    @functools.cached_property
+    def payoffs(self) -> Mapping[Profile, tuple[Fraction, ...]]:
+        """Full profile -> per-player payoffs as written (costs under
+        "min"), exact `Fraction`s; a read-only view of U built on first read.
+        """
+        scale, grid = self.ints
+        sign = 1 if self.convention == "max" else -1
+        rows = np.moveaxis(grid, 0, -1).reshape(-1, self.n).tolist()
+        return types.MappingProxyType({
+            s: tuple(Fraction(sign * v, scale) for v in row)
+            for s, row in zip(self.profiles(), rows)
+        })
+
     def payoff(self, s: Sequence[int]) -> tuple[Fraction, ...]:
         return self.payoffs[tuple(s)]
 
@@ -152,24 +236,6 @@ class Game:
         return eps
 
     # -- integer view -------------------------------------------------------
-
-    @functools.cached_property
-    def ints(self) -> tuple[int, np.ndarray]:
-        """(L, U): L is the lcm of every payoff denominator, and U[i, *s] is
-        player i's signed payoff at s times L.  The dtype is int64, or object
-        (Python ints) when some |U| reaches 2**62, so no difference overflows.
-        """
-        flat = [v for s in self.profiles() for v in self.payoffs[s]]
-        scale = math.lcm(*{v.denominator for v in flat})
-        sign = 1 if self.convention == "max" else -1
-        ints = np.fromiter(
-            (sign * v.numerator * (scale // v.denominator) for v in flat),
-            dtype=object,
-            count=len(flat),
-        )
-        if max(-ints.min(), ints.max()) < 2**62:
-            ints = ints.astype(np.int64)
-        return scale, np.moveaxis(ints.reshape(*self.shape, self.n), -1, 0)
 
     @functools.cached_property
     def welfare(self) -> np.ndarray:
@@ -231,6 +297,21 @@ class Game:
     # -- builders ----------------------------------------------------------
 
     @classmethod
+    def from_values(
+        cls,
+        players: Sequence[str],
+        strategies: Sequence[Sequence[str]],
+        values: Sequence[object],
+        convention: str = "max",
+    ) -> "Game":
+        """Game from its payoff scalars in profile order, one per player
+        each: the order of a payoff document's innermost vectors."""
+        shape = tuple(len(s) for s in strategies)
+        scale, flat = _exact_values(values)
+        grid = np.moveaxis(flat.reshape(*shape, len(players)), -1, 0)
+        return cls(players, strategies, scale, grid, convention)
+
+    @classmethod
     def from_function(
         cls,
         shape: Sequence[int],
@@ -239,7 +320,10 @@ class Game:
         players: Sequence[str] | None = None,
         strategies: Sequence[Sequence[str]] | None = None,
     ) -> "Game":
-        """Build a dense game from func(profile) -> per-player values."""
+        """Build a dense game from func(profile) -> per-player values.
+
+        The profile cap is checked from the shape before func is called.
+        """
         n = len(shape)
         names = tuple(players) if players else tuple(f"p{i + 1}" for i in range(n))
         strats = (
@@ -247,10 +331,15 @@ class Game:
             if strategies
             else tuple(tuple(str(j) for j in range(k)) for k in shape)
         )
-        table = {}
+        if checked_shape(names, strats, convention) != tuple(shape):
+            raise ParseError(f"strategy names do not fit the shape {tuple(shape)}")
+        values = []
         for s in itertools.product(*(range(k) for k in shape)):
-            table[s] = tuple(as_exact(v) for v in func(s))
-        return cls(names, strats, table, convention)
+            vec = tuple(func(s))
+            if len(vec) != n:
+                raise ParseError(f"payoff vector arity mismatch at {s!r}")
+            values.extend(vec)
+        return cls.from_values(names, strats, values, convention)
 
 
 @dataclass(frozen=True)
@@ -348,7 +437,8 @@ def social_value(game: Game, s: Sequence[int]) -> Welfare:
 
 def identical_utilities(game: Game) -> bool:
     """True when all players receive the same payoff at every profile."""
-    return all(len(set(vec)) == 1 for vec in game.payoffs.values())
+    payoff = game.ints[1]
+    return bool((payoff == payoff[0]).all())
 
 
 def has_independent_best_responses(game: Game) -> bool:

@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .congestion import CongestionGame
 from .coordination import GraphColoringInstance
 from .errors import ParseError
-from .games import Game, SolutionSet, as_exact
+from .games import Game, SolutionSet, as_exact, checked_shape
 from .routing import Commodity, RoutingInstance, cost_from_spec
 
 
@@ -53,7 +56,8 @@ def game_from_dict(data: dict) -> Game:
 
     The payoff tensor is nested profile-major (player 1's strategy index
     outermost) with a per-player vector innermost.  Ragged tensors are
-    rejected.
+    rejected.  The profile cap is checked from the strategy lists before the
+    payoffs are read.
     """
     if not isinstance(data, dict):
         raise ParseError("game document must be an object")
@@ -65,58 +69,55 @@ def game_from_dict(data: dict) -> Game:
     strategies = tuple(tuple(str(x) for x in row) for row in data["strategies"])
     if len(players) != len(strategies):
         raise ParseError("players and strategies disagree in length")
-    shape = tuple(len(s) for s in strategies)
+    shape = checked_shape(players, strategies, convention)
+    values = _payoff_values(data["payoffs"], shape)
+    return Game.from_values(players, strategies, values, convention)
 
-    payoffs = {}
-    tensor = data["payoffs"]
-    n = len(players)
-    # payoff files repeat a few values many times, so each distinct scalar
-    # is parsed once; the type is part of the key so that true never
-    # aliases 1
-    parsed: dict = {}
 
-    def exact(v):
-        key = (type(v), v)
-        try:
-            return parsed[key]
-        except KeyError:
-            parsed[key] = value = as_exact(v)
-            return value
-        except TypeError:  # unhashable, which as_exact rejects
-            return as_exact(v)
+def _payoff_values(tensor, shape: tuple[int, ...]) -> list:
+    """The scalars of a payoff tensor in document order, one vector appended
+    at a time; they are parsed by `Game.from_values`.
+
+    A ragged node raises only after the scalars before it are parsed, so the
+    reported fault is the first in document order.
+    """
+    n = len(shape)
+    values: list = []
+
+    def fault(message):
+        for v in values:
+            as_exact(v)
+        return ParseError(message)
 
     def walk(node, prefix):
         depth = len(prefix)
         if depth == n:
             if not isinstance(node, list) or len(node) != n:
-                raise ParseError(
-                    f"payoff vector at {prefix} must list {n} values"
-                )
-            payoffs[tuple(prefix)] = tuple(exact(v) for v in node)
+                raise fault(f"payoff vector at {prefix} must list {n} values")
+            values.extend(node)
             return
         if not isinstance(node, list) or len(node) != shape[depth]:
-            raise ParseError(
+            raise fault(
                 f"payoff tensor is ragged at {prefix}: expected {shape[depth]} entries"
             )
         for idx, sub in enumerate(node):
             walk(sub, prefix + [idx])
 
     walk(tensor, [])
-    return Game(players, strategies, payoffs, convention)
+    return values
 
 
 def game_to_dict(game: Game) -> dict:
-    def build(prefix):
-        depth = len(prefix)
-        if depth == game.n:
-            return [str(v) for v in game.payoffs[tuple(prefix)]]
-        return [build(prefix + [i]) for i in range(game.shape[depth])]
-
+    """The game document; each distinct payoff is formatted once."""
+    scale, grid = game.ints
+    sign = 1 if game.convention == "max" else -1
+    distinct, index = np.unique(grid.ravel(), return_inverse=True)
+    text = np.array([str(Fraction(sign * int(v), scale)) for v in distinct], dtype=object)
     return {
         "convention": game.convention,
         "players": list(game.players),
         "strategies": [list(s) for s in game.strategies],
-        "payoffs": build([]),
+        "payoffs": np.moveaxis(text[index].reshape(grid.shape), 0, -1).tolist(),
     }
 
 

@@ -244,6 +244,11 @@ def m_posta(game: Game, D: SolutionSet, m: int) -> Fraction:
     opt = welfare.max()
     if opt <= 0:
         raise UndefinedPrice("maximum social welfare is nonpositive")
+    if pool.size == 0:
+        raise UndefinedPrice(
+            f"solution set {D.label!r} has no strict stable transition of degree "
+            f"<= {m}; m-posta is undefined"
+        )
     return Fraction(int(pool.min()), int(opt))
 
 

@@ -122,6 +122,22 @@ def test_graph_commands(capsys):
     assert doc["results"]["posta"]["exact"] == "0"
 
 
+@pytest.mark.parametrize("n, cap", [(8, None), (6, "1000")])
+def test_theorem2_over_the_profile_cap_exits_5_at_once(capsys, monkeypatch, n, cap):
+    # 8**8 profiles pass the default cap of 10**7; the refusal comes from
+    # the shape, before any payoff is computed
+    if cap is None:
+        monkeypatch.delenv("TRANSIT_PROFILE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("TRANSIT_PROFILE_CAP", cap)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "theorem", "2", "--n", str(n))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (5, "")
+    assert err == (f"error: {n ** n} profiles exceed the cap {cap or 10_000_000}; "
+                   "raise TRANSIT_PROFILE_CAP to force enumeration\n")
+
+
 def test_theorem2_reports_the_closed_form_finding(capsys):
     code, out, err = run_cli(capsys, "theorem", "2", "--n", "4")
     assert code == 1  # the stated single-pile value is not the worst merge

@@ -1,9 +1,11 @@
 """Congestion games: conversion, subadditivity, merge lemma, degree scaling."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from transit.congestion import (
@@ -301,3 +303,51 @@ def test_equilibria_of_parallel_links_are_permutations():
     ne = enumerate_pure_ne(game)
     assert all(len(set(s)) == 3 for s in ne.members)
     assert len(ne.members) == 6
+
+
+def _reference_ints(cg, convention):
+    """(L, U) derived profile by profile from `player_cost`: L is the lcm of
+    every payoff denominator, U the payoffs times L, negated under "min",
+    int64 unless some |U| reaches 2**62."""
+    shape = cg.shape()
+    profiles = list(itertools.product(*map(range, shape)))
+    costs = [cg.player_cost(i, s) for i in range(cg.n_players) for s in profiles]
+    scale = math.lcm(*(v.denominator for v in costs))
+    sign = 1 if convention == "max" else -1
+    grid = [sign * v.numerator * (scale // v.denominator) for v in costs]
+    dtype = np.int64 if max(map(abs, grid)) < 2**62 else object
+    return scale, np.array(grid, dtype=dtype).reshape(cg.n_players, *shape)
+
+
+def test_array_game_matches_the_per_profile_costs():
+    rng = random.Random(2024)
+    seen = set()
+    for trial in range(240):
+        n = rng.randint(1, 4)
+        drawn = random_congestion_game(rng, n, rng.randint(1, 3), subadditive=False)
+        kind = trial % 3
+        if kind == 1:  # fractional costs, some shared denominators
+            tables = tuple(
+                tuple(F(rng.randint(0, 20), rng.choice((1, 2, 3, 4, 6))) for _ in range(n))
+                for _ in range(drawn.n_resources)
+            )
+        elif kind == 2:  # max cost * n * m past 2**62: summed in Python ints
+            big = rng.choice((2**59, 2**61, 2**62, 2**70))
+            tables = tuple(
+                tuple(F(rng.randint(0, 2) * big + rng.randint(0, 5), rng.choice((1, 3)))
+                      for _ in range(n))
+                for _ in range(drawn.n_resources)
+            )
+        else:
+            tables = drawn.costs
+        cg = CongestionGame(n, drawn.n_resources, drawn.strategies, tables)
+        for convention in ("min", "max"):
+            game = congestion_to_game(cg, convention)
+            scale, grid = game.ints
+            ref_scale, ref_grid = _reference_ints(cg, convention)
+            assert scale == ref_scale
+            assert grid.dtype == ref_grid.dtype
+            assert np.array_equal(grid, ref_grid)
+            assert not grid.flags.writeable
+            seen.add(grid.dtype)
+    assert seen == {np.dtype(np.int64), np.dtype(object)}

@@ -1,11 +1,15 @@
 """Corpus completeness and expectation round-trips."""
 
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from transit import io as tio
+from transit.congestion import congestion_to_game
+from transit.coordination import coordination_to_game, utilities
 from transit.errors import ParseError
 from transit.fixtures import (
     REGISTRY,
@@ -72,6 +76,61 @@ def test_instance_files_round_trip_through_loaders():
             g = tio.load_graph(path)
             built = fix.build()
             assert g.edges == built.edges and g.n_nodes == built.n_nodes
+
+
+# L and the sum of U of every fixture's integer grid, as first derived from
+# the per-profile Fraction payoffs
+GRID_PINS = {
+    "matrix2": (1, 4),
+    "matrix5": (10, 22),
+    "matrix6": (2, 42),
+    "example2-3player": (1, 51),
+    "matching-strategy": (1, 36),
+    "parallel-links-4": (1, -1792),
+    "cycle-6": (1, 384),
+    "clique-4": (1, 96),
+    "star-5": (1, 128),
+    "forest-10": (1, 7168),
+}
+
+
+def _flatten(node):
+    if isinstance(node, list):
+        return [v for sub in node for v in _flatten(sub)]
+    return [node]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PINS))
+def test_integer_grid_matches_the_payoffs_as_written(name):
+    fix = REGISTRY[name]
+    inst = fix.build()
+    if fix.kind == "game":
+        game = tio.load_game(fixture_path(name))
+        doc = json.loads(fixture_path(name).read_text())
+        values = [Fraction(str(v)) for v in _flatten(doc["payoffs"])]
+        assert np.array_equal(inst.ints[1], game.ints[1]) and inst.ints[0] == game.ints[0]
+    elif fix.kind == "congestion":
+        game = congestion_to_game(inst)
+        values = [inst.player_cost(i, s) for s in game.profiles() for i in range(game.n)]
+    else:
+        game = coordination_to_game(inst)
+        menus = inst.menus()
+        values = [
+            Fraction(u) for s in game.profiles()
+            for u in utilities(inst, [menus[i][c] for i, c in enumerate(s)])
+        ]
+    # the reference: L is the lcm of every denominator and U the signed
+    # payoffs times L, player-major
+    scale = math.lcm(*(v.denominator for v in values))
+    sign = 1 if game.convention == "max" else -1
+    flat = np.array([int(sign * v * scale) for v in values], dtype=np.int64)
+    expected = np.moveaxis(flat.reshape(*game.shape, game.n), -1, 0)
+    assert (game.ints[0], int(game.ints[1].sum())) == GRID_PINS[name]
+    assert game.ints[0] == scale
+    assert game.ints[1].dtype == np.int64
+    assert np.array_equal(game.ints[1], expected)
+    rows = [tuple(values[k:k + game.n]) for k in range(0, len(values), game.n)]
+    assert dict(game.payoffs) == dict(zip(game.profiles(), rows))
 
 
 def test_paper_values_present_in_expectations():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transit import io as tio
+from transit.congestion import congestion_to_game, parallel_links
 from transit.errors import ParseError, TooLarge
 from transit.fixtures import example2_game, matrix2_game, matrix6_game
 from transit.games import (
@@ -158,10 +160,42 @@ def test_profile_cap_enforced(monkeypatch):
         Game.from_function((2, 2), lambda s: (F(0), F(0)))
 
 
+def test_builders_refuse_over_the_cap_before_any_payoff(monkeypatch):
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "1000")
+
+    def payoff(s):
+        raise AssertionError(f"payoff of {s} computed over the cap")
+
+    with pytest.raises(TooLarge):
+        Game.from_function((10, 10, 11), payoff)
+    # the payoff tensor, empty here, is never read
+    doc = {"players": ["a", "b", "c"], "payoffs": [],
+           "strategies": [[str(j) for j in range(k)] for k in (10, 10, 11)]}
+    with pytest.raises(TooLarge):
+        tio.game_from_dict(doc)
+    with pytest.raises(TooLarge):
+        congestion_to_game(parallel_links(5))
+
+
+def test_a_float_and_the_binary_fraction_it_equals_parse_apart():
+    # 0.1 == Fraction(0.1) in Python, but the float is read as 1/10 and the
+    # Fraction is the float's exact binary value
+    game = Game.from_function((2,), lambda s: ((F(0.1),), (0.1,))[s[0]])
+    assert game.payoffs == {(0,): (F(0.1),), (1,): (F(1, 10),)}
+
+
 def test_ragged_payoffs_rejected():
     payoffs = {(0, 0): (F(1),), (0, 1): (F(1), F(1)), (1, 0): (F(1), F(1)), (1, 1): (F(1), F(1))}
     with pytest.raises(ParseError):
-        Game(("a", "b"), (("x", "y"), ("x", "y")), payoffs)
+        Game.from_function(
+            (2, 2), payoffs.__getitem__, players=("a", "b"),
+            strategies=(("x", "y"), ("x", "y")),
+        )
+
+
+def test_strategy_names_must_fit_the_shape():
+    with pytest.raises(ParseError, match="do not fit the shape"):
+        Game.from_function((2, 3), lambda s: (F(0), F(0)), strategies=("xyz", "uv"))
 
 
 def test_solution_set_rejects_duplicates():

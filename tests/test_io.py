@@ -1,13 +1,16 @@
 """Wire formats: loaders reject malformed input, dumpers round-trip."""
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from transit import io as tio
-from transit.congestion import parallel_links
+from transit.congestion import CongestionGame, congestion_to_game, parallel_links
 from transit.errors import ParseError
 from transit.fixtures import matrix6_game
+from transit.games import Game
 from transit.routing import fig2_family
 
 
@@ -19,6 +22,44 @@ def test_game_round_trip_exact_rationals():
     assert doc["payoffs"][0][1] == ["2", "3/2"]  # a/c, b/c as exact strings
 
 
+F = Fraction
+
+# game_to_dict documents as first written from the Fraction payoff tables
+PINNED_DOCUMENTS = {
+    "matrix6": '{"convention": "max", "players": ["row", "col"], "strategies": [["I", "II"], '
+               '["1", "2"]], "payoffs": [[["4", "4"], ["2", "3/2"]], [["3/2", "2"], ["3", "3"]]]}',
+    "congestion-min": '{"convention": "min", "players": ["p1", "p2"], "strategies": [["{0}", '
+                      '"{0,1}"], ["{1}", "{0}"]], "payoffs": [[["1/2", "2"], ["3/4", "3/4"]], '
+                      '[["17/6", "7/3"], ["11/4", "3/4"]]]}',
+    "signed-wide": '{"convention": "min", "players": ["p1", "p2"], "strategies": [["0", "1"], '
+                   '["0"]], "payoffs": [[["-1180591620717411303424", "1/3"]], [["0", "-5/7"]]]}',
+}
+
+
+def _pinned_game(name):
+    if name == "matrix6":
+        return matrix6_game()
+    if name == "congestion-min":
+        menus = ((frozenset([0]), frozenset([0, 1])), (frozenset([1]), frozenset([0])))
+        return congestion_to_game(
+            CongestionGame(2, 2, menus, ((F(1, 2), F(3, 4)), (F(2), F(7, 3))))
+        )
+    rows = ((F(-(2**70)), F(1, 3)), (F(0), F(-5, 7)))
+    return Game.from_function((2, 1), lambda s: rows[s[0]], "min")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))
+def test_game_documents_are_pinned_and_round_trip(name):
+    game = _pinned_game(name)
+    text = json.dumps(tio.game_to_dict(game))
+    assert text == PINNED_DOCUMENTS[name]
+    back = tio.game_from_dict(json.loads(text))
+    assert back.ints[0] == game.ints[0]
+    assert back.ints[1].dtype == game.ints[1].dtype
+    assert np.array_equal(back.ints[1], game.ints[1])
+    assert back.payoffs == game.payoffs
+
+
 def test_game_loader_rejects_ragged_tensor():
     doc = {
         "convention": "max",
@@ -27,6 +68,19 @@ def test_game_loader_rejects_ragged_tensor():
         "payoffs": [[["1", "1"], ["1", "1"]], [["1", "1"]]],
     }
     with pytest.raises(ParseError, match="ragged"):
+        tio.game_from_dict(doc)
+
+
+@pytest.mark.parametrize("payoffs, message", [
+    # a bad value before a ragged row, and a ragged row before a bad value
+    ([[["x", "1"], ["1", "1"]], [["1", "1"]]], "cannot parse rational 'x'"),
+    ([[["1", "1"]], [["x", "1"], ["1", "1"]]], r"ragged at \[0\]: expected 2"),
+    # a short vector inside row 0 comes before the ragged row 1
+    ([[["1", "1"], ["1"]], ["x"]], r"vector at \[0, 1\] must list 2"),
+])
+def test_game_loader_reports_the_first_fault_in_document_order(payoffs, message):
+    doc = {"players": ["a", "b"], "strategies": [["x", "y"], ["u", "v"]], "payoffs": payoffs}
+    with pytest.raises(ParseError, match=message):
         tio.game_from_dict(doc)
 
 

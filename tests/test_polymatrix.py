@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from transit.errors import PreconditionFailed
-from transit.games import SolutionSet, enumerate_pure_ne
+from transit import oracle
+from transit.errors import PreconditionFailed, UndefinedPrice
+from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.polymatrix import (
     PolymatrixGame,
     check_polymatrix_symmetry_and_regularity,
@@ -126,6 +127,17 @@ def test_m_posta_between_posta_and_poa():
     for m in range(1, game.n + 1):
         val = m_posta(game, D, m)
         assert r.posta <= val <= r.poa
+
+
+def test_m_posta_is_undefined_without_a_stable_transition():
+    # each player earns more on strategy 1 whatever the other plays, so the
+    # user's one solution (0, 0), its only transition, is not stable
+    game = Game.from_function((2, 2), lambda s: (F(s[0] + 1), F(s[1] + 1)))
+    D = SolutionSet(game, ((0, 0),), "user")
+    assert oracle.stable_transitions(game, D.members) == []
+    for m in (1, 2):
+        with pytest.raises(UndefinedPrice, match="'user' has no strict stable transition"):
+            m_posta(game, D, m)
 
 
 def _pairwise_welfare_monotone(game):
