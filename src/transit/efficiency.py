@@ -500,9 +500,12 @@ def two_player_pots_condition(game: Game) -> bool:
 # -- extensive smoothness ----------------------------------------------------
 
 
+_LAMBDA_GRID = tuple(Fraction(2) ** k for k in range(-62, 2))
+
+
 def default_lambda_grid() -> list[Fraction]:
     """64 geometric points in (0, 2] with ratio 2, so 1 and 2 are included."""
-    return [Fraction(2) ** k for k in range(-62, 2)]
+    return list(_LAMBDA_GRID)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 Commodities route splittable demand over explicit path lists with
 nondecreasing edge costs.  Equilibria minimise the potential
 sum_e integral_0^{f_e} c_e, computed by conditional-gradient iterations
-whose linear oracle is the cheapest path of each commodity, with an exact
-line search (the directional derivative is monotone).  A transition
+whose linear oracle is the cheapest path of each commodity.  Each step's
+length is the root of the monotone directional derivative, bracketed to
+2**-70 (or adjacent floats) by the ITP method: regula falsi, truncated and
+projected towards the midpoint, so never more than one step beyond
+bisection and far fewer on smooth derivatives.  A transition
 reallocates each commodity freely over the paths that can carry positive
 equilibrium flow; its worst cost is attained at a vertex of the restricted
 polytope whenever x * c_e(x) is convex, and its best cost by the same
@@ -323,21 +326,55 @@ class Flow:
 # -- conditional gradient -----------------------------------------------------
 
 
-def _line_search(derivative, lo: float = 0.0, hi: float = 1.0, iters: int = 70) -> float:
-    """Root of a nondecreasing derivative on [lo, hi] by bisection."""
-    if derivative(lo) >= 0:
+# half the width at which the line search stops: 2 * LINE_SEARCH_EPS = 2**-70
+# is what 70 halvings of [0, 1] leave
+LINE_SEARCH_EPS = 2.0**-71
+
+
+def _line_search(derivative, lo: float = 0.0, hi: float = 1.0) -> float:
+    """Root of a nondecreasing derivative on [lo, hi] by the ITP method.
+
+    Returns lo when derivative(lo) >= 0 and hi when derivative(hi) <= 0.
+    Otherwise it keeps a bracket with derivative <= 0 at its left end and
+    > 0 at its right end, and stops once the ends are adjacent floats or at
+    most 2 * LINE_SEARCH_EPS apart.  Each step interpolates the root by
+    regula falsi, truncates that point towards the midpoint by
+    kappa1 * width**2, and projects it to within r of the midpoint, where r
+    is the slack that still meets the bisection's worst case plus n0 steps
+    (Oliveira and Takahashi, "An enhancement of the bisection method average
+    performance preserving minmax optimality", ACM TOMS; kappa1 =
+    0.2 / (hi - lo), kappa2 = 2, n0 = 1).  So it never takes more than one
+    step beyond bisection's count for the same width (71 on [0, 1]), and
+    far fewer where the derivative is smooth.
+    """
+    y_lo = derivative(lo)
+    if y_lo >= 0:
         return lo
-    if derivative(hi) <= 0:
+    y_hi = derivative(hi)
+    if y_hi <= 0:
         return hi
-    for _ in range(iters):
+    kappa1 = 0.2 / (hi - lo)
+    n_max = math.ceil(math.log2((hi - lo) / (2 * LINE_SEARCH_EPS))) + 1
+    for j in range(n_max):
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # the ends are adjacent floats: every later midpoint is this one
-            return mid
-        if derivative(mid) > 0:
-            hi = mid
+        if width <= 2 * LINE_SEARCH_EPS or mid == lo or mid == hi:
+            break
+        # interpolate, truncate towards the midpoint, project within r of it
+        x = lo - y_lo * (width / (y_hi - y_lo))
+        delta = kappa1 * width * width
+        sigma = 1.0 if mid >= x else -1.0
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        r = math.ldexp(LINE_SEARCH_EPS, n_max - j) - 0.5 * width
+        if abs(x - mid) > r:
+            x = mid - sigma * r
+        # a step below the float spacing still moves one float off the ends
+        x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        y = derivative(x)
+        if y > 0:
+            hi, y_hi = x, y
         else:
-            lo = mid
+            lo, y_lo = x, y
     return 0.5 * (lo + hi)
 
 
@@ -354,7 +391,9 @@ def _conditional_gradient(
     flow (c_e for the equilibrium potential, the marginal cost for the total
     cost).  `allowed` optionally restricts each commodity to a path subset.
     The relative gap compares the current pricing of the flow against the
-    all-or-nothing assignment onto cheapest allowed paths.
+    all-or-nothing assignment onto cheapest allowed paths (ties to the
+    lowest path index).  Each step moves towards that assignment by the
+    `_line_search` root of the objective's derivative along the move.
     """
     incidence = inst.path_edge_matrix()
     slices = inst.commodity_slices()
@@ -364,19 +403,28 @@ def _conditional_gradient(
     f = np.zeros(incidence.shape[0])
     for ci, (c, sl) in enumerate(zip(inst.commodities, slices)):
         f[sl.start + allowed[ci][0]] = c.rate
+    rates = [c.rate for c in inst.commodities]
+    # row ci: commodity ci's allowed path rows in increasing order, so that
+    # argmin breaks ties towards the lowest path index, padded with the
+    # index of the last price, which stays +inf
+    choices = np.full((len(slices), max(len(a) for a in allowed)), len(f))
+    for ci, (sl, paths) in enumerate(zip(slices, allowed)):
+        choices[ci, : len(paths)] = sl.start + np.sort(paths)
+    commodity = np.arange(len(slices))
+    path_prices = np.full(len(f) + 1, np.inf)
 
     rel_gap = math.inf
     for _ in range(max_iter):
         fe = incidence.T @ f
-        path_prices = incidence @ price(fe)
+        path_prices[:-1] = incidence @ price(fe)
+        offered = path_prices[choices]
+        pick = np.argmin(offered, axis=1)
         y = np.zeros_like(f)
-        current = float(np.dot(path_prices, f))
+        y[choices[commodity, pick]] = rates
+        current = float(np.dot(path_prices[:-1], f))
         best_total = 0.0
-        for ci, (c, sl) in enumerate(zip(inst.commodities, slices)):
-            opts = [(path_prices[sl.start + p], p) for p in allowed[ci]]
-            cheapest, pick = min(opts)
-            y[sl.start + pick] = c.rate
-            best_total += cheapest * c.rate
+        for cheapest, rate in zip(offered[commodity, pick].tolist(), rates):
+            best_total += cheapest * rate
         rel_gap = (current - best_total) / max(abs(current), 1e-30)
         if rel_gap <= tol:
             return f

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +265,30 @@ def test_routing_analyze_solves_the_equilibrium_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+REPORTS = Path(__file__).parent / "routing_reports"
+
+
+@pytest.mark.parametrize("network, inst", [
+    ("fig1-3", None),
+    ("fig2-4x2", None),
+    ("pigou-pair", None),
+    ("prop4-network", None),
+    ("fig1-16-1.3.json", fig1_family(16, 1.3)),
+    ("fig2-11-3-0.1.json", fig2_family(11, 3, 0.1)),
+])
+def test_routing_reports_are_pinned(network, inst, tmp_path, monkeypatch, capsys):
+    # captured under the bisection line search; a solver change that moves a
+    # field rewrites these files and lists the change
+    monkeypatch.chdir(tmp_path)
+    if inst is not None:
+        Path(network).write_text(json.dumps(routing_to_dict(inst)))
+    assert main(["routing", "analyze", network]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    pinned = network if inst is not None else f"{network}.json"
+    assert out == (REPORTS / pinned).read_text()
+
+
 def test_path_edge_matrix_is_cached_and_read_only():
     inst = fig2_family(4, 2, 0.1)
     # both commodities' first path is the shared edge 0, then private edges
@@ -326,6 +351,18 @@ def test_min_cost_flow_restriction_matches_unrestricted_when_all_supported():
     assert full.cost() == pytest.approx(restricted.cost(), rel=1e-9)
 
 
+def test_cheapest_path_ties_go_to_the_lowest_path_index():
+    # paths 0 and 1 are the same link, so they tie at every step: all of
+    # their flow goes to path 0, in whatever order `allowed` lists them
+    link = PolyCost((0.0, 1.0))
+    inst = RoutingInstance(
+        2, ((0, 1), (0, 1)), (link, link), (Commodity(0, 1, 1.0, ((0,), (0,), (1,))),)
+    )
+    for flow in (equilibrium_flow(inst), min_cost_flow(inst, [[2, 1, 0]])):
+        assert flow.path_flows[1] == 0.0
+        assert flow.path_flows[0] == pytest.approx(0.5)
+
+
 def test_pwl_instance_equilibrium():
     # table costs emulating linear links
     inst = RoutingInstance(
@@ -380,22 +417,58 @@ def _bisection_70(derivative, lo=0.0, hi=1.0, iters=70):
     return 0.5 * (lo + hi)
 
 
-def test_line_search_early_exit_returns_the_same_bits():
+def test_line_search_brackets_the_root_within_one_step_of_bisection():
     rng = random.Random(7)
     roots = [0.0, 1.0, 5e-324, 1e-320, 3e-310, 1e-300, 1 - 1e-8, 0.5, 0.25]
     roots += [rng.random() for _ in range(300)]
     roots += [10.0 ** rng.uniform(-320, -1) for _ in range(300)]
     for root in roots:
         scale = 10.0 ** rng.uniform(-3, 3)
-        for derivative in (
-            lambda g: scale * (g - root),
-            lambda g: (g - root) ** 3,
-            lambda g: 1.0 if g > root else -1.0,
-            lambda g: 0.0 if g <= root else 1.0,
+        for shape, derivative in (
+            ("linear", lambda g: scale * (g - root)),
+            ("cubic", lambda g: (g - root) ** 3),
+            ("sign", lambda g: 1.0 if g > root else -1.0),
+            ("step", lambda g: 0.0 if g <= root else 1.0),
         ):
-            got = routing._line_search(derivative)
-            want = _bisection_70(derivative)
-            assert got.hex() == want.hex(), (root, got, want)
+            got, calls = _evaluations(routing._line_search, derivative)
+            _, halvings = _evaluations(_bisection_70, derivative)
+            # once its ends are adjacent floats, _bisection_70 only evaluates
+            # them again; the bisection it replaced stopped there instead
+            assert len(calls) <= len(set(halvings)) + 1, (shape, root)
+            if shape == "linear":
+                assert len(calls) <= 16, root
+            if derivative(0.0) >= 0:
+                assert got == 0.0
+            elif derivative(1.0) <= 0:
+                assert got == 1.0
+            else:
+                below = min(got - 2.0**-70, math.nextafter(got, -math.inf))
+                above = max(got + 2.0**-70, math.nextafter(got, math.inf))
+                assert derivative(below) <= 0 <= derivative(above), (shape, root, got)
+
+
+def test_line_search_steps_to_where_a_flat_derivative_turns_positive():
+    # a table edge on a flat head makes the derivative vanish on an interval
+    rng = random.Random(3)
+    for _ in range(200):
+        a, b = sorted(rng.random() for _ in range(2))
+
+        def derivative(g):
+            return min(g - a, 0.0) + max(g - b, 0.0)
+
+        got = routing._line_search(derivative)
+        assert abs(got - b) <= max(2.0**-70, math.ulp(b)), (a, b, got)
+
+
+def _evaluations(search, derivative):
+    """The search's result and the points where it evaluated the derivative."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return derivative(g)
+
+    return search(counted), calls
 
 
 def _cap_network(n_commodities):
