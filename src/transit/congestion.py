@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .efficiency import price_report
-from .errors import ParseError, PreconditionFailed
-from .games import Game, Profile, SolutionSet, as_exact, checked_shape, enumerate_pure_ne
+from .errors import ParseError
+from .games import Game, Profile, as_exact, checked_shape, enumerate_pure_ne
 from .transitions import merge_set
 
 F = Fraction
@@ -207,34 +207,6 @@ def verify_merge_lemma(cg: CongestionGame, profiles: Sequence[Profile]) -> dict:
         "budget": budget,
         "counterexample": counterexample,
         "subadditive": is_subadditive(cg),
-    }
-
-
-def verify_theorem2(cg: CongestionGame, m: int, D: SolutionSet | None = None) -> dict:
-    """Check the m-limited anarchy cap m * poa; "holds" reports the outcome.
-
-    D defaults to the pure equilibria of the cost game.  Refuses to run when
-    the per-user cost tables are not subadditive, but that precondition does
-    not guarantee the cap: on links priced (3, 6) and (4, 8), where one player
-    may also take both, two equilibria cost 7 each while a 2-limited
-    transition costs 16 > 2 * 7.
-    """
-    if not is_subadditive(cg):
-        raise PreconditionFailed("cost functions are not subadditive")
-    game = congestion_to_game(cg, "min")
-    if D is None:
-        D = enumerate_pure_ne(game)
-    D.require_nonempty()
-    report = price_report(game, D)
-    m_pota = report.m_pota_at(m)
-    bound = m * report.poa
-    return {
-        "m": m,
-        "poa": report.poa,
-        "m_pota": m_pota,
-        "bound": bound,
-        "holds": m_pota <= bound,
-        "slack": bound - m_pota,
     }
 
 

@@ -13,14 +13,16 @@ an input: we verify certificates, we do not construct them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .congestion import CongestionGame, congestion_to_game, is_superadditive
-from .efficiency import price_report
+from .efficiency import price_report, transition_box
 from .errors import CertificateInvalid, EmptySolutionSet, PreconditionFailed
 from .games import Game, SolutionSet, enumerate_pure_ne
-from .transitions import degree_map
 
 F = Fraction
 
@@ -30,33 +32,27 @@ def exact_potential_fourcycle(game: Game, witness: bool = False):
 
     A game admits an exact potential iff around every cycle
     s -> (x_i') -> (x_i', x_j') -> (x_j') -> s of two players' unilateral
-    deviations, the deviators' utility changes sum to zero.  Payoffs are
-    exact rationals, so the test compares with zero exactly.
+    deviations, the deviators' utility changes sum to zero.  That sum is the
+    mixed second difference of U_j - U_i over axes i and j, and every cycle
+    sums the adjacent cycles inside it, so the test is one array pass per
+    player pair on the integer grid (`Game.ints`), exact.  The witness is
+    the first failing adjacent cycle: pairs (i, j) in order, then profiles
+    in lexicographic order.
     """
-    n = game.n
-    for i, j in itertools.combinations(range(n), 2):
-        others = [range(k) for t, k in enumerate(game.shape) if t not in (i, j)]
-        for rest in itertools.product(*others):
-            def embed(xi, xj):
-                prof = list(rest)
-                prof.insert(min(i, j), xi if i < j else xj)
-                prof.insert(max(i, j), xj if i < j else xi)
-                return tuple(prof)
-
-            for xi, xip in itertools.combinations(range(game.shape[i]), 2):
-                for xj, xjp in itertools.combinations(range(game.shape[j]), 2):
-                    a = embed(xi, xj)
-                    b = embed(xip, xj)
-                    c = embed(xip, xjp)
-                    d = embed(xi, xjp)
-                    total = (
-                        (game.payoffs[b][i] - game.payoffs[a][i])
-                        + (game.payoffs[c][j] - game.payoffs[b][j])
-                        + (game.payoffs[d][i] - game.payoffs[c][i])
-                        + (game.payoffs[a][j] - game.payoffs[d][j])
-                    )
-                    if total != 0:
-                        return (False, (a, b, c, d)) if witness else False
+    payoff = game.ints[1]
+    # a second difference adds four entries of U_j - U_i
+    if payoff.dtype != object and int(np.abs(payoff).max()) >= 2**60:
+        payoff = payoff.astype(object)
+    for i, j in itertools.combinations(range(game.n), 2):
+        cycles = np.diff(np.diff(payoff[j] - payoff[i], axis=i), axis=j)
+        bad = np.flatnonzero(cycles)
+        if bad.size:
+            if not witness:
+                return False
+            a = tuple(int(x) for x in np.unravel_index(bad[0], cycles.shape))
+            b, d = (a[:k] + (a[k] + 1,) + a[k + 1:] for k in (i, j))
+            c = b[:j] + (b[j] + 1,) + b[j + 1:]
+            return False, (a, b, c, d)
     return (True, None) if witness else True
 
 
@@ -73,38 +69,51 @@ class DecompositionCertificate:
     potential: Game
     alpha: Fraction | None = None
 
+    def _residual(self) -> tuple[int, np.ndarray]:
+        """(L, R): L = lcm of both games' denominators and R[i, *s] the
+        residual u_i(s) - v_i(s) times L, in Python ints when a sum over
+        players could pass 2**63."""
+        (lg, ug), (lp, up) = self.game.ints, self.potential.ints
+        scale = math.lcm(lg, lp)
+        fg, fp = scale // lg, scale // lp
+        peak = max(fg * int(np.abs(ug).max()), fp * int(np.abs(up).max()))
+        if 2 * len(ug) * peak >= 2**63:
+            ug, up = ug.astype(object), up.astype(object)
+        return scale, ug * fg - up * fp
+
     def validate(self) -> None:
         g, p = self.game, self.potential
         if g.shape != p.shape or g.n != p.n:
             raise CertificateInvalid("game and potential part differ in shape")
         if g.convention != p.convention or g.convention != "max":
             raise CertificateInvalid("certificates are utility-maximisation only")
-        for s in g.profiles():
-            residual = sum(g.payoffs[s][i] - p.payoffs[s][i] for i in range(g.n))
-            if residual != 0:
-                raise CertificateInvalid(
-                    f"residual is not zero-sum at {s}: sums to {residual}"
-                )
+        scale, residual = self._residual()
+        total = residual.sum(axis=0)
+        bad = np.flatnonzero(total)
+        if bad.size:
+            s = tuple(int(x) for x in np.unravel_index(bad[0], total.shape))
+            raise CertificateInvalid(
+                f"residual is not zero-sum at {s}: sums to "
+                f"{Fraction(int(total[s]), scale)}"
+            )
         if not exact_potential_fourcycle(p):
             raise CertificateInvalid("potential part fails the four-cycle test")
 
     def epsilon(self) -> Fraction:
-        g, p = self.game, self.potential
-        return max(
-            abs(g.payoffs[s][i] - p.payoffs[s][i])
-            for s in g.profiles()
-            for i in range(g.n)
-        )
+        scale, residual = self._residual()
+        return Fraction(int(np.abs(residual).max()), scale)
 
 
-def _abs_sw(game: Game, profiles, extreme) -> Fraction | None:
-    """`extreme` (min or max) of |sw| over the profiles; None when empty."""
-    vals = [abs(sum(game.payoffs[s])) for s in profiles]
-    return extreme(vals) if vals else None
+def _abs_welfare(D: SolutionSet, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """|W| (`Game.welfare`) over D's solutions and over its transitions of
+    degree at most m."""
+    box, degree = transition_box(D)
+    welfare = np.abs(D.game.welfare)
+    return welfare[tuple(np.array(D.members).T)], welfare[box][degree <= m]
 
 
-def _tight_alpha(loose, strict):
-    """Transfer factor between matching extremes of |sw|.
+def _tight_alpha(loose, strict) -> Fraction | None:
+    """Transfer factor between matching extremes of |sw|, in one unit.
 
     The extreme over the loose set divided by the same extreme over the
     strict set: min over min gives the anarchy factor, max over max the
@@ -113,7 +122,7 @@ def _tight_alpha(loose, strict):
     """
     if strict == 0:
         return F(1) if loose == 0 else None
-    return loose / strict
+    return F(int(loose), int(strict))
 
 
 def verify_decomposition_bounds(
@@ -151,22 +160,13 @@ def verify_decomposition_bounds(
     report_g = price_report(G, ne_g)
     report_p = price_report(P, ne_p)
 
-    degs_loose = degree_map(loose_p)
-    degs_exact = degree_map(ne_p)
-    loose_m = [t for t, d in degs_loose.items() if d <= m]
-    exact_m = [t for t, d in degs_exact.items() if d <= m]
-
+    loose_ne, loose_m = _abs_welfare(loose_p, m)
+    exact_ne, exact_m = _abs_welfare(ne_p, m)
     searched = {
-        "alpha_ne": _tight_alpha(
-            _abs_sw(P, loose_p.members, min), _abs_sw(P, ne_p.members, min)
-        ),
-        "alpha_ne_upper": _tight_alpha(
-            _abs_sw(P, loose_p.members, max), _abs_sw(P, ne_p.members, max)
-        ),
-        "alpha_m": _tight_alpha(_abs_sw(P, loose_m, min), _abs_sw(P, exact_m, min)),
-        "alpha_m_upper": _tight_alpha(
-            _abs_sw(P, loose_m, max), _abs_sw(P, exact_m, max)
-        ),
+        "alpha_ne": _tight_alpha(loose_ne.min(), exact_ne.min()),
+        "alpha_ne_upper": _tight_alpha(loose_ne.max(), exact_ne.max()),
+        "alpha_m": _tight_alpha(loose_m.min(), exact_m.min()),
+        "alpha_m_upper": _tight_alpha(loose_m.max(), exact_m.max()),
     }
     if alpha_mode == "given":
         used = {k: cert.alpha for k in searched}
@@ -211,7 +211,7 @@ def verify_decomposition_bounds(
     corollary = None
     if congestion is not None:
         backing = congestion_to_game(congestion, "max")
-        if backing.payoffs != dict(P.payoffs):
+        if backing.ints[0] != P.ints[0] or not np.array_equal(backing.ints[1], P.ints[1]):
             raise PreconditionFailed(
                 "congestion backend does not reproduce the potential part"
             )

@@ -183,14 +183,15 @@ def greedy_basis(members: Sequence[Profile]) -> list[int]:
 _BLOCK = 512
 
 
-def degree_map(members: Sequence[Profile]) -> dict[Profile, int]:
-    """Exact transition degree of every profile in the transition box.
+def degree_map(members: Sequence[Profile]) -> np.ndarray:
+    """Exact transition degree at every entry of the transition box.
 
     The box is the product of the per-player projections of the nonempty
-    solution list; it is walked in lexicographic order, a block of profiles
-    at a time, each block's agreement masks built in one array pass.  A
-    profile's degree depends only on the set of its masks, so the cover
-    search runs once per distinct set.
+    solution list, and the result is an int64 array of its shape whose C
+    order is lexicographic order.  The box is walked a block of entries at a
+    time, each block's agreement masks built in one array pass.  An entry's
+    degree depends only on the set of its masks, so the cover search runs
+    once per distinct set.
     """
     n = len(members[0])
     projs = projections(members, n)
@@ -211,7 +212,7 @@ def degree_map(members: Sequence[Profile]) -> dict[Profile, int]:
             if key not in memo:
                 memo[key] = len(exact_cover(_instance(row, universe)))
             degs.append(memo[key])
-    return dict(zip(product_profiles(projs), degs))
+    return np.array(degs, dtype=np.int64).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -241,5 +242,5 @@ def saturation_degree(members: Sequence[Profile]) -> SaturationResult:
     if not members:
         raise Infeasible("empty solution list")
     basis = greedy_basis(members)
-    m = max(degree_map(members).values())
+    m = int(degree_map(members).max())
     return SaturationResult(m=m, basis=tuple(basis), basis_is_minimal=m == len(basis))

@@ -33,10 +33,8 @@ def transition_box(D: SolutionSet) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     profile grid, and the exact transition degree at every box entry.  The
     projections are sorted, so C order over the box is lexicographic.
     """
-    degs = degree_map(D)
-    projs = transition_set(D).projections
-    degree = np.fromiter(degs.values(), dtype=np.int64, count=len(degs))
-    return np.ix_(*projs), degree.reshape([len(p) for p in projs])
+    degree = degree_map(D)
+    return np.ix_(*transition_set(D).projections), degree
 
 
 def _optimum(game: Game) -> tuple[Profile, int, Fraction]:

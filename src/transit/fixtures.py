@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import io as tio
 from . import oracle
-from .congestion import parallel_links
+from .congestion import congestion_to_game, parallel_links
 from .coordination import (
     GraphColoringInstance,
     clique_graph,
@@ -144,24 +144,14 @@ def forest10_graph() -> GraphColoringInstance:
 # -- expectation oracles -------------------------------------------------------
 
 
-def _game_expectations(game: Game) -> dict:
+def _game_expectations(
+    game: Game, keys=("poa", "pos", "pota", "pots", "posta", "posts")
+) -> dict:
     D = enumerate_pure_ne(game)
     ref = oracle.prices_for(game, D)
-    out = {k: str(ref[k]) for k in ("poa", "pos", "pota", "pots", "posta", "posts")}
+    out = {k: str(ref[k]) for k in keys}
     out["m_pota"] = [str(v) for v in ref["m_pota"]]
     return out
-
-
-def _congestion_expectations(cg) -> dict:
-    from .congestion import congestion_to_game
-
-    game = congestion_to_game(cg, "min")
-    D = enumerate_pure_ne(game)
-    ref = oracle.prices_for(game, D)
-    return {
-        "poa": str(ref["poa"]),
-        "m_pota": [str(v) for v in ref["m_pota"]],
-    }
 
 
 def _routing_expectations(inst) -> dict:
@@ -203,7 +193,7 @@ class Fixture:
     """One shipped instance: builder, file serialiser, expectation oracle."""
 
     name: str
-    kind: str  # game | congestion | routing | graph
+    kind: str  # game | routing | graph
     anchor: str  # one-line provenance note
     build: Callable[[], object]
     expected: Callable[[object], dict]
@@ -214,8 +204,6 @@ class Fixture:
         obj = self.build()
         if self.kind == "game":
             return tio.game_to_dict(obj)
-        if self.kind == "congestion":
-            return tio.congestion_to_dict(obj)
         if self.kind == "routing":
             return tio.routing_to_dict(obj)
         if self.kind == "graph":
@@ -274,10 +262,10 @@ def _fixture_list() -> list[Fixture]:
         ),
         Fixture(
             "parallel-links-4",
-            "congestion",
+            "game",
             "4 players on 4 unit-slope links; equilibria are permutations",
-            lambda: parallel_links(4),
-            _congestion_expectations,
+            lambda: congestion_to_game(parallel_links(4), "min"),
+            lambda game: _game_expectations(game, ("poa",)),
             {"poa": closed, "m_pota": brute},
         ),
         Fixture(

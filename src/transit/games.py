@@ -218,12 +218,6 @@ class Game:
             for s, row in zip(self.profiles(), rows)
         })
 
-    def payoff(self, s: Sequence[int]) -> tuple[Fraction, ...]:
-        return self.payoffs[tuple(s)]
-
-    def utility(self, player: int, s: Sequence[int]) -> Fraction:
-        return self.payoffs[tuple(s)][player]
-
     def signed_utility(self, player: int, s: Sequence[int]) -> Fraction:
         """Payoff oriented so that larger is always better for the player."""
         v = self.payoffs[tuple(s)][player]

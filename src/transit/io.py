@@ -1,4 +1,4 @@
-"""File formats: games, solution sets, congestion, polymatrix, networks, graphs.
+"""File formats: games, solution sets, networks, graphs.
 
 All numeric fields accept integers, decimal floats, and "p/q" strings;
 exact-rational fixtures round-trip losslessly through the string form.
@@ -14,7 +14,6 @@ from typing import Any
 
 import numpy as np
 
-from .congestion import CongestionGame
 from .coordination import GraphColoringInstance
 from .errors import ParseError
 from .games import Game, SolutionSet, as_exact, checked_shape
@@ -144,35 +143,6 @@ def _solution_set_from_dict(data: dict, path: str | Path, game: Game | None) -> 
             raise ParseError("solution document needs a game path or inline game")
     members = tuple(tuple(int(x) for x in row) for row in data["members"])
     return SolutionSet(game, members, str(data.get("label", "user")))
-
-
-def congestion_from_dict(data: dict) -> CongestionGame:
-    """CongestionGame from {"resources", "costs", "strategies"}."""
-    if not isinstance(data, dict):
-        raise ParseError("congestion document must be an object")
-    resources = int(data["resources"])
-    costs = [[as_exact(v) for v in row] for row in data["costs"]]
-    if len(costs) != resources:
-        raise ParseError("one cost table per resource required")
-    strategies = [
-        [frozenset(int(j) for j in subset) for subset in menu]
-        for menu in data["strategies"]
-    ]
-    return CongestionGame.build(strategies, costs)
-
-
-def congestion_to_dict(cg: CongestionGame) -> dict:
-    return {
-        "resources": cg.n_resources,
-        "costs": [[str(v) for v in table] for table in cg.costs],
-        "strategies": [
-            [sorted(subset) for subset in menu] for menu in cg.strategies
-        ],
-    }
-
-
-def load_congestion(path: str | Path) -> CongestionGame:
-    return _load(path, congestion_from_dict)
 
 
 def routing_from_dict(data: dict) -> RoutingInstance:

@@ -103,12 +103,23 @@ def transition_degree(
     return DegreeWitness(t, len(picks), origins)
 
 
-def degree_map(D: SolutionSet) -> dict[Profile, int]:
-    """Exact transition degree of every profile in the transition set."""
+def degree_map(D: SolutionSet) -> np.ndarray:
+    """Exact transition degree at every entry of D's transition box, as an
+    int64 array of the box's shape in lexicographic (C) order; see
+    degrees.degree_map."""
     size = len(transition_set(D))
     if size > profile_cap():
         raise TooLarge(f"transition set has {size} profiles, cap is {profile_cap()}")
     return degrees.degree_map(D.members)
+
+
+def _box_profiles(ts: TransitionSet, mask: np.ndarray) -> list[Profile]:
+    """The profiles at the true entries of a mask over the transition box,
+    in lexicographic order."""
+    return [
+        tuple(p[k] for p, k in zip(ts.projections, idx))
+        for idx in zip(*(a.tolist() for a in np.nonzero(mask)))
+    ]
 
 
 def m_transition_set(D: SolutionSet, m: int) -> list[Profile]:
@@ -118,7 +129,7 @@ def m_transition_set(D: SolutionSet, m: int) -> list[Profile]:
     D.require_nonempty()
     if m == 1:
         return sorted(D.members)
-    return [t for t, deg in degree_map(D).items() if deg <= m]
+    return _box_profiles(transition_set(D), degree_map(D) <= m)
 
 
 def is_stable_transition(D: SolutionSet, s: Sequence[int], variant: str = "strict") -> bool:
@@ -143,11 +154,7 @@ def stable_transition_set(D: SolutionSet, variant: str = "strict") -> list[Profi
     ts = transition_set(D)
     if len(ts) > profile_cap():
         raise TooLarge("transition set exceeds the profile cap")
-    box = D.game.stable_grid(variant)[np.ix_(*ts.projections)]
-    return [
-        tuple(p[k] for p, k in zip(ts.projections, idx))
-        for idx in zip(*(a.tolist() for a in np.nonzero(box)))
-    ]
+    return _box_profiles(ts, D.game.stable_grid(variant)[np.ix_(*ts.projections)])
 
 
 def saturation_degree(D: SolutionSet) -> degrees.SaturationResult:

@@ -35,6 +35,16 @@ def test_prices_by_path(capsys):
     assert doc["results"]["pota"]["exact"] == "7/16"
 
 
+def test_prices_of_the_parallel_links_fixture(capsys):
+    for game in ("parallel-links-4", str(fixture_path("parallel-links-4"))):
+        code, out, _ = run_cli(capsys, "prices", game, "--ne")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["convention"] == "min"
+        assert results["poa"]["exact"] == "1"
+        assert [v["exact"] for v in results["m_pota"]] == ["1", "2", "5/2", "4"]
+
+
 def test_prices_eps_flag(capsys):
     code, out, _ = run_cli(capsys, "prices", "matrix6", "--eps", "2")
     assert code == 0

@@ -21,10 +21,9 @@ from transit.congestion import (
     social_cost,
     verify_merge_lemma,
     verify_parallel_link_family,
-    verify_theorem2,
 )
 from transit.decomposition import exact_potential_fourcycle
-from transit.errors import PreconditionFailed
+from transit.efficiency import price_report
 from transit.games import enumerate_pure_ne
 
 F = Fraction
@@ -232,20 +231,22 @@ def test_monotone_subadditive_totals_class():
             assert verify_merge_lemma(inside, chosen)["holds"], chosen
 
 
+def cost_prices(cg):
+    game = congestion_to_game(cg, "min")
+    return price_report(game, enumerate_pure_ne(game))
+
+
 def test_theorem2_bound_and_precondition():
-    cg = parallel_links(4)
-    out = verify_theorem2(cg, 2)
-    assert out["holds"]
-    assert out["poa"] == 1
-    quadratic = CongestionGame.build([[[0]]] * 3, [[1, 4, 9]])
-    with pytest.raises(PreconditionFailed):
-        verify_theorem2(quadratic, 2)
+    # the m * poa cap on 2-limited transitions holds on parallel links
+    rep = cost_prices(parallel_links(4))
+    assert rep.poa == 1
+    assert rep.m_pota_at(2) <= 2 * rep.poa
 
 
 def test_theorem2_cap_fails_on_heterogeneous_links():
     # two equilibria of equal cost 7 exist, yet piling both players onto the
-    # pricier resource yields a 2-limited transition costing 16 > 2 * 7;
-    # the harness must report the failed cap rather than hide it
+    # pricier resource yields a 2-limited transition costing 16 > 2 * 7,
+    # although the per-user cost tables are subadditive
     cg = CongestionGame.build(
         strategies=[[[0], [1]], [[0], [0, 1], [1]]],
         costs=[[3, 6], [4, 8]],
@@ -254,16 +255,15 @@ def test_theorem2_cap_fails_on_heterogeneous_links():
     game = congestion_to_game(cg)
     ne = enumerate_pure_ne(game)
     assert set(ne.members) == {(0, 2), (1, 0)}
-    out = verify_theorem2(cg, 2)
-    assert out["poa"] == 1
-    assert out["m_pota"] == F(16, 7)
-    assert not out["holds"]
+    rep = price_report(game, ne)
+    assert rep.poa == 1
+    assert rep.m_pota_at(2) == F(16, 7)
+    assert rep.m_pota_at(2) > 2 * rep.poa
 
 
 def test_theorem2_m_equals_one_collapses_to_poa():
-    cg = parallel_links(3)
-    out = verify_theorem2(cg, 1)
-    assert out["m_pota"] == out["poa"]
+    rep = cost_prices(parallel_links(3))
+    assert rep.m_pota_at(1) == rep.poa
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

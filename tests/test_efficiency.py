@@ -33,7 +33,7 @@ from transit.fixtures import (
 )
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.io import game_to_dict
-from transit.transitions import degree_map
+from transit.transitions import degree_map, transition_set
 from transit import oracle
 
 F = Fraction
@@ -475,7 +475,7 @@ def _pairwise_smoothness(game, D):
     opt = max(sw.values())
     if opt <= 0:
         raise UndefinedPrice(f"maximum social welfare is {opt}; prices are undefined")
-    trans = sorted(degree_map(D))
+    trans = list(transition_set(D))
     optima = [s for s in game.profiles() if sw[s] == opt]
     alpha = _pairwise_ratio_floor(
         (game.payoffs[s][i], game.payoffs[d][i])
@@ -672,8 +672,8 @@ def _reference_beta_verifies(game, sw, D, i, b):
 
 
 def _reference_dependence(game, D):
-    degs = degree_map(D)
-    trans = sorted(degs)
+    trans = list(transition_set(D))
+    degs = dict(zip(trans, degree_map(D).ravel().tolist()))
     n = game.n
     sw = {s: sum(game.payoffs[s]) for s in game.profiles()}
     wit = {}

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from transit import io as tio
-from transit.congestion import congestion_to_game
 from transit.coordination import coordination_to_game, utilities
 from transit.errors import ParseError
 from transit.fixtures import (
@@ -30,7 +29,7 @@ F = Fraction
 def test_corpus_is_large_enough():
     assert len(REGISTRY) >= 13
     kinds = {f.kind for f in REGISTRY.values()}
-    assert kinds == {"game", "congestion", "routing", "graph"}
+    assert kinds == {"game", "routing", "graph"}
 
 
 def test_every_fixture_has_files_and_expectations():
@@ -62,11 +61,6 @@ def test_instance_files_round_trip_through_loaders():
             built = fix.build()
             assert game.payoffs == built.payoffs
             assert game.convention == built.convention
-        elif fix.kind == "congestion":
-            cg = tio.load_congestion(path)
-            built = fix.build()
-            assert cg.costs == built.costs
-            assert cg.strategies == built.strategies
         elif fix.kind == "routing":
             inst = tio.load_routing(path)
             built = fix.build()
@@ -109,9 +103,6 @@ def test_integer_grid_matches_the_payoffs_as_written(name):
         doc = json.loads(fixture_path(name).read_text())
         values = [Fraction(str(v)) for v in _flatten(doc["payoffs"])]
         assert np.array_equal(inst.ints[1], game.ints[1]) and inst.ints[0] == game.ints[0]
-    elif fix.kind == "congestion":
-        game = congestion_to_game(inst)
-        values = [inst.player_cost(i, s) for s in game.profiles() for i in range(game.n)]
     else:
         game = coordination_to_game(inst)
         menus = inst.menus()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from transit import io as tio
-from transit.congestion import CongestionGame, congestion_to_game, parallel_links
+from transit.congestion import CongestionGame, congestion_to_game
 from transit.errors import ParseError
 from transit.fixtures import matrix6_game
 from transit.games import Game
@@ -116,12 +116,6 @@ def test_solution_set_relative_game_path(tmp_path):
     )
     D = tio.load_solution_set(spath)
     assert D.members == ((0, 0),)
-
-
-def test_congestion_round_trip():
-    cg = parallel_links(3)
-    back = tio.congestion_from_dict(tio.congestion_to_dict(cg))
-    assert back.costs == cg.costs and back.strategies == cg.strategies
 
 
 def test_routing_round_trip_poly_and_pwl():

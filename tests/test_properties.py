@@ -189,9 +189,9 @@ def test_array_passes_match_the_oracle(instance):
         assert stable_transition_set(D, variant) == ref
         for s in game.profiles():
             assert is_stable_transition(D, s, variant) == (s in ref)
-    assert degree_map(D) == {
-        t: oracle.degree(members, t) for t in oracle.transitions(game, members)
-    }
+    assert degree_map(D).ravel().tolist() == [
+        oracle.degree(members, t) for t in oracle.transitions(game, members)
+    ]
     for variant in ("strict", "weak"):
         ref = oracle.prices(game, members, variant)
         try:

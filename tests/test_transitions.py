@@ -261,6 +261,8 @@ def test_stable_nontransition_is_false():
 def test_degree_map_agrees_with_pointwise_degrees():
     rng = random.Random(61)
     D = random_solution_set(rng, n=4, k=2, size=4)
+    ts = transition_set(D)
     degs = degree_map(D)
-    for t, d in degs.items():
+    assert degs.shape == tuple(len(p) for p in ts.projections)
+    for t, d in zip(ts, degs.ravel().tolist()):
         assert transition_degree(D, t).degree == d
