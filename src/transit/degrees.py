@@ -170,11 +170,30 @@ def is_independent(members: Sequence[Profile], subset: Sequence[int]) -> bool:
 
 
 def greedy_basis(members: Sequence[Profile]) -> list[int]:
-    """Grow an independent set through the full oracle until maximal."""
+    """Grow an independent set, in member order, until maximal.
+
+    The basis `is_independent` accepts, read from the pairwise agreement
+    masks: a candidate joins unless the basis covers it (the OR of its masks
+    against the basis is full) or it completes the cover of some basis
+    member (that member's running OR against the rest of the basis, with
+    the candidate's mask added, is full).
+    """
+    if not members:
+        return []
+    solutions = np.array(members, dtype=np.int64)
+    agree = _agreement_masks(solutions, solutions).tolist()
+    full = (1 << solutions.shape[1]) - 1
     basis: list[int] = []
+    cover: list[int] = []  # cover[j]: OR of basis[j]'s masks against the rest
     for idx in range(len(members)):
-        if is_independent(members, basis + [idx]):
-            basis.append(idx)
+        mine = 0
+        for b in basis:
+            mine |= agree[idx][b]
+        grown = [c | agree[b][idx] for b, c in zip(basis, cover)]
+        if basis and (mine == full or full in grown):
+            continue
+        basis.append(idx)
+        cover = grown + [mine]
     return basis
 
 

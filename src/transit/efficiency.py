@@ -12,7 +12,6 @@ condition and an extensive smoothness certificate round out the toolkit.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -25,7 +24,6 @@ from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne
 from .transitions import degree_map, transition_set
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 def transition_box(D: SolutionSet) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -498,7 +496,9 @@ def two_player_pots_condition(game: Game) -> bool:
 # -- extensive smoothness ----------------------------------------------------
 
 
-_LAMBDA_GRID = tuple(Fraction(2) ** k for k in range(-62, 2))
+# 2^-62 .. 2^1: the k-th grid lambda is the integer 2^k over 2^_SHIFT
+_SHIFT = 62
+_LAMBDA_GRID = tuple(Fraction(2) ** k for k in range(-_SHIFT, 2))
 
 
 def default_lambda_grid() -> list[Fraction]:
@@ -533,9 +533,14 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     The pairs behind alpha and beta form product sets, one per player and
     strategy, whose extremes decide the constant (`_ratio_floor`).  Every
     optimum has welfare opt, so mu reads each transition t only through
-    sw(t) and m_t, the least sum_i u_i(s*_i, t_-i) over optima s*: the lines
-    lambda -> (lambda*opt - m_t) / sw(t), the least m_t per welfare value,
-    form the two envelopes that each grid row reads.
+    sw(t) and m_t, the least sum_i u_i(s*_i, t_-i) over optima s*: each
+    welfare value w != 0 gives the line lambda -> (lambda*opt - m) / |w|,
+    m the least m_t at that value.  One integer hull sweep over the grid
+    (`_grid_envelope`) reads the top line for w > 0 (the floor of mu) and
+    for w < 0 (minus its ceiling).  Every grid lambda is an integer over
+    2^62, and each row's feasibility and the best bound are decided by
+    integer cross-multiplication, so a row's mu and bound are each one
+    `Fraction` formed from integers.
     """
     if game.convention != "max":
         raise WrongConvention("smoothness certificates require utility games")
@@ -584,40 +589,45 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     least_m = np.full(len(values), least.max(), dtype=least.dtype)
     np.minimum.at(least_m, index.ravel(), least.ravel())
     lines = list(zip(values.tolist(), least_m.tolist()))
-    rising = [(Fraction(opt, w), Fraction(-m, w)) for w, m in lines if w > 0]
-    # negated: min is -max
-    falling = [(Fraction(-opt, w), Fraction(m, w)) for w, m in lines if w < 0]
-    mu_floor = _upper_envelope(rising)
-    mu_ceiling = _upper_envelope(falling)
+    # mu >= the top rising line; mu <= minus the top falling line
+    rising = _grid_envelope([(w, m) for w, m in lines if w > 0], opt)
+    falling = _grid_envelope([(-w, m) for w, m in lines if w < 0], opt)
     flat_least = min((m for w, m in lines if w == 0), default=None)
 
+    # the k-th lambda is 2^k / 2^_SHIFT; alpha * beta = a / b
     ab = alpha * beta
+    a, b = ab.numerator, ab.denominator
     rows = []
     best = None
-    for lam in default_lambda_grid():
-        if flat_least is not None and lam * opt > flat_least:
+    for k, lam in enumerate(_LAMBDA_GRID):
+        if flat_least is not None and opt << k > flat_least << _SHIFT:
             continue
-        mu = max(ZERO, mu_floor(lam)) if rising else ZERO
-        if falling and mu > -mu_ceiling(lam):
+        mu_num, mu_den = rising[k] if rising else (0, 1)
+        if mu_num < 0:
+            mu_num, mu_den = 0, 1
+        if falling and mu_num * falling[k][1] + falling[k][0] * mu_den > 0:
             continue
-        denom = 1 + ab * mu
+        # 1 + ab * mu = (b * mu_den + a * mu_num) / (b * mu_den)
+        denom = b * mu_den + a * mu_num
         if denom <= 0:
             continue
-        bound = ab * lam / denom
-        rows.append((lam, mu, bound))
-        if best is None or bound > best:
+        bound = (a * mu_den << k, denom << _SHIFT)
+        if best is None or bound[0] * best[1] > best[0] * bound[1]:
             best = bound
+            best_row = len(rows)
+        rows.append((lam, Fraction(mu_num, mu_den), Fraction(*bound)))
     if best is None:
         raise Infeasible("no (lambda, mu) pair with mu >= 0 is feasible on the grid")
 
     pota = Fraction(int(box_w.min()), opt)
+    best_bound = rows[best_row][2]
     return SmoothnessResult(
         alpha=alpha,
         beta=beta,
         grid=tuple(rows),
-        best_bound=best,
+        best_bound=best_bound,
         pota=pota,
-        holds=best <= pota,
+        holds=best_bound <= pota,
     )
 
 
@@ -630,7 +640,8 @@ def _ratio_floor(groups) -> Fraction:
     Zero denominators with nonnegative numerators bind nothing; a negative
     numerator over a zero denominator, a lack of positive denominators, or a
     negative denominator asking for more than the positive ones allow leaves
-    no feasible constant, and the first of these reasons wins.
+    no feasible constant, and the first of these reasons wins.  Candidate
+    ratios are integer pairs (num, den > 0) compared by cross-multiplication.
     """
     hi = None
     lo = None
@@ -641,46 +652,59 @@ def _ratio_floor(groups) -> Fraction:
         if least < 0 and pos.size + neg.size < dens.size:
             raise Infeasible("smoothness constant infeasible: u >= a*0 fails")
         if pos.size:
-            r = Fraction(least, int(pos.max() if least >= 0 else pos.min()))
-            hi = r if hi is None else min(hi, r)
+            den = int(pos.max() if least >= 0 else pos.min())
+            if hi is None or least * hi[1] < hi[0] * den:
+                hi = (least, den)
         if neg.size:
-            r = Fraction(least, int(neg.min() if least >= 0 else neg.max()))
-            lo = r if lo is None else max(lo, r)
+            den = -int(neg.min() if least >= 0 else neg.max())
+            if lo is None or -least * lo[1] > lo[0] * den:
+                lo = (-least, den)
     if hi is None:
         raise Infeasible("no positive-denominator ratio to pin the constant")
-    if lo is not None and lo > hi:
+    if lo is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         raise Infeasible("smoothness constant constraints are contradictory")
-    return hi
+    return Fraction(*hi)
 
 
-def _upper_envelope(lines):
-    """x -> the greatest a*x + b over the lines (a, b), by the convex-hull trick.
+def _grid_envelope(lines, opt: int) -> list[tuple[int, int]]:
+    """The greatest (lambda*opt - m) / v over the lines (v, m), v > 0, at
+    every lambda of the grid, as integer pairs (num, den) with den > 0.
 
-    Lines are kept in rising slope, the best intercept per slope, and a line
-    is dropped once its neighbours meet at or above it, so the points where
-    the top line changes rise and one bisection finds the top at any x.
+    Empty when there are no lines.  The least m is kept for each v, and the
+    lines are stacked into their upper hull in rising slope opt/v, that is
+    falling v.  The line (v_k, m_k) overtakes (v_j, m_j), v_j > v_k, at
+    lambda = (m_k*v_j - m_j*v_k) / (opt*(v_j - v_k)); these breakpoints are
+    held as integer pairs and compared by cross-multiplication, and a line
+    whose breakpoint does not rise past its predecessor's is dropped.  One
+    walk over the ascending grid, whose k-th lambda is the integer 2^k over
+    2^62, then reads the top line at every point.
     """
-    best: dict[Fraction, Fraction] = {}
-    for a, b in lines:
-        if a not in best or b > best[a]:
-            best[a] = b
-    hull: list[tuple[Fraction, Fraction]] = []
-    for line in sorted(best.items()):
-        while len(hull) >= 2 and _meet(hull[-2], line) <= _meet(hull[-2], hull[-1]):
+    least: dict[int, int] = {}
+    for v, m in lines:
+        if v not in least or m < least[v]:
+            least[v] = m
+    hull: list[tuple[int, int]] = []
+    breaks: list[tuple[int, int]] = []  # hull[i + 1] overtakes hull[i] at p / q
+    for v, m in sorted(least.items(), reverse=True):
+        while hull:
+            hv, hm = hull[-1]
+            p, q = m * hv - hm * v, opt * (hv - v)
+            if not breaks or p * breaks[-1][1] > breaks[-1][0] * q:
+                breaks.append((p, q))
+                break
             hull.pop()
-        hull.append(line)
-    breaks = [_meet(p, q) for p, q in zip(hull, hull[1:])]
-
-    def top(x: Fraction) -> Fraction:
-        a, b = hull[bisect.bisect_left(breaks, x)]
-        return a * x + b
-
-    return top
-
-
-def _meet(low, high) -> Fraction:
-    """Where the steeper line `high` overtakes `low`."""
-    return (low[1] - high[1]) / (high[0] - low[0])
+            breaks.pop()
+        hull.append((v, m))
+    if not hull:
+        return []
+    tops = []
+    top = 0
+    for k in range(len(_LAMBDA_GRID)):
+        while top < len(breaks) and breaks[top][1] << k >= breaks[top][0] << _SHIFT:
+            top += 1
+        v, m = hull[top]
+        tops.append(((opt << k) - (m << _SHIFT), v << _SHIFT))
+    return tops
 
 
 # -- structural observations --------------------------------------------------

@@ -140,6 +140,24 @@ def test_greedy_basis_skips_dependent_members():
     assert len(basis) == 2
 
 
+def test_greedy_basis_matches_the_independence_oracle_on_random_lists():
+    # the mask-based basis against its definition: each member, in order,
+    # joins when the oracle calls the grown list independent
+    rng = random.Random(15)
+    duplicated = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        pool = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        members = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+        duplicated += len(set(members)) < len(members)
+        want: list[int] = []
+        for idx in range(len(members)):
+            if is_independent(members, want + [idx]):
+                want.append(idx)
+        assert greedy_basis(members) == want
+    assert duplicated > 100
+
+
 def test_saturation_single_solution():
     out = saturation_degree([(0, 1, 0)])
     assert out.m == 1 and out.basis == (0,) and out.basis_is_minimal

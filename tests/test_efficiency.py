@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from transit.efficiency import (
     check_bound_observations,
     coordination_dependence,
     SmoothnessResult,
-    _upper_envelope,
+    _grid_envelope,
     default_lambda_grid,
     extensive_smoothness,
     price_report,
@@ -761,36 +762,92 @@ def test_smoothness_matches_pairwise_when_no_transition_has_positive_welfare():
         ]
 
 
-def _brute_top(lines, x):
-    return max(a * x + b for a, b in lines)
+def _brute_tops(lines, opt):
+    return [max(F(lam * opt - m, v) for v, m in lines) for lam in default_lambda_grid()]
 
 
+def _swept_tops(lines, opt):
+    tops = _grid_envelope(lines, opt)
+    assert len(tops) == len(default_lambda_grid()) and all(den > 0 for _, den in tops)
+    return [F(num, den) for num, den in tops]
+
+
+# lines (v, m) stand for lambda -> (lambda*opt - m) / v; concurrent lines
+# pass through lambda = 1, a grid point, at height 1 when m = opt - v
 @pytest.mark.parametrize(
-    "lines",
+    "lines, opt",
     [
-        [(F(1), F(0))],  # a single line
-        [(F(1), F(0)), (F(1), F(3)), (F(1), F(-2))],  # equal slopes
-        [(F(-1), F(2)), (F(0), F(1)), (F(1), F(0))],  # three lines through (1, 1)
-        [(F(-1), F(2)), (F(0), F(1)), (F(1), F(0)), (F(2), F(-1))],  # four through it
-        [(F(0), F(5)), (F(1, 2), F(1)), (F(3), F(-7, 3)), (F(3), F(-9)), (F(-2), F(1))],
+        pytest.param([(1, 0)], 1, id="lines0"),  # a single line
+        pytest.param([(1, 0), (1, -3), (1, 2)], 1, id="lines1"),  # equal slopes
+        pytest.param([(1, 1), (2, 0), (3, -1)], 2, id="lines2"),  # three through (1, 1)
+        pytest.param([(1, 1), (2, 0), (3, -1), (4, -2)], 2, id="lines3"),  # four through it
+        pytest.param(  # equal slopes among others
+            [(9, -5), (4, 1), (1, 7), (1, 3), (6, -2), (2, 0)], 3, id="lines4"
+        ),
+        pytest.param([(2, 0), (1, 1)], 8, id="break-at-quarter"),
+        pytest.param([(2, 0), (1, 1)], 1, id="break-at-last-point"),
+        pytest.param([(2, 0), (1, 1)], 2**63, id="break-at-first-point"),
+        pytest.param(
+            [(3 * 2**64 + 1, -(2**70)), (2**64, 2**65 + 7), (5, 2**63)], 2**62 + 1,
+            id="past-2^62",
+        ),
     ],
 )
-def test_upper_envelope_is_the_greatest_line(lines):
-    top = _upper_envelope(lines)
-    for x in [F(k, 4) for k in range(-12, 13)] + default_lambda_grid():
-        assert top(x) == _brute_top(lines, x)
+def test_upper_envelope_is_the_greatest_line(lines, opt):
+    assert _swept_tops(lines, opt) == _brute_tops(lines, opt)
+
+
+def test_upper_envelope_breakpoints_on_powers_of_two_are_exact():
+    grid = default_lambda_grid()
+    for opt, lam in ((8, F(1, 4)), (1, F(2)), (2**63, F(1, 2**62))):
+        # (lambda*opt - 0) / 2 and (lambda*opt - 1) / 1 meet exactly at lam
+        assert F(lam * opt, 2) == lam * opt - 1
+        k = grid.index(lam)
+        tops = _swept_tops([(2, 0), (1, 1)], opt)
+        assert tops[k] == lam * opt / 2
+        # the shallower line (v = 2) is on top below lam, the steeper above it
+        assert tops[:k] == [x * opt / 2 for x in grid[:k]]
+        assert tops[k + 1:] == [x * opt - 1 for x in grid[k + 1:]]
+
+
+def test_upper_envelope_of_an_empty_side_is_empty():
+    assert _grid_envelope([], 1) == []
+    assert _grid_envelope([], 2**62 + 1) == []
+
+
+def test_smoothness_matches_pairwise_with_an_empty_falling_side():
+    # every transition of matrix6 has positive welfare, so no line bounds mu
+    # from above; the case with an empty rising side is pinned above
+    game = matrix6_game()
+    D = enumerate_pure_ne(game)
+    assert all(game.welfare[t] > 0 for t in transition_set(D))
+    _assert_matches_pairwise(game, D)
 
 
 def test_upper_envelope_on_random_lines():
     rng = random.Random(4)
-    for _ in range(200):
-        lines = [
-            (F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-9, 9), rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 8))
-        ]
-        top = _upper_envelope(lines)
-        for x in [F(k, 3) for k in range(-9, 10)]:
-            assert top(x) == _brute_top(lines, x)
+    for scale in (1, 2**62 + 1):
+        for _ in range(200):
+            opt = rng.randint(1, 5) * scale
+            lines = [
+                (rng.randint(1, 6) * scale, rng.randint(-9, 9) * scale + rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 8))
+            ]
+            assert _swept_tops(lines, opt) == _brute_tops(lines, opt)
+
+
+REPORTS = Path(__file__).parent / "bounds_reports"
+STATUS = json.loads((REPORTS / "exit_status.json").read_text())
+
+
+@pytest.mark.parametrize("fixture", sorted(STATUS))
+def test_bounds_reports_are_pinned(fixture, capsys):
+    # captured before the smoothness certificate moved to integer sweeps; a
+    # change that moves a field rewrites these files and lists the change
+    assert main(["bounds", fixture, "--ne"]) == STATUS[fixture]
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (REPORTS / f"{fixture}.json").read_text()
 
 
 # -- identical utility -------------------------------------------------------------
