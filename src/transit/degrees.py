@@ -1,12 +1,14 @@
-"""Degree algorithms: set-cover reduction, greedy and exact solvers, saturation.
+"""Degree algorithms: set-cover reduction, greedy and exact solvers, degree maps.
 
 The minimum number of solutions needed to assemble a given transition is a
 set-cover problem: each solution covers the players whose coordinate it
 matches.  Coverage is an int bitmask over players.  The exact solver is a
 breadth-first search over covered-player masks, exact on every input; the
-greedy solver carries the usual 1 + ln(n) guarantee.  Everything here works
-on raw profile tuples so the rest of the package can layer richer types on
-top.
+greedy solver carries the usual 1 + ln(n) guarantee.  The degree map runs
+that search over the whole transition box, once per distinct set of
+agreement masks, with players of a single projected value dropped and the
+masks built and keyed by array passes.  Everything here works on raw
+profile tuples so the rest of the package can layer richer types on top.
 """
 
 from __future__ import annotations
@@ -197,9 +199,78 @@ def greedy_basis(members: Sequence[Profile]) -> list[int]:
     return basis
 
 
-# box profiles per agreement-mask block: the block's mask array holds this
-# many rows of one mask per solution (one byte each for up to 8 players)
-_BLOCK = 512
+# cells of one block: box entries times the wider of |D| and the key's
+# bitmap; at up to 9 bytes a cell, about a megabyte whatever the box
+_CELLS = 1 << 17
+
+
+def _or_product(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Row r of the result ORs table j's row at digit j of r, over the box
+    the tables span in C order: the masks of every entry of that box."""
+    acc = tables[0]
+    for t in tables[1:]:
+        acc = (acc[:, None, :] | t[None, :, :]).reshape(-1, t.shape[1])
+    return acc
+
+
+def _mask_blocks(tables: Sequence[np.ndarray], rows: int) -> Iterator[np.ndarray]:
+    """The agreement masks of the box, at most `rows` entries a block, in C
+    order.
+
+    The trailing axes whose product fits a block are ORed once by
+    broadcasting; each block ORs them with a run of the leading axes'
+    masks, gathered by index.
+    """
+    sizes = [len(t) for t in tables]
+    k, inner = len(tables), 1
+    while k and inner * sizes[k - 1] <= rows:
+        k -= 1
+        inner *= sizes[k]
+    if k == 0:
+        yield _or_product(tables)
+        return
+    tail = _or_product(tables[k:]) if k < len(tables) else None
+    lead = math.prod(sizes[:k])
+    step = rows // inner
+    for lo in range(0, lead, step):
+        idx = np.unravel_index(np.arange(lo, min(lo + step, lead)), sizes[:k])
+        head = tables[0][idx[0]]
+        for t, i in zip(tables[1:k], idx[1:]):
+            head = head | t[i]
+        if tail is not None:
+            head = (head[:, None, :] | tail[None]).reshape(-1, head.shape[1])
+        yield head
+
+
+def _rows_as_keys(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one opaque byte-string element."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+
+
+def _word_keys(masks: np.ndarray, sets: int) -> np.ndarray:
+    """Bit m of a row's key is set iff some solution has nonzero mask m;
+    for at most 64 possible masks, in the narrowest unsigned dtype."""
+    one = np.min_scalar_type((1 << sets) - 1).type(1)
+    return np.bitwise_or.reduce(one << masks, axis=1) & ~one
+
+
+def _bitmap_keys(masks: np.ndarray, sets: int) -> np.ndarray:
+    """The word key's presence bitmap, packed eight masks a byte."""
+    rows = len(masks)
+    flat = masks + (np.arange(rows, dtype=np.intp) * sets)[:, None]
+    present = np.bincount(flat.ravel(), minlength=rows * sets).reshape(rows, sets) > 0
+    present[:, 0] = False
+    return _rows_as_keys(np.packbits(present, axis=1))
+
+
+def _sorted_keys(masks: np.ndarray, sets: int) -> np.ndarray:
+    """Each row's distinct masks in ascending order, repeats and mask 0
+    turned into leading zeros."""
+    keys = np.sort(masks, axis=1)
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = 0
+    keys.sort(axis=1)
+    return _rows_as_keys(keys)
 
 
 def degree_map(members: Sequence[Profile]) -> np.ndarray:
@@ -207,59 +278,53 @@ def degree_map(members: Sequence[Profile]) -> np.ndarray:
 
     The box is the product of the per-player projections of the nonempty
     solution list, and the result is an int64 array of its shape whose C
-    order is lexicographic order.  The box is walked a block of entries at a
-    time, each block's agreement masks built in one array pass.  An entry's
-    degree depends only on the set of its masks, so the cover search runs
-    once per distinct set.
+    order is lexicographic order.
+
+    Players with one projected value set their bit in every mask and change
+    no degree, so the masks range over the n' live players only, and with
+    no live player the box is one entry of degree 1.  Player j's agreement
+    table E_j[v, d] = (proj_j[v] == d_j) << j is ORed over the box by
+    broadcasting, a block of `_CELLS` at a time.  An entry's degree depends
+    only on the set of its nonzero masks, so each row gets a canonical key
+    for that set: its presence bitmap over the 2^n' masks, as one integer
+    when 2^n' <= 64, packed into bytes while that is no wider than one byte
+    per solution, and otherwise the row's sorted distinct masks.  The cover
+    search runs once per distinct key, memoised across blocks, and its
+    result is scattered back to every entry with that key.
     """
     n = len(members[0])
     projs = projections(members, n)
     shape = tuple(len(p) for p in projs)
-    size = math.prod(shape)
+    live = [j for j in range(n) if shape[j] > 1]
+    if not live:
+        return np.ones(shape, dtype=np.int64)
     solutions = np.array(members)
-    axes = [np.array(p) for p in projs]
-    universe = (1 << n) - 1
-    memo: dict[frozenset, int] = {}
-    degs = []
-    for start in range(0, size, _BLOCK):
-        flat = np.arange(start, min(start + _BLOCK, size))
-        rows = np.stack(
-            [a[k] for a, k in zip(axes, np.unravel_index(flat, shape))], axis=1
+    sets = 1 << len(live)
+    dtype = np.min_scalar_type(sets - 1)
+    tables = [
+        (np.array(projs[j])[:, None] == solutions[None, :, j]).astype(dtype) << bit
+        for bit, j in enumerate(live)
+    ]
+    if sets <= 64:
+        keyed, width = _word_keys, len(members)
+    elif sets <= 8 * len(members):
+        keyed, width = _bitmap_keys, max(sets, len(members))
+    else:
+        keyed, width = _sorted_keys, len(members)
+    out = np.empty(math.prod(shape), dtype=np.int64)
+    memo: dict[object, int] = {}
+    lo = 0
+    for masks in _mask_blocks(tables, max(1, _CELLS // width)):
+        uniq, first, inverse = np.unique(
+            keyed(masks, sets), return_index=True, return_inverse=True
         )
-        for row in _agreement_masks(solutions, rows).tolist():
-            key = frozenset(row)
+        degs = []
+        for key, row in zip(uniq.tolist(), first.tolist()):
             if key not in memo:
-                memo[key] = len(exact_cover(_instance(row, universe)))
+                # first-appearance order, as _instance keeps the full row
+                distinct = list(dict.fromkeys(masks[row].tolist()))
+                memo[key] = len(exact_cover(_instance(distinct, sets - 1)))
             degs.append(memo[key])
-    return np.array(degs, dtype=np.int64).reshape(shape)
-
-
-@dataclass(frozen=True)
-class SaturationResult:
-    """Minimum degree saturating the transition set, plus the greedy basis.
-
-    `m` is the verified minimum: the largest transition degree over the
-    whole transition set, every one of them exact.  `basis` is the
-    independent set the greedy farming produces; its size always satisfies
-    the saturation property but can overshoot the minimum, in which case
-    `basis_is_minimal` is False and the discrepancy should be surfaced, not
-    hidden.
-    """
-
-    m: int
-    basis: tuple[int, ...]
-    basis_is_minimal: bool
-
-
-def saturation_degree(members: Sequence[Profile]) -> SaturationResult:
-    """Minimum m with every transition being an m-transition.
-
-    The greedy independent basis bounds the answer from above (the basis
-    projections already span the transition set), and the verified minimum
-    is the exact worst transition degree.
-    """
-    if not members:
-        raise Infeasible("empty solution list")
-    basis = greedy_basis(members)
-    m = int(degree_map(members).max())
-    return SaturationResult(m=m, basis=tuple(basis), basis_is_minimal=m == len(basis))
+        out[lo : lo + len(masks)] = np.array(degs)[inverse]
+        lo += len(masks)
+    return out.reshape(shape)

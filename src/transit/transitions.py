@@ -157,10 +157,34 @@ def stable_transition_set(D: SolutionSet, variant: str = "strict") -> list[Profi
     return _box_profiles(ts, D.game.stable_grid(variant)[np.ix_(*ts.projections)])
 
 
-def saturation_degree(D: SolutionSet) -> degrees.SaturationResult:
-    """Minimum m with T(D, m) = T(D); see degrees.saturation_degree."""
+@dataclass(frozen=True)
+class SaturationResult:
+    """Minimum degree saturating the transition set, plus the greedy basis.
+
+    `m` is the verified minimum: the largest transition degree over the
+    whole transition set, every one of them exact.  `basis` is the
+    independent set the greedy farming produces; its size always satisfies
+    the saturation property but can overshoot the minimum, in which case
+    `basis_is_minimal` is False and the discrepancy should be surfaced, not
+    hidden.
+    """
+
+    m: int
+    basis: tuple[int, ...]
+    basis_is_minimal: bool
+
+
+def saturation_degree(D: SolutionSet) -> SaturationResult:
+    """Minimum m with T(D, m) = T(D).
+
+    The greedy independent basis (degrees.greedy_basis) bounds the answer
+    from above, since the basis projections already span the transition
+    set; the verified minimum is the largest entry of the degree map.
+    """
     D.require_nonempty()
-    return degrees.saturation_degree(D.members)
+    basis = degrees.greedy_basis(D.members)
+    m = int(degree_map(D).max())
+    return SaturationResult(m=m, basis=tuple(basis), basis_is_minimal=m == len(basis))
 
 
 def is_product_set(profiles: Sequence[Profile]) -> bool:

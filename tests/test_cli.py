@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +157,20 @@ def test_theorem2_reports_the_closed_form_finding(capsys):
     assert all(row["cap_holds"] for row in doc["results"]["rows"])
     code, _, _ = run_cli(capsys, "theorem", "2", "--n", "3")
     assert code == 0  # no mismatch below n = 4
+
+
+def test_theorem2_n6_report_is_pinned(capsys):
+    # stdout captured before the degree map keyed its mask sets by array
+    # passes; 720 equilibria over a box of 6**6 profiles
+    code, out, err = run_cli(capsys, "theorem", "2", "--n", "6")
+    assert code == 1
+    assert out == (Path(__file__).parent / "theorem_reports" / "theorem2-n6.json").read_text()
+    assert err == (
+        "findings:\n"
+        "  FAILED single-pile-value(m=2): stated closed form 4/3 vs measured 2\n"
+        "  FAILED single-pile-value(m=3): stated closed form 2 vs measured 3\n"
+        "  FAILED single-pile-value(m=4): stated closed form 3 vs measured 10/3\n"
+    )
 
 
 def test_oracle_matches_shipped_expectations(capsys):

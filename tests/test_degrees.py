@@ -1,4 +1,4 @@
-"""Set-cover machinery and the saturation degree."""
+"""Set-cover machinery, the degree map and the saturation degree."""
 
 import itertools
 import math
@@ -6,18 +6,22 @@ import random
 
 import pytest
 
-from transit import oracle
+import numpy as np
+
+from transit import degrees, oracle
 from transit.degrees import (
     CoverInstance,
     covers,
+    degree_map,
     exact_cover,
     greedy_basis,
     greedy_cover,
     is_independent,
     reduce_to_cover,
-    saturation_degree,
 )
 from transit.errors import Infeasible, NotATransition
+from transit.games import Game, SolutionSet
+from transit.transitions import saturation_degree as saturation_of_set
 
 
 def mask(s):
@@ -40,6 +44,14 @@ def covers_universe(ci, picks):
     for idx in picks:
         got |= ci.sets[idx]
     return got == ci.universe
+
+
+def saturation_degree(members):
+    """transitions.saturation_degree of distinct members of an all-zero game."""
+    n = len(members[0])
+    shape = tuple(max(d[i] for d in members) + 1 for i in range(n))
+    game = Game.from_function(shape, lambda s: (0,) * n)
+    return saturation_of_set(SolutionSet(game, tuple(members)))
 
 
 def box_max_degree(members):
@@ -124,6 +136,113 @@ def test_exact_matches_bruteforce_random():
         fast = exact_cover(ci)
         assert covers_universe(ci, fast)
         assert len(fast) == oracle.degree(as_profiles(n, sets), (1,) * n)
+
+
+def oracle_map(members):
+    """oracle.degree at every entry of the box, as the degree map lays it out."""
+    projs = [sorted({d[i] for d in members}) for i in range(len(members[0]))]
+    degs = [oracle.degree(members, t) for t in itertools.product(*projs)]
+    return np.array(degs, dtype=np.int64).reshape([len(p) for p in projs])
+
+
+def assert_matches_oracle(members):
+    got = degree_map(members)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, oracle_map(members))
+
+
+def test_degree_map_matches_the_oracle_on_random_lists():
+    # duplicates and single-valued players occur freely here
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, 4)
+        members = [
+            tuple(rng.randrange(k) for _ in range(n)) for _ in range(rng.randint(1, 8))
+        ]
+        assert_matches_oracle(members)
+
+
+def test_degree_map_without_live_players_is_one_entry_of_degree_one():
+    for members in ([(2, 0, 1)], [(2, 0, 1)] * 3, [(4,), (4,)]):
+        got = degree_map(members)
+        assert got.shape == (1,) * len(members[0])
+        assert got.tolist() == oracle_map(members).tolist()
+        assert got.ravel().tolist() == [1]
+
+
+def test_degree_map_with_duplicates_and_dead_players():
+    # players 1 and 3 hold one value in every solution; (0, 5, 1, 7, 0) is
+    # listed twice
+    members = [(0, 5, 1, 7, 0), (1, 5, 0, 7, 1), (0, 5, 1, 7, 0), (2, 5, 2, 7, 1)]
+    got = degree_map(members)
+    assert got.shape == (3, 1, 3, 1, 2)
+    np.testing.assert_array_equal(got, oracle_map(members))
+    assert got.max() == 3
+
+
+def test_degree_map_of_one_player_games():
+    for values in ([3], [0, 2], [4, 1, 4, 0]):
+        members = [(v,) for v in values]
+        got = degree_map(members)
+        assert got.tolist() == [1] * len(set(values))
+
+
+def test_degree_map_on_many_live_players():
+    # 7 to 10 binary players, every one live: the packed bitmap key (2^n'
+    # at most eight per solution) and the sorted-mask key (fewer
+    # solutions), with masks past a byte from 9 players on
+    rng = random.Random(16)
+    for n, count in ((7, 16), (7, 6), (9, 5), (9, 70), (10, 7)):
+        for _ in range(2):
+            members = []
+            while any(len({d[i] for d in members}) < 2 for i in range(n)):
+                members = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(count)]
+            assert_matches_oracle(members)
+
+
+@pytest.mark.parametrize(
+    "keyed, sets, width",
+    [
+        (degrees._word_keys, 4, 3),
+        (degrees._word_keys, 64, 9),
+        (degrees._bitmap_keys, 128, 20),
+        (degrees._bitmap_keys, 512, 70),
+        (degrees._sorted_keys, 128, 6),
+        (degrees._sorted_keys, 1024, 8),
+    ],
+)
+def test_mask_set_keys_are_canonical(keyed, sets, width):
+    # two rows get one key exactly when their sets of nonzero masks agree,
+    # whatever the order, repeats and zeros; rows are drawn in pairs that
+    # share most of their masks, so near misses are common
+    rng = random.Random(sets + width)
+    dtype = np.min_scalar_type(sets - 1)
+    rows = []
+    for _ in range(150):
+        pool = [0] + rng.sample(range(1, sets), min(sets - 1, width))
+        row = [rng.choice(pool) for _ in range(width)]
+        rows.append(row)
+        other = row[:]
+        rng.shuffle(other)
+        other[rng.randrange(width)] = rng.choice(pool if rng.random() < 0.5 else range(sets))
+        rows.append(other)
+    keys = keyed(np.array(rows, dtype=dtype), sets).tolist()
+    for a in range(len(rows)):
+        for b in range(a + 1, min(a + 6, len(rows))):
+            same = set(rows[a]) - {0} == set(rows[b]) - {0}
+            assert (keys[a] == keys[b]) == same, (rows[a], rows[b])
+
+
+@pytest.mark.parametrize("cells", [1, 5, 40, 300])
+def test_degree_map_across_blocks(monkeypatch, cells):
+    # a small budget splits the box into blocks of one to a few dozen
+    # entries; the memo and the C-order layout must carry across them
+    monkeypatch.setattr(degrees, "_CELLS", cells)
+    rng = random.Random(cells)
+    for n, k, count in ((3, 3, 4), (4, 3, 6), (5, 2, 5), (8, 2, 4), (7, 2, 30)):
+        members = [tuple(rng.randrange(k) for _ in range(n)) for _ in range(count)]
+        assert_matches_oracle(members)
 
 
 def test_independence_oracle():
