@@ -318,13 +318,14 @@ def degree_map(members: Sequence[Profile]) -> np.ndarray:
         uniq, first, inverse = np.unique(
             keyed(masks, sets), return_index=True, return_inverse=True
         )
-        degs = []
-        for key, row in zip(uniq.tolist(), first.tolist()):
-            if key not in memo:
-                # first-appearance order, as _instance keeps the full row
-                distinct = list(dict.fromkeys(masks[row].tolist()))
-                memo[key] = len(exact_cover(_instance(distinct, sets - 1)))
-            degs.append(memo[key])
-        out[lo : lo + len(masks)] = np.array(degs)[inverse]
+        keys = uniq.tolist()
+        fresh = [i for i, key in enumerate(keys) if key not in memo]
+        for i, row in zip(fresh, masks[first[fresh]].tolist()):
+            if len(row) > sets:
+                # repeats are certain: drop them in one pass, keeping the
+                # first-appearance order _instance would keep
+                row = list(dict.fromkeys(row))
+            memo[keys[i]] = len(exact_cover(_instance(row, sets - 1)))
+        out[lo : lo + len(masks)] = np.array([memo[key] for key in keys])[inverse]
         lo += len(masks)
     return out.reshape(shape)
