@@ -287,10 +287,11 @@ def degree_map(members: Sequence[Profile]) -> np.ndarray:
     broadcasting, a block of `_CELLS` at a time.  An entry's degree depends
     only on the set of its nonzero masks, so each row gets a canonical key
     for that set: its presence bitmap over the 2^n' masks, as one integer
-    when 2^n' <= 64, packed into bytes while that is no wider than one byte
-    per solution, and otherwise the row's sorted distinct masks.  The cover
-    search runs once per distinct key, memoised across blocks, and its
-    result is scattered back to every entry with that key.
+    when 2^n' <= 64, packed into bytes while 2^n' is under 32 |D| for
+    one-byte masks or 4 |D| for wider ones, and otherwise the row's sorted
+    distinct masks.  The cover search runs once per distinct key, memoised
+    across blocks, and its result is scattered back to every entry with
+    that key.
     """
     n = len(members[0])
     projs = projections(members, n)
@@ -307,7 +308,9 @@ def degree_map(members: Sequence[Profile]) -> np.ndarray:
     ]
     if sets <= 64:
         keyed, width = _word_keys, len(members)
-    elif sets <= 8 * len(members):
+    elif sets < (32 if sets <= 256 else 4) * len(members):
+        # the measured crossover of the key pass: numpy sorts one-byte
+        # masks slowly, so the bitmap wins there over a wider range
         keyed, width = _bitmap_keys, max(sets, len(members))
     else:
         keyed, width = _sorted_keys, len(members)
@@ -321,10 +324,6 @@ def degree_map(members: Sequence[Profile]) -> np.ndarray:
         keys = uniq.tolist()
         fresh = [i for i, key in enumerate(keys) if key not in memo]
         for i, row in zip(fresh, masks[first[fresh]].tolist()):
-            if len(row) > sets:
-                # repeats are certain: drop them in one pass, keeping the
-                # first-appearance order _instance would keep
-                row = list(dict.fromkeys(row))
             memo[keys[i]] = len(exact_cover(_instance(row, sets - 1)))
         out[lo : lo + len(masks)] = np.array([memo[key] for key in keys])[inverse]
         lo += len(masks)

@@ -99,6 +99,18 @@ def test_degree_profile_and_saturate(capsys, tmp_path):
     assert json.loads(out)["results"]["degree"] == 2
 
 
+def test_degree_saturate_over_the_profile_cap_exits_5(capsys, monkeypatch, tmp_path):
+    # the equilibria's box is the whole 2 x 2 game, so a cap of 3 refuses it
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"game": str(fixture_path("matrix2")),
+                               "label": "pure-NE", "members": [[0, 0], [1, 1]]}))
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "3")
+    code, out, err = run_cli(capsys, "degree", "matrix2", str(sol), "--saturate")
+    assert (code, out) == (5, "")
+    assert err == ("error: 4 profiles exceed the cap 3; "
+                   "raise TRANSIT_PROFILE_CAP to force enumeration\n")
+
+
 def test_routing_analyze(capsys):
     code, out, _ = run_cli(capsys, "routing", "analyze", "fig1-3")
     assert code == 0

@@ -19,7 +19,7 @@ from transit.degrees import (
     is_independent,
     reduce_to_cover,
 )
-from transit.errors import Infeasible, NotATransition
+from transit.errors import Infeasible, NotATransition, TooLarge
 from transit.games import Game, SolutionSet
 from transit.transitions import saturation_degree as saturation_of_set
 
@@ -190,10 +190,11 @@ def test_degree_map_of_one_player_games():
 
 def test_degree_map_on_many_live_players():
     # 7 to 10 binary players, every one live: the packed bitmap key (2^n'
-    # at most eight per solution) and the sorted-mask key (fewer
-    # solutions), with masks past a byte from 9 players on
+    # under 32 solutions' worth for one-byte masks, 4 for wider) and the
+    # sorted-mask key (fewer solutions), with masks past a byte from 9
+    # players on
     rng = random.Random(16)
-    for n, count in ((7, 16), (7, 6), (9, 5), (9, 70), (10, 7)):
+    for n, count in ((7, 16), (7, 6), (8, 6), (9, 5), (9, 70), (9, 150), (10, 7)):
         for _ in range(2):
             members = []
             while any(len({d[i] for d in members}) < 2 for i in range(n)):
@@ -286,6 +287,16 @@ def test_saturation_two_opposed_solutions():
     out = saturation_degree([(0, 0), (1, 1)])
     assert out.m == 2
     assert out.basis_is_minimal
+
+
+def test_saturation_refuses_a_box_over_the_profile_cap(monkeypatch):
+    # the game is built under the default cap; its 2 x 2 box is then refused
+    # by the degree map the saturation degree reads
+    game = Game.from_function((2, 2), lambda s: (0, 0))
+    D = SolutionSet(game, ((0, 0), (1, 1)))
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "3")
+    with pytest.raises(TooLarge, match="4 profiles, cap is 3"):
+        saturation_of_set(D)
 
 
 def test_saturation_redundant_member_excluded_from_basis():
