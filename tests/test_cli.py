@@ -100,7 +100,8 @@ def test_degree_profile_and_saturate(capsys, tmp_path):
 
 
 def test_degree_saturate_over_the_profile_cap_exits_5(capsys, monkeypatch, tmp_path):
-    # the equilibria's box is the whole 2 x 2 game, so a cap of 3 refuses it
+    # a box lies inside its game, so the 2 x 2 game is refused at load under
+    # a cap of 3, before any degree map
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"game": str(fixture_path("matrix2")),
                                "label": "pure-NE", "members": [[0, 0], [1, 1]]}))
