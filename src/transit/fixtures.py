@@ -397,7 +397,7 @@ def load_expectations(name: str) -> dict:
     path = expectation_path(name)
     if not path.exists():
         raise ParseError(f"no expectations for fixture {name!r}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -455,6 +455,20 @@ def compare_expectations(name: str) -> dict:
     return {"fixture": name, "rows": rows, "ok": ok}
 
 
+def _instance_text(value, pad: str = "") -> str:
+    """JSON with sorted keys and two-space indents, except that a list of
+    scalars (a payoff vector, an edge, a path) is written on one line."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{inner}{json.dumps(k)}: {_instance_text(value[k], inner)}"
+                 for k in sorted(value))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        items = (inner + _instance_text(v, inner) for v in value)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def write_fixture_files(name: str, directory: Path | None = None) -> tuple[Path, Path]:
     """(Re)write a fixture's instance and expectation files."""
     fix = resolve_fixture(name)
@@ -462,10 +476,9 @@ def write_fixture_files(name: str, directory: Path | None = None) -> tuple[Path,
     base.mkdir(parents=True, exist_ok=True)
     inst = base / f"{name}.json"
     exp = base / f"{name}.expect.json"
-    with open(inst, "w") as fh:
-        json.dump(fix.instance_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(exp, "w") as fh:
+    with open(inst, "w", encoding="utf-8") as fh:
+        fh.write(_instance_text(fix.instance_dict()) + "\n")
+    with open(exp, "w", encoding="utf-8") as fh:
         json.dump(compute_expectations(name), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return inst, exp

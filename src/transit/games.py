@@ -46,8 +46,17 @@ def as_exact(x: object) -> Fraction:
 
     Floats go through their decimal string so that e.g. 0.1 becomes 1/10,
     matching what a human wrote in a JSON file rather than the binary
-    expansion.  Strings accept "p/q" and decimal forms.
+    expansion.  Strings accept "p/q" and decimal forms; a plain ASCII
+    integer, the common payoff of a written game, is read by `int` alone.
     """
+    if isinstance(x, str):
+        digits = x[1:] if x[:1] == "-" else x
+        try:
+            if digits.isdigit() and digits.isascii():
+                return Fraction(int(x))
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"cannot parse rational {x!r}") from exc
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -58,11 +67,6 @@ def as_exact(x: object) -> Fraction:
         if not math.isfinite(x):
             raise ParseError(f"payoff must be finite, got {x!r}")
         return Fraction(str(x))
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse rational {x!r}") from exc
     raise ParseError(f"cannot interpret {x!r} as a payoff value")
 
 
@@ -358,8 +362,27 @@ class SolutionSet:
     label: str = "user"
 
     def __post_init__(self) -> None:
+        """Every member must be a profile of the game, and none repeated.
+
+        Integer members are checked as one array against the shape and for
+        repeats as one set; the member loop runs only when that check fails
+        or cannot decide, and names the first bad member in order.
+        """
+        members = self.members
+        try:
+            grid = np.array(members)
+        except ValueError:  # members of different lengths
+            grid = None
+        if (
+            grid is not None
+            and grid.dtype.kind in "iu"
+            and grid.shape == (len(members), self.game.n)
+            and ((grid >= 0) & (grid < self.game.shape)).all()
+            and len(set(members)) == len(members)
+        ):
+            return
         seen = set()
-        for s in self.members:
+        for s in members:
             self.game.validate_profile(s)
             if s in seen:
                 raise ParseError(f"duplicate solution {s!r}")

@@ -6,6 +6,7 @@ exact-rational fixtures round-trip losslessly through the string form.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -21,11 +22,15 @@ from .routing import Commodity, RoutingInstance, cost_from_spec
 
 
 def _load_json(path: str | Path) -> Any:
+    """The JSON document at `path`, read as bytes: `json.loads` detects
+    UTF-8, -16 or -32 itself (RFC 8259), whatever the locale."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -74,11 +79,25 @@ def game_from_dict(data: dict) -> Game:
 
 
 def _payoff_values(tensor, shape: tuple[int, ...]) -> list:
-    """The scalars of a payoff tensor in document order, one vector appended
-    at a time; they are parsed by `Game.from_values`.
+    """The scalars of a payoff tensor in document order, one vector after
+    another; they are parsed by `Game.from_values`.
 
-    A ragged node raises only after the scalars before it are parsed, so the
-    reported fault is the first in document order.
+    The tensor is flattened one level at a time, each level checked to hold
+    lists of the expected length only.  When a level fails, `_first_fault`
+    walks the tensor to name the fault.
+    """
+    level = [tensor]
+    for size in (*shape, len(shape)):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return _first_fault(tensor, shape)
+        level = list(itertools.chain.from_iterable(level))
+    return level
+
+
+def _first_fault(tensor, shape: tuple[int, ...]) -> list:
+    """Walk the tensor in document order and raise at its first ragged
+    node, once the scalars before it are parsed, so that the reported fault
+    is the first in document order; return the scalars if there is none.
     """
     n = len(shape)
     values: list = []
@@ -239,9 +258,11 @@ def load_graph(path: str | Path) -> GraphColoringInstance:
     p = Path(path)
     if p.suffix != ".json":
         try:
-            text = p.read_text()
+            text = p.read_text(encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot read {p}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{p} is not UTF-8 text: {exc}") from exc
         if not text.lstrip().startswith("{"):
             return graph_from_text(text)
     return _load(p, graph_from_dict)

@@ -21,12 +21,7 @@ DECIMAL_DIGITS = 12
 def render_value(value: Any) -> Any:
     """Normalise one leaf for JSON output."""
     if isinstance(value, Fraction):
-        return {
-            "exact": f"{value.numerator}/{value.denominator}"
-            if value.denominator != 1
-            else str(value.numerator),
-            "decimal": _decimal(value),
-        }
+        return {"exact": _exact(value), "decimal": _decimal(value)}
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
@@ -42,8 +37,64 @@ def render_value(value: Any) -> Any:
     return str(value)
 
 
+def _exact(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
 def _decimal(value: Fraction) -> str:
     return f"{float(value):.{DECIMAL_DIGITS}g}"
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value: Any, out: list, pad: str) -> None:
+    """Append to `out` the text of `json.dumps(render_value(value),
+    sort_keys=True, indent=2)`, nested `pad` deep.
+
+    `render_value`'s leaf rules are applied as each node is written, so no
+    rendered copy of the document is built, and the text is joined once,
+    where `indent` would send `json.dumps` through its pure-Python encoder.
+    """
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        items = {str(k): v for k, v in value.items()}
+        head = "{\n"
+        for key in sorted(items):
+            out.append(f"{head}{inner}{_string(key)}: ")
+            _write_json(items[key], out, inner)
+            head = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        head = "[\n"
+        for item in value:
+            out.append(head + inner)
+            _write_json(item, out, inner)
+            head = ",\n"
+        out.append(f"\n{pad}]")
+    elif isinstance(value, Fraction):
+        out.append(f'{{\n{pad}  "decimal": "{_decimal(value)}",\n'
+                   f'{pad}  "exact": "{_exact(value)}"\n{pad}}}')
+    elif isinstance(value, float):
+        rendered = render_value(value)
+        out.append(_string(rendered) if isinstance(rendered, str) else float.__repr__(rendered))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        out.append(_string(str(value)))
 
 
 @dataclass
@@ -73,13 +124,16 @@ class Report:
     def to_json(self) -> str:
         doc = {
             "kind": self.kind,
-            "inputs": render_value(self.inputs),
-            "results": render_value(self.results),
-            "provenance": render_value(self.provenance),
-            "findings": list(self.findings),
+            "inputs": self.inputs,
+            "results": self.results,
+            "provenance": self.provenance,
+            "findings": self.findings,
             "status": self.status,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        out: list[str] = []
+        _write_json(doc, out, "")
+        out.append("\n")
+        return "".join(out)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -87,8 +141,7 @@ class Report:
 
         def emit(section: str, name: str, value: Any) -> None:
             if isinstance(value, Fraction):
-                exact = render_value(value)
-                out.write(f"{section},{name},{exact['exact']},{exact['decimal']}\n")
+                out.write(f"{section},{name},{_exact(value)},{_decimal(value)}\n")
             elif isinstance(value, bool):
                 out.write(f"{section},{name},{value},{int(value)}\n")
             elif isinstance(value, (int, float)):

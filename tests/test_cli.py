@@ -3,6 +3,7 @@
 import copy
 import fnmatch
 import json
+import os
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import transit
 from transit.cli import main
 from transit.fixtures import fixture_path
 
@@ -359,6 +361,44 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["pota"]["exact"] == "0"
+
+
+NAMED_GAME = {
+    "players": ["Zoë", "Ann"],
+    "strategies": [["a", "b"], ["c", "d"]],
+    "payoffs": [[["1", "1"], ["0", "0"]], [["0", "0"], ["2", "2"]]],
+}
+
+
+def _run_module(*argv, **env):
+    """`python -m transit argv` in a fresh process, with `env` added to the
+    environment and the package importable from this checkout."""
+    src = str(Path(transit.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env}
+    return subprocess.run([sys.executable, "-m", "transit", *argv], capture_output=True,
+                          env=full)
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(NAMED_GAME, ensure_ascii=False).encode("latin-1"))
+    proc = _run_module("prices", str(path), "--ne")
+    err = proc.stderr.decode("utf-8", "replace")
+    assert (proc.returncode, proc.stdout) == (2, b""), err
+    assert err.startswith("error: ") and "not UTF-8 text" in err and err.count("\n") == 1
+
+
+def test_a_utf8_game_loads_under_the_c_locale(tmp_path):
+    path = tmp_path / "named.json"
+    path.write_bytes(json.dumps(NAMED_GAME, ensure_ascii=False).encode("utf-8"))
+    plain = _run_module("prices", str(path), "--ne")
+    c_locale = _run_module("prices", str(path), "--ne",
+                           LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    assert (c_locale.returncode, c_locale.stderr) == (0, b"")
+    assert c_locale.stdout == plain.stdout
+    assert json.loads(plain.stdout)["results"]["optimum"]["exact"] == "4"
 
 
 def test_package_runs_as_a_module():

@@ -1,5 +1,6 @@
 """Core game representation, best responses, and equilibrium enumeration."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from transit.fixtures import example2_game, matrix2_game, matrix6_game
 from transit.games import (
     Game,
     SolutionSet,
+    as_exact,
     best_responses,
     enumerate_pure_ne,
     social_value,
@@ -202,3 +204,64 @@ def test_solution_set_rejects_duplicates():
     game = matrix2_game()
     with pytest.raises(ParseError):
         SolutionSet(game, ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("members, message", [
+    # an out-of-range member before a duplicate, and a duplicate before one
+    (((5, 0), (0, 0), (0, 0)), r"invalid profile \(5, 0\)"),
+    (((0, 0), (0, 0), (5, 0)), r"duplicate solution \(0, 0\)"),
+])
+def test_solution_set_names_the_first_bad_member(members, message):
+    with pytest.raises(ParseError, match=message):
+        SolutionSet(matrix2_game(), members)
+
+
+def _checked_member_by_member(game, members):
+    seen = set()
+    for s in members:
+        game.validate_profile(s)
+        if s in seen:
+            raise ParseError(f"duplicate solution {s!r}")
+        seen.add(s)
+
+
+@pytest.mark.parametrize("members", [
+    (),
+    ((0, 1), (1, 0)),
+    ((1, 1), (0, 0), (1, 0), (0, 1)),
+    ((1, 2),),
+    ((-1, 0),),
+    ((0, 0, 0),),
+    ((0,), (0, 0)),
+    ((0, 0), (0,)),
+    ((2**70, 0),),
+    ((True, 0), (0, 1)),
+    ((1.0, 0),),
+    ((-0.5, 0),),
+    ((float("nan"), 0),),
+    ((0, 1), (1, float("nan"))),
+])
+def test_solution_set_check_agrees_with_the_member_loop(members):
+    game = matrix2_game()
+    try:
+        _checked_member_by_member(game, members)
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=re.escape(str(exc))):
+            SolutionSet(game, members)
+    else:
+        assert SolutionSet(game, members).members == members
+
+
+@pytest.mark.parametrize("text", [
+    "0", "7", "-12", "007", "-0", "+5", " 5", "5 ", "1_0", "\u0663", "\u00b2", "-", "",
+    "--5", "-" + "9" * 30, "3/4", "-1.25", "1e3", "9" * 5000,
+])
+def test_integer_strings_parse_as_fraction_parses_them(text):
+    try:
+        want = Fraction(text)
+    except ValueError:
+        with pytest.raises(ParseError, match="cannot parse rational"):
+            as_exact(text)
+    else:
+        got = as_exact(text)
+        assert type(got) is Fraction and got == want

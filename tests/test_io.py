@@ -77,6 +77,15 @@ def test_game_loader_rejects_ragged_tensor():
     ([[["1", "1"]], [["x", "1"], ["1", "1"]]], r"ragged at \[0\]: expected 2"),
     # a short vector inside row 0 comes before the ragged row 1
     ([[["1", "1"], ["1"]], ["x"]], r"vector at \[0, 1\] must list 2"),
+    # a dict of the right length where a vector or a row belongs
+    ([[["1", "1"], {"0": "1", "1": "1"}], [["1", "1"], ["1", "1"]]],
+     r"vector at \[0, 1\] must list 2"),
+    ([{"0": ["1", "1"], "1": ["1", "1"]}, [["1", "1"], ["1", "1"]]],
+     r"ragged at \[0\]: expected 2"),
+    # a list where a scalar belongs, before a ragged row
+    ([[["1", ["1"]], ["1", "1"]], [["1", "1"]]], r"cannot interpret \['1'\] as a payoff"),
+    # a scalar where the whole tensor belongs
+    ("1", r"ragged at \[\]: expected 2"),
 ])
 def test_game_loader_reports_the_first_fault_in_document_order(payoffs, message):
     doc = {"players": ["a", "b"], "strategies": [["x", "y"], ["u", "v"]], "payoffs": payoffs}
