@@ -217,6 +217,7 @@ def test_solution_set_names_the_first_bad_member(members, message):
 
 
 def _checked_member_by_member(game, members):
+    """The per-member check, the reference the array check must agree with."""
     seen = set()
     for s in members:
         game.validate_profile(s)
