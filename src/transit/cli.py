@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 
@@ -41,7 +42,6 @@ from .errors import (
     ParseError,
     TooLarge,
     TransitError,
-    WrongArity,
 )
 from .games import Game, SolutionSet, as_exact, enumerate_pure_ne
 from .polymatrix import generate_theorem1_instances, verify_theorem1
@@ -63,6 +63,13 @@ def _load_arg(path_or_name: str, want: str, noun: str, loader) -> tuple[object, 
         spec = fx.resolve_fixture(path_or_name)
         provenance = {"fixture": spec.name, "anchor": spec.anchor}
     return loader(path), provenance
+
+
+def _echo(arg: str) -> str:
+    """A command-line argument as a report echoes it: its bytes read as
+    UTF-8 (others kept as surrogate escapes), whatever the locale that
+    decoded them; files are opened by the argument as given."""
+    return os.fsencode(arg).decode("utf-8", "surrogateescape")
 
 
 def _numbers(text: str, kind, option: str) -> list:
@@ -89,7 +96,7 @@ def cmd_prices(args) -> Report:
     game, provenance = _load_arg(args.game, "game", "game", tio.load_game)
     D = _solution_set(game, args)
     rep = price_report(game, D, args.stable)
-    report = Report("prices", {"game": args.game, "solutions": D.label},
+    report = Report("prices", {"game": _echo(args.game), "solutions": D.label},
                     provenance=provenance)
     report.results = rep.as_dict()
     report.results["witnesses"] = {k: list(v) for k, v in rep.witnesses.items()}
@@ -106,28 +113,25 @@ def cmd_bounds(args) -> Report:
     game, provenance = _load_arg(args.game, "game", "game", tio.load_game)
     D = _solution_set(game, args)
     rows = check_bound_observations(game, D)
-    report = Report("bounds", {"game": args.game, "solutions": D.label},
+    report = Report("bounds", {"game": _echo(args.game), "solutions": D.label},
                     provenance=provenance)
     report.results["rows"] = [row.as_dict() for row in rows]
     for row in rows:
         report.record(row.name, row.holds if not row.skipped else None)
     if game.n == 2 and game.convention == "max":
-        try:
-            cond = two_player_pots_condition(game)
-            rep = price_report(game, D)
-            report.results["two_player_condition"] = {
-                "condition": cond,
-                "pots": rep.pots,
-                "pos": rep.pos,
-            }
-            if cond:
-                report.record(
-                    "two-player-stability-condition",
-                    rep.pots == rep.pos,
-                    "condition promises pots = pos",
-                )
-        except WrongArity:
-            pass
+        cond = two_player_pots_condition(game)
+        rep = price_report(game, D)
+        report.results["two_player_condition"] = {
+            "condition": cond,
+            "pots": rep.pots,
+            "pos": rep.pos,
+        }
+        if cond:
+            report.record(
+                "two-player-stability-condition",
+                rep.pots == rep.pos,
+                "condition promises pots = pos",
+            )
     if game.convention == "max":
         try:
             smooth = extensive_smoothness(game, D)
@@ -163,7 +167,7 @@ def _parse_profile(game: Game, text: str):
 def cmd_degree(args) -> Report:
     game, provenance = _load_arg(args.game, "game", "game", tio.load_game)
     D = tio.load_solution_set(args.solutions, game).require_nonempty()
-    report = Report("degree", {"game": args.game, "solutions": args.solutions},
+    report = Report("degree", {"game": _echo(args.game), "solutions": _echo(args.solutions)},
                     provenance=provenance)
     if args.saturate:
         out = saturation_degree(D)
@@ -190,7 +194,7 @@ def cmd_routing(args) -> Report:
     inst, provenance = _load_arg(args.network, "routing", "network", tio.load_routing)
     out = transition_costs(inst, tol=args.tol)
     sb = stretch_bound(inst, prices=out)
-    report = Report("routing", {"network": args.network, "tol": args.tol,
+    report = Report("routing", {"network": _echo(args.network), "tol": args.tol,
                                 "m": args.m},
                     provenance=provenance)
     report.results = {
@@ -230,7 +234,7 @@ def cmd_routing(args) -> Report:
 
 def cmd_graph(args) -> Report:
     inst, provenance = _load_arg(args.graph, "graph", "graph", tio.load_graph)
-    report = Report(f"graph-{args.action}", {"graph": args.graph},
+    report = Report(f"graph-{args.action}", {"graph": _echo(args.graph)},
                     provenance=provenance)
     if args.action == "check":
         if not args.coloring:
@@ -360,8 +364,8 @@ def _theorem3(args) -> Report:
 
 
 def _theorem4(args) -> Report:
-    report = Report("theorem-4", {"graph": args.graph, "random": args.random,
-                                  "seed": args.seed})
+    report = Report("theorem-4", {"graph": args.graph and _echo(args.graph),
+                                  "random": args.random, "seed": args.seed})
     instances = []
     if args.graph:
         inst, _ = _load_arg(args.graph, "graph", "graph", tio.load_graph)
@@ -431,11 +435,11 @@ def _theorem5(args) -> Report:
 def cmd_oracle(args) -> Report:
     if args.update:
         inst, exp = fx.write_fixture_files(args.fixture)
-        report = Report("oracle", {"fixture": args.fixture, "update": True})
+        report = Report("oracle", {"fixture": _echo(args.fixture), "update": True})
         report.results = {"instance": str(inst), "expectations": str(exp)}
         return report
     out = fx.compare_expectations(args.fixture)
-    report = Report("oracle", {"fixture": args.fixture})
+    report = Report("oracle", {"fixture": _echo(args.fixture)})
     report.results = out
     report.record("expectations-current", out["ok"],
                   "shipped expectations must match the recomputation")

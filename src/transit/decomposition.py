@@ -20,9 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .congestion import CongestionGame, congestion_to_game, is_superadditive
-from .efficiency import price_report, transition_box
+from .efficiency import price_report
 from .errors import CertificateInvalid, EmptySolutionSet, PreconditionFailed
 from .games import Game, SolutionSet, enumerate_pure_ne
+from .transitions import degree_map, transition_set
 
 F = Fraction
 
@@ -107,9 +108,9 @@ class DecompositionCertificate:
 def _abs_welfare(D: SolutionSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     """|W| (`Game.welfare`) over D's solutions and over its transitions of
     degree at most m."""
-    box, degree = transition_box(D)
     welfare = np.abs(D.game.welfare)
-    return welfare[tuple(np.array(D.members).T)], welfare[box][degree <= m]
+    return (welfare[tuple(np.array(D.members).T)],
+            welfare[transition_set(D).box][degree_map(D) <= m])
 
 
 def _tight_alpha(loose, strict) -> Fraction | None:

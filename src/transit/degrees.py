@@ -13,7 +13,6 @@ profile tuples so the rest of the package can layer richer types on top.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -33,10 +32,6 @@ def covers(members: Sequence[Profile], t: Sequence[Profile]) -> bool:
 def projections(members: Sequence[Profile], n: int) -> tuple[tuple[int, ...], ...]:
     """Per-coordinate sorted value sets of a nonempty profile list."""
     return tuple(tuple(sorted({d[i] for d in members})) for i in range(n))
-
-
-def product_profiles(projs: Sequence[Sequence[int]]) -> Iterator[Profile]:
-    return itertools.product(*projs)
 
 
 def product_size(projs: Sequence[Sequence[int]]) -> int:

@@ -21,10 +21,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .efficiency import price_report, transition_box
+from .efficiency import price_report
 from .errors import ParseError, PreconditionFailed, UndefinedPrice
-from .degrees import product_profiles, projections
 from .games import Game, Profile, SolutionSet, as_exact
+from .transitions import degree_map, merge_set, transition_set
 
 F = Fraction
 
@@ -180,7 +180,7 @@ def _regularity(
     """Regularity of a nonempty solution list, read off the matrices."""
     n = pg.n_players
     rhs_of = [2 * max(pg.pair_max(i, j) for j in range(n) if j != i) for i in range(n)]
-    for t in product_profiles(projections(members, n)):
+    for t in merge_set(members):
         for s in members:
             p_s = {p for p in range(n) if t[p] == s[p]}
             for i in range(n):
@@ -238,9 +238,9 @@ def check_polymatrix_symmetry_and_regularity(
 
 def m_posta(game: Game, D: SolutionSet, m: int) -> Fraction:
     """Worst welfare ratio over transitions that are both stable and m-limited."""
-    box, degree = transition_box(D)
+    box = transition_set(D).box
     welfare = game.welfare if game.convention == "max" else -game.welfare
-    pool = welfare[box][(degree <= m) & game.stable_grid("strict")[box]]
+    pool = welfare[box][(degree_map(D) <= m) & game.stable_grid("strict")[box]]
     opt = welfare.max()
     if opt <= 0:
         raise UndefinedPrice("maximum social welfare is nonpositive")

@@ -753,19 +753,3 @@ def prop4_network(rate: float = 1.0, intercept: float = 1.0) -> RoutingInstance:
         2, edges, costs, (Commodity(0, 1, rate, ((0,), (1,))),)
     )
 
-
-FAMILIES = {
-    "fig1": fig1_family,
-    "fig2": fig2_family,
-    "pigou": pigou_pair,
-    "prop4": prop4_network,
-}
-
-
-def generate_family(kind: str, **params) -> RoutingInstance:
-    if kind not in FAMILIES:
-        raise BadParams(f"unknown family {kind!r}; choose from {sorted(FAMILIES)}")
-    try:
-        return FAMILIES[kind](**params)
-    except TypeError as exc:
-        raise BadParams(f"bad parameters for {kind!r}: {exc}") from exc

@@ -11,8 +11,9 @@ repairs her.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -22,12 +23,38 @@ from .errors import EmptySolutionSet, TooLarge
 from .games import Profile, SolutionSet, profile_cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionSet:
-    """Cartesian product of the per-player projections of a solution set."""
+    """The transition box of a solution set, the product of its per-player
+    projections: built once per set (`transition_set`), read by every
+    analysis of it.
+
+    projections: each player's sorted values; C order over the box is
+                 lexicographic order.
+    size:        the number of transitions; over the profile cap, TooLarge is
+                 raised here, before anything is allocated over the box.
+    box:         the `np.ix_` index of the box into the profile grid.
+    degree:      the exact transition degree at every box entry, a read-only
+                 int64 grid built on first read (`degrees.degree_map`).
+    """
 
     source: SolutionSet
     projections: tuple[tuple[int, ...], ...]
+    size: int = field(init=False)
+    box: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        size = degrees.product_size(self.projections)
+        if size > profile_cap():
+            raise TooLarge(f"transition set has {size} profiles, cap is {profile_cap()}")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "box", np.ix_(*self.projections))
+
+    @functools.cached_property
+    def degree(self) -> np.ndarray:
+        grid = degrees.degree_map(self.source.members)
+        grid.flags.writeable = False
+        return grid
 
     def __contains__(self, s: Sequence[int]) -> bool:
         t = tuple(s)
@@ -39,23 +66,23 @@ class TransitionSet:
         return itertools.product(*self.projections)
 
     def __len__(self) -> int:
-        size = 1
-        for p in self.projections:
-            size *= len(p)
-        return size
+        return self.size
 
 
 def transition_set(D: SolutionSet) -> TransitionSet:
-    D.require_nonempty()
-    projs = degrees.projections(D.members, D.game.n)
-    return TransitionSet(D, projs)
+    """D's transition box, built on the first call and kept on D (as
+    `RoutingInstance.edge_costs` keeps its evaluator) for every later one."""
+    if "_transition_set" not in D.__dict__:
+        D.require_nonempty()
+        ts = TransitionSet(D, degrees.projections(D.members, D.game.n))
+        object.__setattr__(D, "_transition_set", ts)
+    return D._transition_set
 
 
 def is_transition(D: SolutionSet, s: Sequence[int]) -> bool:
     """True iff every player's coordinate in s occurs in some solution."""
-    D.require_nonempty()
-    t = D.game.validate_profile(s)
-    return degrees.covers(D.members, t)
+    ts = transition_set(D)
+    return D.game.validate_profile(s) in ts
 
 
 def merge_set(profiles: Sequence[Profile]) -> list[Profile]:
@@ -70,7 +97,7 @@ def merge_set(profiles: Sequence[Profile]) -> list[Profile]:
     projs = degrees.projections(profiles, n)
     if degrees.product_size(projs) > profile_cap():
         raise TooLarge("merge set exceeds the profile cap")
-    return list(degrees.product_profiles(projs))
+    return list(itertools.product(*projs))
 
 
 @dataclass(frozen=True)
@@ -104,13 +131,10 @@ def transition_degree(
 
 
 def degree_map(D: SolutionSet) -> np.ndarray:
-    """Exact transition degree at every entry of D's transition box, as an
-    int64 array of the box's shape in lexicographic (C) order; see
-    degrees.degree_map."""
-    size = len(transition_set(D))
-    if size > profile_cap():
-        raise TooLarge(f"transition set has {size} profiles, cap is {profile_cap()}")
-    return degrees.degree_map(D.members)
+    """Exact transition degree at every entry of D's transition box, as a
+    read-only int64 array of the box's shape in lexicographic (C) order:
+    `TransitionSet.degree`, built once per solution set."""
+    return transition_set(D).degree
 
 
 def _box_profiles(ts: TransitionSet, mask: np.ndarray) -> list[Profile]:
@@ -152,9 +176,7 @@ def is_stable_transition(D: SolutionSet, s: Sequence[int], variant: str = "stric
 def stable_transition_set(D: SolutionSet, variant: str = "strict") -> list[Profile]:
     """All stable transitions, in lexicographic order."""
     ts = transition_set(D)
-    if len(ts) > profile_cap():
-        raise TooLarge("transition set exceeds the profile cap")
-    return _box_profiles(ts, D.game.stable_grid(variant)[np.ix_(*ts.projections)])
+    return _box_profiles(ts, D.game.stable_grid(variant)[ts.box])
 
 
 @dataclass(frozen=True)

@@ -401,6 +401,23 @@ def test_a_utf8_game_loads_under_the_c_locale(tmp_path):
     assert json.loads(plain.stdout)["results"]["optimum"]["exact"] == "4"
 
 
+def test_a_non_ascii_path_is_echoed_alike_under_the_c_locale(tmp_path):
+    # the folder is named by the UTF-8 bytes of "ü", made and passed as
+    # bytes, so the test reads the same whatever its own locale
+    folder = os.path.join(os.fsencode(tmp_path), b"\xc3\xbc")
+    os.mkdir(folder)
+    path = os.path.join(folder, b"g.json")
+    with open(path, "wb") as fh:
+        fh.write(fixture_path("matrix6").read_bytes())
+    plain = _run_module("prices", path, "--ne")
+    c_locale = _run_module("prices", path, "--ne",
+                           LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    assert (c_locale.returncode, c_locale.stderr) == (0, b"")
+    assert c_locale.stdout == plain.stdout
+    assert json.loads(plain.stdout)["inputs"]["game"] == path.decode("utf-8")
+
+
 def test_package_runs_as_a_module():
     proc = subprocess.run(
         [sys.executable, "-m", "transit", "fixtures"], capture_output=True, text=True

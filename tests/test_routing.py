@@ -25,7 +25,6 @@ from transit.routing import (
     equilibrium_flow,
     fig1_family,
     fig2_family,
-    generate_family,
     is_transition_flow,
     min_cost_flow,
     pigou_pair,
@@ -322,20 +321,12 @@ def test_stretch_degenerate_zero_intercept_with_constant_cost():
     assert math.isinf(sb["cap"])
 
 
-def test_generate_family_dispatch_and_validation():
-    assert len(generate_family("fig1", n=3).edges) == 3
-    inst = generate_family("fig2", n=5, m=2, delta=0.1)
+def test_fig2_shares_exactly_the_top_edge():
+    inst = fig2_family(5, 2, 0.1)
     assert len(inst.commodities) == 2
     assert len(inst.commodities[0].paths) == 5
     with pytest.raises(BadParams):
-        generate_family("nope")
-    with pytest.raises(BadParams):
-        generate_family("fig1", wrong=1)
-    with pytest.raises(BadParams):
         fig2_family(1, 1, 0.1)
-
-
-def test_fig2_shares_exactly_the_top_edge():
     inst = fig2_family(3, 2, 0.1)
     # the first edge appears in both commodities' path lists
     first_paths = {p[0] for p in inst.commodities[0].paths}
