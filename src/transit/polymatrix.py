@@ -5,7 +5,9 @@ m-posta >= poa / m is asserted for nonnegative games passing two
 hypothesis checks: a per-player symmetry (one matrix against all
 opponents plus welfare-monotone utilities) and a regularity condition
 quantified over all transitions of the designated symmetric solution set.
-The hypothesis class is thin; the generator draws candidates by rejection
+The matrices are turned into integers once, over their common denominator;
+the dense game is summed from them, and every check reads the game's
+integer grid or those integer matrices.  The hypothesis class is thin; the generator draws candidates by rejection
 sampling and reports exactly which checks passed.
 """
 
@@ -23,8 +25,8 @@ import numpy as np
 
 from .efficiency import price_report
 from .errors import ParseError, PreconditionFailed, UndefinedPrice
-from .games import Game, Profile, SolutionSet, as_exact
-from .transitions import degree_map, merge_set, transition_set
+from .games import Game, Profile, SolutionSet, checked_shape
+from .transitions import degree_map, transition_set
 
 F = Fraction
 
@@ -54,26 +56,21 @@ class PolymatrixGame:
             ):
                 raise ParseError(f"matrix ({i}, {j}) has the wrong shape")
 
-    @classmethod
-    def build(cls, matrices: Mapping[tuple[int, int], Sequence[Sequence]], n=None):
-        pairs = {
-            (int(i), int(j)): tuple(tuple(as_exact(v) for v in row) for row in m)
-            for (i, j), m in matrices.items()
-        }
-        players = {i for i, _ in pairs} | {j for _, j in pairs}
-        count = n if n is not None else max(players) + 1
-        shape = [0] * count
-        for (i, j), m in pairs.items():
-            shape[i] = len(m)
-            shape[j] = len(m[0])
-        return cls(count, tuple(shape), pairs)
-
-    def utility(self, i: int, s: Sequence[int]) -> Fraction:
-        return sum(
-            (self.matrices[(i, j)][s[i]][s[j]]
-             for j in range(self.n_players) if j != i),
-            start=F(0),
+    @functools.cached_property
+    def int_matrices(self) -> tuple[int, Mapping[tuple[int, int], np.ndarray]]:
+        """(L, M): L the lcm of every matrix denominator and M[(i, j)] the
+        matrix (i, j) times L, int64 while max |M| * (n - 1), the largest
+        utility, stays below 2**62, and Python ints (dtype object) beyond."""
+        scale = math.lcm(
+            *{v.denominator for m in self.matrices.values() for row in m for v in row}
         )
+        ints = {
+            pair: [[v.numerator * (scale // v.denominator) for v in row] for row in m]
+            for pair, m in self.matrices.items()
+        }
+        top = max((abs(x) for m in ints.values() for row in m for x in row), default=0)
+        dtype = object if top * (self.n_players - 1) >= 2**62 else np.int64
+        return scale, {pair: np.array(m, dtype=dtype) for pair, m in ints.items()}
 
     def to_game(self) -> Game:
         """The dense game, built on first use; every analysis reads this one."""
@@ -81,65 +78,48 @@ class PolymatrixGame:
 
     @functools.cached_property
     def _game(self) -> Game:
-        return Game.from_function(
-            self.strategy_counts,
-            lambda s: tuple(self.utility(i, s) for i in range(self.n_players)),
-        )
-
-    @functools.cached_property
-    def scaled_utilities(self) -> np.ndarray:
-        """U[i, *s]: u_i(s) times the lcm of every matrix denominator.
-
-        Exact Python ints (dtype object) summed from the matrices by
-        broadcasting, without building the dense game; comparisons of
-        utilities and welfare read the same on U.
-        """
-        n, shape = self.n_players, self.strategy_counts
-        scale = math.lcm(
-            *{v.denominator for m in self.matrices.values() for row in m for v in row}
-        )
-        utilities = np.zeros((n, *shape), dtype=object)
-        for (i, j), m in self.matrices.items():
-            pair = np.array(
-                [[v.numerator * (scale // v.denominator) for v in row] for row in m],
-                dtype=object,
-            )
+        """U[i, *s] = sum over j != i of M_ij[s_i, s_j], summed by
+        broadcasting each integer matrix over the profile grid."""
+        n = self.n_players
+        players = tuple(f"p{i + 1}" for i in range(n))
+        names = tuple(tuple(str(x) for x in range(k)) for k in self.strategy_counts)
+        shape = checked_shape(players, names, "max")
+        scale, mats = self.int_matrices
+        utilities = np.zeros((n, *shape), dtype=mats[(0, 1)].dtype)
+        for (i, j), m in mats.items():
             axes = [1] * n
             axes[i], axes[j] = shape[i], shape[j]
-            utilities[i] += (pair if i < j else pair.T).reshape(axes)
-        return utilities
-
-    def is_nonnegative(self) -> bool:
-        return all(
-            v >= 0 for m in self.matrices.values() for row in m for v in row
-        )
-
-    def pair_max(self, i: int, j: int) -> Fraction:
-        return max(v for row in self.matrices[(i, j)] for v in row)
+            utilities[i] += (m if i < j else m.T).reshape(axes)
+        return Game(players, names, scale, utilities)
 
 
 def is_symmetric_profile(s: Sequence[int]) -> bool:
     return len(set(s)) == 1
 
 
-def symmetric_members(D: SolutionSet) -> list[Profile]:
-    return [s for s in D.members if is_symmetric_profile(s)]
-
-
 def symmetric_equilibria(pg: PolymatrixGame) -> list[Profile]:
-    """The pure equilibria (x, ..., x) in increasing x, read off the
-    matrices: no player gains by a switch against x everywhere else."""
-    utilities = pg.scaled_utilities
-    out = []
-    for x in range(min(pg.strategy_counts)):
-        s = (x,) * pg.n_players
-        if all(
-            utilities[(i,) + s[:i] + (slice(None),) + s[i + 1 :]].max()
-            <= utilities[(i,) + s]
-            for i in range(pg.n_players)
-        ):
-            out.append(s)
-    return out
+    """The pure equilibria (x, ..., x) in increasing x: no player gains by
+    a switch there (every `Game.regret` entry is 0)."""
+    gains = pg.to_game().regret[1]
+    n = pg.n_players
+    return [
+        (x,) * n
+        for x in range(min(pg.strategy_counts))
+        if not gains[(slice(None),) + (x,) * n].any()
+    ]
+
+
+def _nonnegative(pg: PolymatrixGame) -> tuple[bool, tuple | None]:
+    """Every matrix entry is at least 0; the witness is the first pair
+    (i, j) whose matrix has a negative entry."""
+    bad = next((pair for pair, m in pg.int_matrices[1].items() if m.min() < 0), None)
+    return bad is None, bad
+
+
+def _symmetric_solutions(D: SolutionSet) -> tuple[bool, tuple | None]:
+    """Every solution is some (x, ..., x); the witness is the first that is not."""
+    bad = next((s for s in D.members if not is_symmetric_profile(s)), None)
+    return bad is None, bad
 
 
 def _one_matrix_per_player(pg: PolymatrixGame) -> tuple[bool, tuple | None]:
@@ -156,82 +136,96 @@ def _one_matrix_per_player(pg: PolymatrixGame) -> tuple[bool, tuple | None]:
 def _welfare_monotone(pg: PolymatrixGame) -> tuple[bool, tuple | None]:
     """Part 2: welfare-ordered profiles order every player's utility alike.
 
-    Equivalently, in order of welfare (ties in profile order) each
-    profile's utilities are all at least the previous profile's: equal
+    Equivalently, in order of welfare W (ties in profile order) each
+    profile's utilities U are all at least the previous profile's: equal
     welfare then forces equal utilities, and the chain covers every pair.
     The witness (hi, lo, i) is the first adjacent pair where i loses.
     """
-    utilities = pg.scaled_utilities.reshape(pg.n_players, -1)
-    order = np.argsort(utilities.sum(axis=0), kind="stable")
+    game = pg.to_game()
+    utilities = game.ints[1].reshape(game.n, -1)
+    order = np.argsort(game.welfare.reshape(-1), kind="stable")
     drops = np.diff(utilities[:, order], axis=1) < 0
     if not drops.any():
         return True, None
     step, i = (int(v) for v in np.argwhere(drops.T)[0])
     lo, hi = (
-        tuple(int(v) for v in np.unravel_index(order[k], pg.strategy_counts))
+        tuple(int(v) for v in np.unravel_index(order[k], game.shape))
         for k in (step, step + 1)
     )
     return False, (hi, lo, i)
 
 
-def _regularity(
-    pg: PolymatrixGame, members: Sequence[Profile]
-) -> tuple[bool, dict | None]:
-    """Regularity of a nonempty solution list, read off the matrices."""
+def _regularity(pg: PolymatrixGame, D: SolutionSet) -> tuple[bool | None, dict | None]:
+    """Regularity of D (undecided, None, when D is empty).
+
+    One integer pass over D's transition box per solution s and player i:
+    wherever t_i != s_i, lhs(t) = sum over k != i with t_k != s_k of
+    M_ik[s_i, t_k] must reach rhs = 2 max_j max M_ij.  The witness is the
+    first failure in (t, s, i) order.
+    """
+    if D.is_empty:
+        return None, None
     n = pg.n_players
-    rhs_of = [2 * max(pg.pair_max(i, j) for j in range(n) if j != i) for i in range(n)]
-    for t in merge_set(members):
-        for s in members:
-            p_s = {p for p in range(n) if t[p] == s[p]}
-            for i in range(n):
-                if i in p_s:
-                    continue
-                lhs = sum(
-                    (pg.matrices[(i, k)][s[i]][t[k]]
-                     for k in range(n) if k not in p_s and k != i),
-                    start=F(0),
-                )
-                if lhs < rhs_of[i]:
-                    return False, {"transition": t, "solution": s, "player": i,
-                                   "lhs": lhs, "rhs": rhs_of[i]}
-    return True, None
+    scale, mats = pg.int_matrices
+    projs = transition_set(D).projections
+    shape = tuple(map(len, projs))
+    cols = [np.array(p) for p in projs]
+
+    def along(k: int, v: np.ndarray) -> np.ndarray:
+        return v.reshape([-1 if a == k else 1 for a in range(n)])
+
+    rhs = [2 * max(int(mats[(i, j)].max()) for j in range(n) if j != i) for i in range(n)]
+    first = None
+    for s in D.members:
+        for i in range(n):
+            lhs = sum(
+                along(k, np.where(cols[k] != s[k], mats[(i, k)][s[i], cols[k]], 0))
+                for k in range(n) if k != i
+            )
+            fails = (lhs < rhs[i]) & along(i, cols[i] != s[i])
+            if not fails.any():
+                continue
+            at = np.unravel_index(int(fails.argmax()), shape)
+            if first is None or at < first[0]:
+                first = (at, s, i, int(np.broadcast_to(lhs, shape)[at]))
+    if first is None:
+        return True, None
+    at, s, i, lhs = first
+    t = tuple(p[a] for p, a in zip(projs, at))
+    return False, {"transition": t, "solution": s, "player": i,
+                   "lhs": Fraction(lhs, scale), "rhs": Fraction(rhs[i], scale)}
+
+
+def hypotheses(pg: PolymatrixGame, D: SolutionSet) -> Iterator[tuple[str, tuple]]:
+    """Every hypothesis of Theorem 1 as (name, (holds, witness)), in the
+    order refusals name them; each is checked when reached, so a caller
+    may stop at the first failure."""
+    yield "nonnegativity", _nonnegative(pg)
+    yield "solution set symmetry", _symmetric_solutions(D)
+    yield "per-player matrix equality", _one_matrix_per_player(pg)
+    yield "welfare monotonicity", _welfare_monotone(pg)
+    yield "regularity", _regularity(pg, D)
 
 
 def check_polymatrix_symmetry_and_regularity(
     pg: PolymatrixGame, D: SolutionSet | None = None
 ) -> dict:
-    """Hypothesis checks with witnesses.
+    """Every hypothesis of `hypotheses`, with witnesses.
 
-    Part 1: each player uses one matrix against every opponent.  Part 2:
-    welfare-ordered profiles order every player's utility the same way.
-    Regularity is relative to a solution set D (default: the symmetric pure
-    equilibria): for every transition t, solution s, and player i outside
-    P(s) = {p : t_p = s_p}, the contribution to i from players outside
-    P(s) u {i} playing t, evaluated at s_i, covers twice the largest single
-    pairwise payoff i can see.
+    Per-player matrix equality: each player uses one matrix against every
+    opponent.  Welfare monotonicity: welfare-ordered profiles order every
+    player's utility the same way.  Regularity is relative to a solution
+    set D (default: the symmetric pure equilibria): for every transition t,
+    solution s, and player i outside P(s) = {p : t_p = s_p}, the
+    contribution to i from players outside P(s) u {i} playing t, evaluated
+    at s_i, covers twice the largest single pairwise payoff i can see.
     """
-    part1, witness1 = _one_matrix_per_player(pg)
-    part2, witness2 = _welfare_monotone(pg)
-
     if D is None:
-        sym = symmetric_equilibria(pg)
-        D = SolutionSet(pg.to_game(), tuple(sym), "symmetric-NE") if sym else None
-
-    regular = None
-    witness_reg = None
-    if D is not None and not D.is_empty:
-        regular, witness_reg = _regularity(pg, D.members)
-
+        D = SolutionSet(pg.to_game(), tuple(symmetric_equilibria(pg)), "symmetric-NE")
+    checks = dict(hypotheses(pg, D))
     return {
-        "symmetric": part1 and part2,
-        "part1": part1,
-        "part2": part2,
-        "regular": regular,
-        "witnesses": {
-            "part1": witness1,
-            "part2": witness2,
-            "regularity": witness_reg,
-        },
+        "holds": {name: holds for name, (holds, _) in checks.items()},
+        "witnesses": {name: witness for name, (_, witness) in checks.items()},
         "solution_set": D,
     }
 
@@ -252,42 +246,34 @@ def m_posta(game: Game, D: SolutionSet, m: int) -> Fraction:
     return Fraction(int(pool.min()), int(opt))
 
 
-def verify_theorem1(pg: PolymatrixGame, D: SolutionSet, m: int) -> dict:
-    """Assert m-posta >= poa / m after gating on every hypothesis.
+def verify_theorem1(pg: PolymatrixGame, D: SolutionSet, ms: Sequence[int]) -> list[dict]:
+    """Assert m-posta >= poa / m for each m in ms, one row per m, after
+    gating once on every hypothesis (`hypotheses`) and pricing D once.
 
-    Refuses (PreconditionFailed) when the game is not nonnegative, fails a
-    symmetry part, fails regularity with respect to D, or D is not a
-    symmetric profile set.
+    Refuses (PreconditionFailed) naming every hypothesis that fails.
     """
-    failures = []
-    if not pg.is_nonnegative():
-        failures.append("nonnegativity")
-    if any(not is_symmetric_profile(s) for s in D.members):
-        failures.append("solution set symmetry")
-    checks = check_polymatrix_symmetry_and_regularity(pg, D)
-    if not checks["part1"]:
-        failures.append("per-player matrix equality")
-    if not checks["part2"]:
-        failures.append("welfare monotonicity")
-    if checks["regular"] is False:
-        failures.append("regularity")
+    holds = check_polymatrix_symmetry_and_regularity(pg, D)["holds"]
+    failures = [name for name, ok in holds.items() if ok is False]
     if failures:
         raise PreconditionFailed("violated hypotheses: " + ", ".join(failures))
 
     game = pg.to_game()
     D.require_nonempty()
-    report = price_report(game, D)
-    val = m_posta(game, D, m)
-    bound = report.poa / m
-    return {
-        "m": m,
-        "poa": report.poa,
-        "m_posta": val,
-        "bound": bound,
-        "holds": val >= bound,
-        "slack": val - bound,
-        "solutions": len(D.members),
-    }
+    poa = price_report(game, D).poa
+    rows = []
+    for m in ms:
+        val = m_posta(game, D, m)
+        bound = poa / m
+        rows.append({
+            "m": m,
+            "poa": poa,
+            "m_posta": val,
+            "bound": bound,
+            "holds": val >= bound,
+            "slack": val - bound,
+            "solutions": len(D.members),
+        })
+    return rows
 
 
 def generate_theorem1_instances(
@@ -300,12 +286,15 @@ def generate_theorem1_instances(
 ) -> Iterator[tuple[PolymatrixGame, SolutionSet]]:
     """Rejection-sample games passing every Theorem-1 hypothesis.
 
-    Part 1 holds by construction (one drawn matrix per player, reused
-    against every opponent).  Parts 2 and regularity are tested after the
-    fact; the regularity condition is so demanding on nonnegative games
-    that surviving instances mostly carry singleton solution sets, which
-    the caller can see via the returned D.  Ranges are configurable to
-    probe the boundary rather than bias the sample.
+    The solution set is the symmetric pure equilibria.  Per-player matrix
+    equality holds by construction (one drawn matrix per player, reused
+    against every opponent); every hypothesis is still tested, in
+    `hypotheses` order.  The regularity condition is so demanding on
+    nonnegative games that surviving instances mostly carry singleton
+    solution sets, which the caller can see via the returned D.  Ranges
+    are configurable to probe the boundary rather than bias the sample.
+    Fewer than count instances come out when max_attempts candidates run
+    out first.
     """
     produced = 0
     attempts = 0
@@ -319,7 +308,7 @@ def generate_theorem1_instances(
             if rng.random() < 0.5:
                 # single repeated row: utilities depend only on own strategy
                 row = [F(rng.randint(lo, hi)) for _ in range(k)]
-                mat = tuple(tuple(F(row[a]) for _ in range(k)) for a in range(k))
+                mat = tuple(tuple(row[a] for _ in range(k)) for a in range(k))
             else:
                 mat = tuple(
                     tuple(F(rng.randint(lo, hi)) for _ in range(k)) for _ in range(k)
@@ -332,18 +321,13 @@ def generate_theorem1_instances(
             if j != i
         }
         pg = PolymatrixGame(n, (k,) * n, matrices)
-        # every hypothesis is read off the matrices, so the dense game is
-        # built for accepted candidates only
         sym = symmetric_equilibria(pg)
-        if not (
-            sym
-            and _one_matrix_per_player(pg)[0]
-            and _welfare_monotone(pg)[0]
-            and _regularity(pg, sym)[0]
-        ):
+        if not sym:
             continue
         game = pg.to_game()
         D = SolutionSet(game, tuple(sym), "symmetric-NE")
+        if not all(holds for _, (holds, _) in hypotheses(pg, D)):
+            continue
         try:
             price_report(game, D)
         except UndefinedPrice:

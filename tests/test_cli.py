@@ -2,6 +2,7 @@
 
 import copy
 import fnmatch
+import functools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import transit
+from transit import cli, polymatrix
 from transit.cli import main
 from transit.fixtures import fixture_path
 
@@ -186,6 +188,30 @@ def test_theorem2_n6_report_is_pinned(capsys):
         "  FAILED single-pile-value(m=3): stated closed form 2 vs measured 3\n"
         "  FAILED single-pile-value(m=4): stated closed form 3 vs measured 10/3\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [((), "theorem1.json"), (("--instances", "400", "--seed", "3"), "theorem1-400-seed3.json")],
+)
+def test_theorem1_report_is_pinned(capsys, argv, name):
+    # stdout captured before the hypothesis checks read the game's integer
+    # grid and each instance was gated and priced once for all m
+    code, out, err = run_cli(capsys, "theorem", "1", *argv)
+    assert code == 0 and err == ""
+    assert out == (Path(__file__).parent / "theorem_reports" / name).read_text()
+
+
+def test_theorem1_reports_a_generator_shortfall(capsys, monkeypatch):
+    # at 1,000 attempts the generator accepts 61 of the 200 instances asked
+    # for; the report counts what it verified and records the shortfall
+    capped = functools.partial(polymatrix.generate_theorem1_instances, max_attempts=1_000)
+    monkeypatch.setattr(cli, "generate_theorem1_instances", capped)
+    code, out, err = run_cli(capsys, "theorem", "1", "--instances", "200")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results["checked"] == sum(results["solution_size_histogram"].values()) == 61
+    assert "instance-count: 61 of 200 instances" in err
 
 
 def test_oracle_matches_shipped_expectations(capsys):

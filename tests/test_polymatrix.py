@@ -6,20 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from transit import oracle
+from transit import cli, oracle, polymatrix
 from transit.errors import PreconditionFailed, UndefinedPrice
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.polymatrix import (
     PolymatrixGame,
     check_polymatrix_symmetry_and_regularity,
     generate_theorem1_instances,
+    is_symmetric_profile,
     m_posta,
     symmetric_equilibria,
-    symmetric_members,
     verify_theorem1,
 )
+from transit.transitions import merge_set
 
 F = Fraction
+
+
+def symmetric_members(D):
+    return [s for s in D.members if is_symmetric_profile(s)]
 
 
 def constant_pg(n=3, k=2, c=1):
@@ -35,11 +40,18 @@ def test_inducement_matches_pairwise_sums():
     assert game.payoffs[(0, 1)] == (F(2), F(7))
     assert game.payoffs[(1, 0)] == (F(3), F(6))
     assert pg.to_game() is game  # built once, on first use
+    # utilities up to 2 * 2**61 are summed in Python ints, not int64
+    big = ((F(2**61), F(1, 3)), (F(0), F(2**61 - 1)))
+    pg = PolymatrixGame(3, (2, 2, 2), {(i, j): big for i in range(3) for j in range(3) if j != i})
+    game = pg.to_game()
+    assert game.ints[1].dtype == object
+    assert game.payoffs[(0, 0, 1)] == (F(2**61) + F(1, 3), F(2**61) + F(1, 3), F(0))
 
 
 def test_identical_constant_matrices_are_symmetric():
     out = check_polymatrix_symmetry_and_regularity(constant_pg())
-    assert out["part1"] and out["part2"] and out["symmetric"]
+    assert out["holds"]["per-player matrix equality"]
+    assert out["holds"]["welfare monotonicity"]
 
 
 def test_unequal_opponent_matrices_flagged_with_witness():
@@ -50,15 +62,15 @@ def test_unequal_opponent_matrices_flagged_with_witness():
     mats[(0, 2)] = other
     pg = PolymatrixGame(n, (k,) * n, mats)
     out = check_polymatrix_symmetry_and_regularity(pg)
-    assert not out["part1"]
-    assert out["witnesses"]["part1"] == (0, 1, 2)
+    assert not out["holds"]["per-player matrix equality"]
+    assert out["witnesses"]["per-player matrix equality"] == (0, 1, 2)
 
 
 def test_generated_instances_pass_both_checks():
     rng = random.Random(7)
     for pg, D in generate_theorem1_instances(rng, 5):
         out = check_polymatrix_symmetry_and_regularity(pg, D)
-        assert out["symmetric"] and out["regular"]
+        assert all(out["holds"].values())
 
 
 def test_regularity_collapses_multi_solution_nonnegative_games():
@@ -72,23 +84,43 @@ def test_regularity_collapses_multi_solution_nonnegative_games():
     assert len(sym) == 2
     D = SolutionSet(game, tuple(sym), "symmetric-NE")
     out = check_polymatrix_symmetry_and_regularity(pg, D)
-    assert out["regular"] is False
+    assert out["holds"]["regularity"] is False
     assert out["witnesses"]["regularity"]["lhs"] < out["witnesses"]["regularity"]["rhs"]
 
 
 def test_theorem1_holds_on_generated_instances():
     rng = random.Random(99)
     for pg, D in generate_theorem1_instances(rng, 25):
-        for m in (1, 2, 3):
-            out = verify_theorem1(pg, D, m)
-            assert out["holds"]
+        rows = verify_theorem1(pg, D, (1, 2, 3))
+        assert [out["m"] for out in rows] == [1, 2, 3]
+        assert all(out["holds"] for out in rows)
+
+
+def test_theorem1_gates_and_prices_each_instance_once(monkeypatch, capsys):
+    # theorem 1 --instances 20: the generator draws 26 candidates that pass
+    # every other hypothesis and prices the 20 it keeps; verification then
+    # gates each instance once and prices it once for all m.  Before, it
+    # ran the checks and built a price report once per m: 86 regularity
+    # checks (26 + 3 * 20) and 80 price reports (20 + 3 * 20).
+    calls = {"price_report": 0, "_regularity": 0}
+    for name in calls:
+        inner = getattr(polymatrix, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(polymatrix, name, counted)
+    assert cli.main(["theorem", "1", "--instances", "20"]) == 0
+    capsys.readouterr()
+    assert calls == {"price_report": 20 + 20, "_regularity": 26 + 20}
 
 
 def test_singleton_solution_set_floor_is_trivial():
     rng = random.Random(13)
     pg, D = next(generate_theorem1_instances(rng, 1))
     if len(D.members) == 1:
-        out = verify_theorem1(pg, D, 2)
+        (out,) = verify_theorem1(pg, D, (2,))
         assert out["m_posta"] >= out["poa"] / 2
 
 
@@ -97,7 +129,7 @@ def test_theorem1_refuses_failing_regularity():
     game = pg.to_game()
     D = SolutionSet(game, tuple(symmetric_members(enumerate_pure_ne(game))), "sym")
     with pytest.raises(PreconditionFailed, match="regularity"):
-        verify_theorem1(pg, D, 2)
+        verify_theorem1(pg, D, (2,))
 
 
 def test_theorem1_refuses_negative_payoffs():
@@ -106,7 +138,7 @@ def test_theorem1_refuses_negative_payoffs():
     game = pg.to_game()
     D = SolutionSet(game, ((1, 1),), "sym")
     with pytest.raises(PreconditionFailed, match="nonnegativity"):
-        verify_theorem1(pg, D, 1)
+        verify_theorem1(pg, D, (1,))
 
 
 def test_theorem1_refuses_asymmetric_solution_sets():
@@ -114,7 +146,7 @@ def test_theorem1_refuses_asymmetric_solution_sets():
     game = pg.to_game()
     D = SolutionSet(game, ((0, 1),), "mixed")
     with pytest.raises(PreconditionFailed, match="symmetry"):
-        verify_theorem1(pg, D, 1)
+        verify_theorem1(pg, D, (1,))
 
 
 def test_m_posta_between_posta_and_poa():
@@ -150,11 +182,41 @@ def _pairwise_welfare_monotone(game):
     return True
 
 
+def _fraction_regularity(pg, members):
+    # the per-profile Fraction walk over the merge set that the integer
+    # pass over the transition box replaced, kept as the reference
+    n = pg.n_players
+    rhs_of = [
+        2 * max(v for j in range(n) if j != i for row in pg.matrices[(i, j)] for v in row)
+        for i in range(n)
+    ]
+    for t in merge_set(members):
+        for s in members:
+            p_s = {p for p in range(n) if t[p] == s[p]}
+            for i in range(n):
+                if i in p_s:
+                    continue
+                lhs = sum(
+                    (pg.matrices[(i, k)][s[i]][t[k]]
+                     for k in range(n) if k not in p_s and k != i),
+                    start=F(0),
+                )
+                if lhs < rhs_of[i]:
+                    return False, {"transition": t, "solution": s, "player": i,
+                                   "lhs": lhs, "rhs": rhs_of[i]}
+    return True, None
+
+
 def test_matrix_checks_match_the_dense_game():
     # random polymatrix games, some with one matrix per player as the
-    # generator draws them, some with every matrix drawn, some fractional
+    # generator draws them, some with every matrix drawn, some fractional;
+    # regularity is also checked against solution sets drawn at random,
+    # asymmetric and of up to four members
     rng = random.Random(5)
+    draws = random.Random(6)
     seen = {True: 0, False: 0}
+    regular = {True: 0, False: 0}
+    failed_at = set()
     for trial in range(300):
         n, k = rng.randint(2, 4), rng.randint(1, 3)
         values = [F(v, rng.choice((1, 1, 2, 3))) for v in range(-1, 3)]
@@ -166,12 +228,37 @@ def test_matrix_checks_match_the_dense_game():
             mats = {(i, j): draw() for i in range(n) for j in range(n) if j != i}
         pg = PolymatrixGame(n, (k,) * n, mats)
         game = pg.to_game()
+        reference = Game.from_function(
+            (k,) * n,
+            lambda s: tuple(sum(mats[(i, j)][s[i]][s[j]] for j in range(n) if j != i)
+                            for i in range(n)),
+        )
+        assert (game.players, game.strategies, game.convention, game.ints[0]) == (
+            reference.players, reference.strategies, reference.convention, reference.ints[0]
+        )
+        assert game.ints[1].dtype == reference.ints[1].dtype
+        assert (game.ints[1] == reference.ints[1]).all()
         assert symmetric_equilibria(pg) == symmetric_members(enumerate_pure_ne(game))
         out = check_polymatrix_symmetry_and_regularity(pg)
-        assert out["part2"] == _pairwise_welfare_monotone(game)
-        seen[out["part2"]] += 1
-        if not out["part2"]:
-            hi, lo, i = out["witnesses"]["part2"]
+        assert out["holds"]["welfare monotonicity"] == _pairwise_welfare_monotone(game)
+        seen[out["holds"]["welfare monotonicity"]] += 1
+        if not out["holds"]["welfare monotonicity"]:
+            hi, lo, i = out["witnesses"]["welfare monotonicity"]
             assert sum(game.payoffs[hi]) >= sum(game.payoffs[lo])
             assert game.payoffs[hi][i] < game.payoffs[lo][i]
+        profiles = list(game.profiles())
+        drawn = draws.sample(profiles, draws.randint(1, min(4, len(profiles))))
+        for D in (out["solution_set"], SolutionSet(game, tuple(drawn), "drawn")):
+            if D.is_empty:
+                assert out["holds"]["regularity"] is None
+                continue
+            got = check_polymatrix_symmetry_and_regularity(pg, D)
+            holds, witness = _fraction_regularity(pg, D.members)
+            assert got["holds"]["regularity"] == holds
+            assert got["witnesses"]["regularity"] == witness
+            regular[holds] += 1
+            if witness:
+                failed_at.add((witness["transition"] == D.members[0], witness["player"]))
     assert min(seen.values()) > 10
+    assert min(regular.values()) > 10
+    assert len(failed_at) > 4  # witnesses at and away from the first solution
