@@ -7,7 +7,9 @@ whose linear oracle is the cheapest path of each commodity.  Each step's
 length is the root of the monotone directional derivative, bracketed to
 2**-70 (or adjacent floats) by the ITP method: regula falsi, truncated and
 projected towards the midpoint, so never more than one step beyond
-bisection and far fewer on smooth derivatives.  A transition
+bisection and far fewer on smooth derivatives.  On polynomial edges that
+derivative is a polynomial in the step, built once per step, so each probe
+of the search is a scalar Horner.  A transition
 reallocates each commodity freely over the paths that can carry positive
 equilibrium flow; its worst cost is attained at a vertex of the restricted
 polytope whenever x * c_e(x) is convex, and its best cost by the same
@@ -127,8 +129,9 @@ class EdgeCosts:
     Both map edge flows of shape (..., E) to an array of that shape, by the
     rules of `PolyCost` and `PwlCost`.  Polynomial edges are evaluated by
     Horner over a zero-padded coefficient matrix, the marginal over the
-    coefficients (k + 1) * a_k of x * c(x); table edges one at a time, with a
-    search of their breakpoints.
+    coefficients (k + 1) * a_k of x * c(x); table edges all at once, over a
+    breakpoint matrix padded with +inf.  `along` gives the derivative of the
+    objective along a move, a polynomial in the step on polynomial edges.
     """
 
     def __init__(self, costs: Sequence[PolyCost | PwlCost]) -> None:
@@ -139,9 +142,35 @@ class EdgeCosts:
             coeffs[row, : len(costs[e].coeffs)] = costs[e].coeffs
         self.coeffs = coeffs
         self.marginal_coeffs = coeffs * np.arange(1, width + 1)
-        self.tables = [
-            (e, *np.array(c.points).T) for e, c in enumerate(costs) if isinstance(c, PwlCost)
-        ]
+        # per pricing, [k, e, m] = binom(m + k, k) * a_{m + k} of row e (0 where
+        # m + k passes the last column): the coefficient of x**m * h**k in the
+        # row's polynomial at x + h
+        k, m = np.indices((width, width))
+        binom = [[math.comb(i + j, i) for j in range(width)] for i in range(width)]
+        weights = np.where(m + k < width, binom, 0)
+        column = np.minimum(m + k, width - 1)
+        self.shifts = {
+            marginal: (c[:, column] * weights).transpose(1, 0, 2)
+            for marginal, c in ((False, coeffs), (True, self.marginal_coeffs))
+        }
+
+        tables = [(e, c.points) for e, c in enumerate(costs) if isinstance(c, PwlCost)]
+        self.tables = np.array([e for e, _ in tables], dtype=np.intp)
+        # one table a row: breakpoints padded with +inf, so that the count of
+        # those below x never passes the table's end, and each segment's
+        # rise, run and slope in the same column as its left end
+        size = max([2] + [len(points) for _, points in tables])
+        self.xs = np.full((len(tables), size), np.inf)
+        self.ys = np.zeros((len(tables), size))
+        self.rise = np.zeros((len(tables), size - 1))
+        self.run = np.ones((len(tables), size - 1))
+        self.last = np.array([len(points) - 2 for _, points in tables], dtype=np.intp)
+        for row, (_, points) in enumerate(tables):
+            xs, ys = np.array(points).T
+            self.xs[row, : len(xs)], self.ys[row, : len(ys)] = xs, ys
+            self.rise[row, : len(xs) - 1] = ys[1:] - ys[:-1]
+            self.run[row, : len(xs) - 1] = xs[1:] - xs[:-1]
+        self.slope = self.rise / self.run
 
     def cost(self, fe: np.ndarray) -> np.ndarray:
         return self._evaluate(fe, marginal=False)
@@ -151,34 +180,82 @@ class EdgeCosts:
 
     def _evaluate(self, fe: np.ndarray, marginal: bool) -> np.ndarray:
         coeffs = self.marginal_coeffs if marginal else self.coeffs
-        if not self.tables:
+        if not self.tables.size:
             return _horner(fe, coeffs)
         out = np.empty_like(fe)
         out[..., self.poly] = _horner(fe[..., self.poly], coeffs)
-        for e, xs, ys in self.tables:
-            x = fe[..., e]
-            # the segment k with xs[k] < x <= xs[k + 1], the last one beyond
-            # the table; up to the first point t = 0 holds the first value
-            k = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
-            t = (np.maximum(x, xs[0]) - xs[k]) / (xs[k + 1] - xs[k])
-            out[..., e] = ys[k] + t * (ys[k + 1] - ys[k])
-            if marginal:
-                # the slope right of x: 0 before the first point
-                k = np.searchsorted(xs, x, side="right") - 1
-                right = np.clip(k, 0, len(xs) - 2)
-                slope = (ys[right + 1] - ys[right]) / (xs[right + 1] - xs[right])
-                out[..., e] += x * np.where(k < 0, 0.0, slope)
+        out[..., self.tables] = self._price_tables(fe[..., self.tables], marginal)
         return out
+
+    def _price_tables(self, x: np.ndarray, marginal: bool) -> np.ndarray:
+        """Table row t priced at x[..., t], with the operations of
+        `PwlCost.__call__` and `PwlCost.marginal` in their order."""
+        rows = np.arange(len(self.tables))
+        # the segment k with xs[k] < x <= xs[k + 1], the last one beyond
+        # the table; up to the first point t = 0 holds the first value
+        k = np.minimum(np.maximum((self.xs < x[..., None]).sum(axis=-1) - 1, 0), self.last)
+        t = (np.maximum(x, self.xs[:, 0]) - self.xs[rows, k]) / self.run[rows, k]
+        out = self.ys[rows, k] + t * self.rise[rows, k]
+        if marginal:
+            # the slope right of x: 0 before the first point
+            k = (self.xs <= x[..., None]).sum(axis=-1) - 1
+            slope = self.slope[rows, np.minimum(np.maximum(k, 0), self.last)]
+            out += x * np.where(k < 0, 0.0, slope)
+        return out
+
+    def along(self, fe: np.ndarray, de: np.ndarray, marginal: bool):
+        """phi'(gamma) = sum_e de_e * p_e(fe_e + gamma * de_e) as a function
+        of the scalar gamma, p_e the cost or the marginal.
+
+        On polynomial edges phi' is itself a polynomial in gamma of the
+        costs' width: its coefficient of gamma**k is
+        T_k = sum_e de_e**(k + 1) * sum_m shift[k, e, m] * fe_e**m, built
+        here in one array pass, so that each call is a scalar Horner.  Table
+        edges are priced at each call by `_price_tables`, over their own
+        columns only.
+
+        Cancellation: with nonnegative coefficients and flows, the terms of
+        the Taylor form sum in magnitude to
+        S = sum_e |de_e| * p_e(fe_e + gamma * |de_e|), so its rounding error
+        is at most about n * 2**-53 * S, n the number of roundings along one
+        term (at most 3 * width + E).  The direct form's bound has
+        fe_e + gamma * de_e in place of fe_e + gamma * |de_e|.  The two
+        differ only where the move takes flow off an edge, de_e < 0; there
+        |de_e| <= fe_e keeps the argument below 2 * fe_e, so the Taylor form
+        loses at most a factor 2**degree against the edge's price at the
+        start of the move.
+        """
+        shift = self.shifts[marginal]
+        powers = de[self.poly] ** np.arange(1.0, len(shift) + 1)[:, None]
+        taylor = (_horner(fe[self.poly], shift) * powers).sum(axis=1).tolist()[::-1]
+
+        def polynomial(gamma: float) -> float:
+            acc = 0.0
+            for c in taylor:
+                acc = acc * gamma + c
+            return acc
+
+        if not self.tables.size:
+            return polynomial
+        xt, dt = fe[self.tables], de[self.tables]
+
+        def derivative(gamma: float) -> float:
+            return polynomial(gamma) + float(
+                np.dot(self._price_tables(xt + gamma * dt, marginal), dt)
+            )
+
+        return derivative
 
 
 def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Row e of coeffs (lowest degree first, at least two columns) evaluated
-    at x[..., e], step by step as `PolyCost.__call__` does."""
-    acc = x * coeffs[:, -1]
-    acc += coeffs[:, -2]
-    for column in coeffs.T[-3::-1]:
+    """Row e of coeffs (lowest degree first along the last axis, at least two
+    columns; any leading axes broadcast) evaluated at x[..., e], step by step
+    as `PolyCost.__call__` does."""
+    acc = x * coeffs[..., -1]
+    acc += coeffs[..., -2]
+    for j in range(coeffs.shape[-1] - 3, -1, -1):
         acc *= x
-        acc += column
+        acc += coeffs[..., j]
     return acc
 
 
@@ -380,21 +457,24 @@ def _line_search(derivative, lo: float = 0.0, hi: float = 1.0) -> float:
 
 def _conditional_gradient(
     inst: RoutingInstance,
-    price,
+    marginal: bool,
     allowed: Sequence[Sequence[int]] | None,
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
     """Minimise a convex separable objective over the path-flow polytope.
 
-    price(fe) maps edge flows to the objective's derivative wrt each edge
-    flow (c_e for the equilibrium potential, the marginal cost for the total
-    cost).  `allowed` optionally restricts each commodity to a path subset.
+    The objective's derivative wrt each edge flow is c_e for the equilibrium
+    potential and, with `marginal`, the marginal cost for the total cost.
+    `allowed` optionally restricts each commodity to a path subset.
     The relative gap compares the current pricing of the flow against the
     all-or-nothing assignment onto cheapest allowed paths (ties to the
     lowest path index).  Each step moves towards that assignment by the
-    `_line_search` root of the objective's derivative along the move.
+    `_line_search` root of the objective's derivative along the move, which
+    `EdgeCosts.along` builds once per step.
     """
+    costs = inst.edge_costs()
+    price = costs.marginal if marginal else costs.cost
     incidence = inst.path_edge_matrix()
     slices = inst.commodity_slices()
     if allowed is None:
@@ -431,11 +511,7 @@ def _conditional_gradient(
         direction = y - f
         # the line search works on edge flows: fe + gamma * de
         de = incidence.T @ direction
-
-        def deriv(gamma: float) -> float:
-            return float(np.dot(price(fe + gamma * de), de))
-
-        step = _line_search(deriv)
+        step = _line_search(costs.along(fe, de, marginal))
         if step <= 0:
             return f
         f = f + step * direction
@@ -452,7 +528,7 @@ def equilibrium_flow(
     Minimises the potential whose edge derivative is c_e itself; edge flows
     are unique whenever all costs are strictly increasing.
     """
-    flows = _conditional_gradient(inst, inst.edge_costs().cost, None, tol, max_iter)
+    flows = _conditional_gradient(inst, False, None, tol, max_iter)
     return Flow(inst, flows)
 
 
@@ -467,7 +543,7 @@ def min_cost_flow(
     Requires convex load costs x * c_e(x); with polynomial costs that is
     automatic.
     """
-    flows = _conditional_gradient(inst, inst.edge_costs().marginal, allowed, tol, max_iter)
+    flows = _conditional_gradient(inst, True, allowed, tol, max_iter)
     return Flow(inst, flows)
 
 
@@ -579,7 +655,8 @@ def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
     transition is maximised over vertices of the supported-path polytope,
     which is exact when every x * c_e(x) is convex; otherwise the vertex
     maximum is only a lower bound and is flagged.  The best transition is
-    the cheapest flow restricted to supported paths.
+    the cheapest flow restricted to supported paths; when every path is
+    supported it is the optimum, solved once.
     """
     eq = equilibrium_flow(inst, tol)
     sup = supported_paths(inst, eq)
@@ -594,7 +671,12 @@ def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
     worst, worst_flow = _worst_vertex(inst, allowed)
 
     best_flow = min_cost_flow(inst, allowed, tol)
-    opt_flow = min_cost_flow(inst, None, tol)
+    # with every path supported the restriction is none: the solve over all
+    # paths would start from the same flow and take the same steps
+    if all(len(a) == len(c.paths) for a, c in zip(allowed, inst.commodities)):
+        opt_flow = best_flow
+    else:
+        opt_flow = min_cost_flow(inst, None, tol)
     best = best_flow.cost()
     opt = opt_flow.cost()
     eq_cost = eq.cost()
@@ -641,11 +723,11 @@ def stretch_bound(
     otherwise it is computed here with `tol`.
     """
     total = inst.total_demand()
+    sup_term = max(cost(total) for cost in inst.costs)
     out_s = []
     degenerate = False
     for c in inst.commodities:
         lens = [len(p) for p in c.paths]
-        sup_term = max(cost(total) for cost in inst.costs)
         inf_term = min(cost(c.rate / len(c.paths)) for cost in inst.costs)
         if inf_term <= 0:
             degenerate = True

@@ -71,6 +71,35 @@ def test_pwl_marginal_uses_the_right_hand_slope():
     assert np.array_equal(costs.cost(fe)[:, 0], [c(x) for x in xs])
 
 
+def test_table_edges_are_priced_bit_for_bit_in_one_pass():
+    # tables of 2 to 5 points between polynomial edges, so the breakpoint
+    # matrix is padded; each is priced before its first point, at and between
+    # every breakpoint and past its last, in every column at once
+    rng = random.Random(13)
+    costs = [PolyCost((0.5, 1.0)), PolyCost((1.0, 0.0, 2.0))]
+    for size in (2, 5, 3, 4):
+        x, y = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)
+        points = [(x, y)]
+        for _ in range(size - 1):
+            x += rng.uniform(0.1, 1.5)
+            y += rng.choice([0.0, rng.uniform(0.05, 3.0)])  # flat pieces too
+            points.append((x, y))
+        costs.insert(rng.randint(0, len(costs)), PwlCost(tuple(points)))
+    tables = [e for e, c in enumerate(costs) if isinstance(c, PwlCost)]
+    probes = []
+    for e in tables:
+        xs = [p[0] for p in costs[e].points]
+        probes += xs + [xs[0] - 1.0, xs[-1] + 2.5, -0.0, 0.0]
+        probes += [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+        probes += [math.nextafter(v, side) for v in xs for side in (-math.inf, math.inf)]
+    fe = np.array([[v] * len(costs) for v in probes])
+    evaluator = routing.EdgeCosts(costs)
+    got_cost, got_marginal = evaluator.cost(fe), evaluator.marginal(fe)
+    for e in tables:
+        assert got_cost[:, e].tolist() == [costs[e](v) for v in probes]
+        assert got_marginal[:, e].tolist() == [costs[e].marginal(v) for v in probes]
+
+
 @pytest.mark.parametrize(
     "points, convex",
     [
@@ -252,6 +281,18 @@ def test_stretch_bound_reuses_given_prices(fixture):
     assert stretch_bound(inst, prices=transition_costs(inst)) == stretch_bound(inst)
 
 
+def _count_solves(monkeypatch):
+    solves = []
+    solve = routing._conditional_gradient
+
+    def counted(inst, marginal, allowed, *args):
+        solves.append((marginal, allowed))
+        return solve(inst, marginal, allowed, *args)
+
+    monkeypatch.setattr(routing, "_conditional_gradient", counted)
+    return solves
+
+
 def test_routing_analyze_solves_the_equilibrium_once(monkeypatch, capsys):
     calls = []
 
@@ -260,8 +301,47 @@ def test_routing_analyze_solves_the_equilibrium_once(monkeypatch, capsys):
         return equilibrium_flow(*args, **kwargs)
 
     monkeypatch.setattr(routing, "equilibrium_flow", counted)
+    solves = _count_solves(monkeypatch)
     assert main(["routing", "analyze", "fig2-4x2"]) == 0
     assert len(calls) == 1
+    # every path carries equilibrium flow: one min-cost solve gives the best
+    # transition and the optimum both
+    assert [marginal for marginal, _ in solves] == [False, True]
+
+
+def test_routing_analyze_solves_the_optimum_apart_over_a_dominated_path(
+    monkeypatch, capsys, tmp_path
+):
+    # link 1 costs at least 1.1 where link 0 costs at most 1, so it carries
+    # no equilibrium flow, yet the optimum routes 9/22 over it
+    inst = RoutingInstance(
+        2,
+        ((0, 1), (0, 1)),
+        (PolyCost((0.0, 1.0)), PwlCost(((0.0, 1.1), (1.0, 1.2)))),
+        (Commodity(0, 1, 1.0, ((0,), (1,))),),
+    )
+    path = tmp_path / "dominated.json"
+    path.write_text(json.dumps(routing_to_dict(inst)))
+    solves = _count_solves(monkeypatch)
+    assert main(["routing", "analyze", str(path)]) == 0
+    assert solves == [(False, None), (True, [[0]]), (True, None)]
+    # the results as reported before the optimum's solve could be skipped
+    assert json.loads(capsys.readouterr().out)["results"] == {
+        "best_transition_cost": 1.0,
+        "equilibrium_cost": 1.0,
+        "optimum_cost": 0.815909090909,
+        "poa": 1.22562674095,
+        "pota": 1.22562674095,
+        "pots": 1.22562674095,
+        "stretch": [2.4],
+        "stretch_cap": 2.4,
+        "stretch_degenerate": False,
+        "stretch_ratio": 1.0,
+        "supported_exact": True,
+        "supported_paths": [[0]],
+        "worst_exact": True,
+        "worst_transition_cost": 1.0,
+    }
 
 
 REPORTS = Path(__file__).parent / "routing_reports"
@@ -276,8 +356,8 @@ REPORTS = Path(__file__).parent / "routing_reports"
     ("fig2-11-3-0.1.json", fig2_family(11, 3, 0.1)),
 ])
 def test_routing_reports_are_pinned(network, inst, tmp_path, monkeypatch, capsys):
-    # captured under the bisection line search; a solver change that moves a
-    # field rewrites these files and lists the change
+    # captured under the ITP line search; a solver change that moves a field
+    # rewrites these files and lists the change
     monkeypatch.chdir(tmp_path)
     if inst is not None:
         Path(network).write_text(json.dumps(routing_to_dict(inst)))
@@ -644,6 +724,35 @@ def test_array_passes_match_the_per_edge_reference():
 
         _assert_worst_vertex_matches(inst)
     assert converged >= 100
+
+
+def test_along_matches_the_direct_derivative():
+    # phi'(gamma) from the step's Taylor coefficients against pricing every
+    # edge at fe + gamma * de, for both pricings, from a random split of each
+    # commodity towards a random vertex; the last network adds a degree-4 link
+    rng = random.Random(17)
+    networks = [_random_network(rng) for _ in range(60)]
+    quartic = PolyCost((0.3, 0.0, 1.5, 0.2, 0.7))
+    networks.append(RoutingInstance(
+        2, ((0, 1),) * 3, (quartic, PolyCost((1.0, 2.0)), PwlCost(((0.0, 0.5), (1.0, 2.0)))),
+        (Commodity(0, 1, 1.7, ((0,), (1,), (2,))),),
+    ))
+    for inst in networks:
+        costs = inst.edge_costs()
+        f, y = [], []
+        for c in inst.commodities:
+            split = [rng.random() for _ in c.paths]
+            f += [c.rate * w / sum(split) for w in split]
+            pick = rng.randrange(len(c.paths))
+            y += [c.rate if p == pick else 0.0 for p in range(len(c.paths))]
+        fe = inst.path_edge_matrix().T @ np.array(f)
+        de = inst.path_edge_matrix().T @ (np.array(y) - np.array(f))
+        for marginal, price in ((False, costs.cost), (True, costs.marginal)):
+            derivative = costs.along(fe, de, marginal)
+            for gamma in (0.0, 0.37, 1.0):
+                terms = price(fe + gamma * de) * de
+                want = float(np.dot(price(fe + gamma * de), de))
+                assert abs(derivative(gamma) - want) <= 1e-12 * np.abs(terms).sum()
 
 
 def _assert_worst_vertex_matches(inst):
