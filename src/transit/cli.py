@@ -82,9 +82,6 @@ def _numbers(text: str, kind, option: str) -> list:
 
 
 def _solution_set(game: Game, args) -> SolutionSet:
-    chosen = [bool(args.ne), args.eps is not None, args.solutions is not None]
-    if sum(chosen) > 1:
-        raise ParseError("choose one of --ne, --eps, --solutions")
     if args.solutions:
         return tio.load_solution_set(args.solutions, game)
     if args.eps is not None:
@@ -177,8 +174,6 @@ def cmd_degree(args) -> Report:
             "basis_is_minimal": out.basis_is_minimal,
         }
         return report
-    if args.profile is None:
-        raise ParseError("degree needs --profile IDX or --saturate")
     profile = _parse_profile(game, args.profile)
     witness = transition_degree(D, profile, "greedy" if args.greedy else "exact")
     report.results = {
@@ -237,8 +232,6 @@ def cmd_graph(args) -> Report:
     report = Report(f"graph-{args.action}", {"graph": _echo(args.graph)},
                     provenance=provenance)
     if args.action == "check":
-        if not args.coloring:
-            raise ParseError("graph check needs --coloring c1,c2,...")
         col = tuple(_numbers(args.coloring, int, "--coloring"))
         try:
             fast = check_stable_transition_fast(inst, col)
@@ -257,8 +250,6 @@ def cmd_graph(args) -> Report:
                           "threshold check must match the direct evaluation")
         return report
     if args.action == "construct":
-        if not args.topology:
-            raise ParseError("graph construct needs --topology cycle|clique|forest")
         col = construct_st_not_ne(inst, args.topology)
         report.results = {"topology": args.topology}
         if col is None:
@@ -276,17 +267,6 @@ def cmd_graph(args) -> Report:
     report.record("stable-anarchy-floor", out["posta_holds"],
                   "posta >= 1/2 - |N| / (2|E|)")
     return report
-
-
-def cmd_theorem(args) -> Report:
-    handler = {
-        "1": _theorem1,
-        "2": _theorem2,
-        "3": _theorem3,
-        "4": _theorem4,
-        "5": _theorem5,
-    }[args.number]
-    return handler(args)
 
 
 def _theorem1(args) -> Report:
@@ -456,96 +436,118 @@ def cmd_fixtures(args) -> Report:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every flag only as spelled in full, and
+    whose usage errors raise ParseError, so that they leave `main` as one
+    `error:` line with exit code 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # --greedy picks the cover method of --profile; no argparse group can
+        # also keep it from --saturate, which shares a group with --profile
+        if getattr(namespace, "greedy", False) and namespace.saturate:
+            self.error("argument --greedy: not allowed with argument --saturate")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every verb, built once per process and shared
-    by every call of `main`; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    by every call of `main`; parsing does not change it.  Each verb, routing
+    or graph action and theorem harness takes only the flags it reads."""
+    parser = _Parser(
         prog="transit",
         description="Transitions between game solutions and their efficiency.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def add(subparsers, name, func, help):
+        p = subparsers.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(func=func)
+        return p
 
     def add_solution_flags(p):
-        p.add_argument("--ne", action="store_true", help="use the pure equilibria")
-        p.add_argument("--eps", help="epsilon for approximate equilibria")
-        p.add_argument("--solutions", help="solution-set JSON file")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--ne", action="store_true", help="use the pure equilibria")
+        group.add_argument("--eps", help="epsilon for approximate equilibria")
+        group.add_argument("--solutions", help="solution-set JSON file")
 
-    p = sub.add_parser("prices", help="all efficiency measures of a solution set")
+    p = add(sub, "prices", cmd_prices, "all efficiency measures of a solution set")
     p.add_argument("game")
     add_solution_flags(p)
     p.add_argument("--stable", choices=("strict", "weak"), default="strict")
-    add_format(p)
-    p.set_defaults(func=cmd_prices)
 
-    p = sub.add_parser("bounds", help="condition-based bounds with tightest constants")
+    p = add(sub, "bounds", cmd_bounds, "condition-based bounds with tightest constants")
     p.add_argument("game")
     add_solution_flags(p)
-    add_format(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("degree", help="transition degree or saturation degree")
+    p = add(sub, "degree", cmd_degree, "transition degree or saturation degree")
     p.add_argument("game")
     p.add_argument("solutions")
-    p.add_argument("--profile", help="profile rank or comma-separated indices")
-    p.add_argument("--saturate", action="store_true")
-    p.add_argument("--greedy", action="store_true")
-    add_format(p)
-    p.set_defaults(func=cmd_degree)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--profile", help="profile rank or comma-separated indices")
+    mode.add_argument("--saturate", action="store_true")
+    p.add_argument("--greedy", action="store_true", help="greedy cover (with --profile)")
 
     p = sub.add_parser("routing", help="routing analyses")
     action = p.add_subparsers(dest="action", required=True)
-    pa = action.add_parser("analyze", help="equilibrium, transitions, stretch")
+    pa = add(action, "analyze", cmd_routing, "equilibrium, transitions, stretch")
     pa.add_argument("network")
     pa.add_argument("--tol", type=float, default=1e-8)
     pa.add_argument("--m", type=int, default=None)
-    add_format(pa)
-    pa.set_defaults(func=cmd_routing)
 
     p = sub.add_parser("graph", help="coordination-game analyses")
-    p.add_argument("action", choices=("check", "construct", "bounds"))
-    p.add_argument("graph")
-    p.add_argument("--coloring")
-    p.add_argument("--topology", choices=("cycle", "clique", "forest"))
-    p.add_argument("--stable", choices=("strict", "weak"), default="strict")
-    add_format(p)
-    p.set_defaults(func=cmd_graph)
+    action = p.add_subparsers(dest="action", required=True)
+    pa = add(action, "check", cmd_graph, "is a colouring a stable transition")
+    pa.add_argument("graph")
+    pa.add_argument("--coloring", required=True)
+    pa.add_argument("--stable", choices=("strict", "weak"), default="strict")
+    pa = add(action, "construct", cmd_graph, "a stable non-equilibrium colouring")
+    pa.add_argument("graph")
+    pa.add_argument("--topology", choices=("cycle", "clique", "forest"), required=True)
+    pa = add(action, "bounds", cmd_graph, "poa and posta against their floors")
+    pa.add_argument("graph")
 
     p = sub.add_parser("theorem", help="theorem verification harnesses")
-    p.add_argument("number", choices=("1", "2", "3", "4", "5"))
-    p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--deltas", default="0.1,0.01")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--graph")
-    p.add_argument("--random", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=9)
-    p.add_argument("--forests", type=int, default=50)
-    add_format(p)
-    p.set_defaults(func=cmd_theorem)
+    harness = p.add_subparsers(dest="number", required=True)
+    pt = add(harness, "1", _theorem1, "polymatrix welfare floor m-posta >= poa / m")
+    pt.add_argument("--instances", type=int, default=200)
+    pt.add_argument("--seed", type=int, default=0)
+    pt = add(harness, "2", _theorem2, "parallel-link merges against m * poa")
+    pt.add_argument("--n", type=int, default=4)
+    pt = add(harness, "3", _theorem3, "routing stretch bound on the Figure 2 family")
+    pt.add_argument("--n", type=int, default=4)
+    pt.add_argument("--m", type=int, default=2)
+    pt.add_argument("--deltas", default="0.1,0.01")
+    pt.add_argument("--tol", type=float, default=1e-8)
+    pt = add(harness, "4", _theorem4, "coordination-game poa and posta floors")
+    pt.add_argument("--graph")
+    pt.add_argument("--random", type=int, default=0)
+    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--max-nodes", type=int, default=9)
+    pt = add(harness, "5", _theorem5, "stable non-equilibrium constructions")
+    pt.add_argument("--forests", type=int, default=50)
+    pt.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("oracle", help="recompute a fixture's expectations")
+    p = add(sub, "oracle", cmd_oracle, "recompute a fixture's expectations")
     p.add_argument("fixture")
     p.add_argument("--update", action="store_true")
-    add_format(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("fixtures", help="list the shipped corpus")
-    add_format(p)
-    p.set_defaults(func=cmd_fixtures)
+    add(sub, "fixtures", cmd_fixtures, "list the shipped corpus")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.func(args)
     except TransitError as exc:
         print(f"error: {exc}", file=sys.stderr)

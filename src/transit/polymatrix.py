@@ -7,8 +7,9 @@ opponents plus welfare-monotone utilities) and a regularity condition
 quantified over all transitions of the designated symmetric solution set.
 The matrices are turned into integers once, over their common denominator;
 the dense game is summed from them, and every check reads the game's
-integer grid or those integer matrices.  The hypothesis class is thin; the generator draws candidates by rejection
-sampling and reports exactly which checks passed.
+integer grid or those integer matrices.  The hypothesis class is thin; the
+generator draws candidates by rejection sampling and reports exactly which
+checks passed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .efficiency import price_report
+from .efficiency import _optimum, price_report
 from .errors import ParseError, PreconditionFailed, UndefinedPrice
 from .games import Game, Profile, SolutionSet, checked_shape
 from .transitions import degree_map, transition_set
@@ -276,13 +277,15 @@ def verify_theorem1(pg: PolymatrixGame, D: SolutionSet, ms: Sequence[int]) -> li
     return rows
 
 
+# candidates of `generate_theorem1_instances`: player and strategy counts,
+# and the range of every matrix entry, each drawn uniformly and inclusively
+PLAYERS = (2, 4)
+STRATEGIES = (2, 3)
+VALUES = (0, 3)
+
+
 def generate_theorem1_instances(
-    rng: random.Random,
-    count: int,
-    n_range: tuple[int, int] = (2, 4),
-    k_range: tuple[int, int] = (2, 3),
-    value_range: tuple[int, int] = (0, 3),
-    max_attempts: int = 200_000,
+    rng: random.Random, count: int, max_attempts: int = 200_000
 ) -> Iterator[tuple[PolymatrixGame, SolutionSet]]:
     """Rejection-sample games passing every Theorem-1 hypothesis.
 
@@ -291,18 +294,21 @@ def generate_theorem1_instances(
     against every opponent); every hypothesis is still tested, in
     `hypotheses` order.  The regularity condition is so demanding on
     nonnegative games that surviving instances mostly carry singleton
-    solution sets, which the caller can see via the returned D.  Ranges
-    are configurable to probe the boundary rather than bias the sample.
-    Fewer than count instances come out when max_attempts candidates run
-    out first.
+    solution sets, which the caller can see via the returned D.  Fewer
+    than count instances come out when max_attempts candidates run out
+    first.
+
+    Instances with a nonpositive optimum are dropped.  Every pure
+    equilibrium is a strict stable transition, so on a nonempty D no other
+    price can be undefined.
     """
     produced = 0
     attempts = 0
-    lo, hi = value_range
+    lo, hi = VALUES
     while produced < count and attempts < max_attempts:
         attempts += 1
-        n = rng.randint(*n_range)
-        k = rng.randint(*k_range)
+        n = rng.randint(*PLAYERS)
+        k = rng.randint(*STRATEGIES)
         per_player = []
         for _ in range(n):
             if rng.random() < 0.5:
@@ -329,7 +335,7 @@ def generate_theorem1_instances(
         if not all(holds for _, (holds, _) in hypotheses(pg, D)):
             continue
         try:
-            price_report(game, D)
+            _optimum(game)
         except UndefinedPrice:
             continue
         produced += 1

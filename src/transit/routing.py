@@ -408,10 +408,10 @@ class Flow:
 LINE_SEARCH_EPS = 2.0**-71
 
 
-def _line_search(derivative, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Root of a nondecreasing derivative on [lo, hi] by the ITP method.
+def _line_search(derivative) -> float:
+    """Root of a nondecreasing derivative on [0, 1] by the ITP method.
 
-    Returns lo when derivative(lo) >= 0 and hi when derivative(hi) <= 0.
+    Returns 0 when derivative(0) >= 0 and 1 when derivative(1) <= 0.
     Otherwise it keeps a bracket with derivative <= 0 at its left end and
     > 0 at its right end, and stops once the ends are adjacent floats or at
     most 2 * LINE_SEARCH_EPS apart.  Each step interpolates the root by
@@ -419,19 +419,20 @@ def _line_search(derivative, lo: float = 0.0, hi: float = 1.0) -> float:
     kappa1 * width**2, and projects it to within r of the midpoint, where r
     is the slack that still meets the bisection's worst case plus n0 steps
     (Oliveira and Takahashi, "An enhancement of the bisection method average
-    performance preserving minmax optimality", ACM TOMS; kappa1 =
-    0.2 / (hi - lo), kappa2 = 2, n0 = 1).  So it never takes more than one
-    step beyond bisection's count for the same width (71 on [0, 1]), and
-    far fewer where the derivative is smooth.
+    performance preserving minmax optimality", ACM TOMS; kappa1 = 0.2 on
+    the unit bracket, kappa2 = 2, n0 = 1).  So it never takes more than one
+    step beyond bisection's count (71 on [0, 1]), and far fewer where the
+    derivative is smooth.
     """
+    lo, hi = 0.0, 1.0
     y_lo = derivative(lo)
     if y_lo >= 0:
         return lo
     y_hi = derivative(hi)
     if y_hi <= 0:
         return hi
-    kappa1 = 0.2 / (hi - lo)
-    n_max = math.ceil(math.log2((hi - lo) / (2 * LINE_SEARCH_EPS))) + 1
+    kappa1 = 0.2
+    n_max = math.ceil(math.log2(1 / (2 * LINE_SEARCH_EPS))) + 1
     for j in range(n_max):
         width = hi - lo
         mid = 0.5 * (lo + hi)
@@ -550,14 +551,15 @@ def min_cost_flow(
 # -- transitions of equilibrium flows ----------------------------------------
 
 
-def supported_paths(
-    inst: RoutingInstance, eq: Flow, rel_tol: float = 1e-6
-) -> dict:
+SUPPORT_REL_TOL = 1e-6
+
+
+def supported_paths(inst: RoutingInstance, eq: Flow) -> dict:
     """Per-commodity paths that can carry positive equilibrium flow.
 
     Criterion: the path's cost at the equilibrium edge flows equals the
-    commodity's minimum path cost (within a relative tolerance scaled to
-    the cost magnitude).  Exact when each commodity's paths are pairwise
+    commodity's minimum path cost (within SUPPORT_REL_TOL, scaled to the
+    cost magnitude).  Exact when each commodity's paths are pairwise
     edge-disjoint; in general the criterion is necessary but possibly not
     sufficient, which the `exact` flag reports.
     """
@@ -567,7 +569,7 @@ def supported_paths(
     for c, sl in zip(inst.commodities, slices):
         vals = costs[sl]
         floor = float(np.min(vals))
-        cut = floor + rel_tol * max(1.0, abs(floor))
+        cut = floor + SUPPORT_REL_TOL * max(1.0, abs(floor))
         per_commodity.append([p for p in range(len(c.paths)) if costs[sl.start + p] <= cut])
     return {
         "paths": per_commodity,
@@ -580,7 +582,6 @@ def is_transition_flow(
     flow: Flow,
     m: int | None = None,
     eq: Flow | None = None,
-    rel_tol: float = 1e-6,
 ) -> bool:
     """True iff every positive-flow path is supported by some equilibrium.
 
@@ -595,7 +596,7 @@ def is_transition_flow(
         return False
     if eq is None:
         eq = equilibrium_flow(inst)
-    sup = supported_paths(inst, eq, rel_tol)["paths"]
+    sup = supported_paths(inst, eq)["paths"]
     slices = inst.commodity_slices()
     for ci, sl in enumerate(slices):
         for p in range(sl.stop - sl.start):

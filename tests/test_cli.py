@@ -379,6 +379,85 @@ def test_conflicting_solution_flags_rejected(capsys):
     assert code == 2
 
 
+# a value each flag accepts, and the flags each theorem harness and graph
+# action reads; every other flag is refused there
+THEOREM_FLAGS = {"--instances": "5", "--seed": "1", "--n": "3", "--m": "2",
+                 "--deltas": "0.1", "--tol": "1e-6", "--graph": "cycle-6",
+                 "--random": "1", "--max-nodes": "5", "--forests": "2"}
+THEOREM_READS = {"1": {"--instances", "--seed"}, "2": {"--n"},
+                 "3": {"--n", "--m", "--deltas", "--tol"},
+                 "4": {"--graph", "--random", "--seed", "--max-nodes"},
+                 "5": {"--forests", "--seed"}}
+GRAPH_FLAGS = {"--coloring": "1,2,1,2,1,2", "--topology": "cycle", "--stable": "weak"}
+GRAPH_CALLS = {"check": ("--coloring", "1,2,1,2,1,2"),
+               "construct": ("--topology", "cycle"), "bounds": ()}
+GRAPH_READS = {"check": {"--coloring", "--stable"}, "construct": {"--topology"},
+               "bounds": set()}
+UNREAD_FLAGS = (
+    [("theorem", k, flag, THEOREM_FLAGS[flag])
+     for k in sorted(THEOREM_READS) for flag in THEOREM_FLAGS
+     if flag not in THEOREM_READS[k]]
+    + [("graph", action, "cycle-6", *GRAPH_CALLS[action], flag, GRAPH_FLAGS[flag])
+       for action in sorted(GRAPH_READS) for flag in GRAPH_FLAGS
+       if flag not in GRAPH_READS[action]]
+    + [("degree", "matrix2", "SOL", "--saturate", "--greedy"),
+       ("degree", "matrix2", "SOL", "--greedy", "--saturate"),
+       ("degree", "matrix2", "SOL", "--greedy"),
+       ("bounds", "matrix6", "--ne", "--stable", "weak")]
+)
+
+
+def _refused(capsys, tmp_path, argv):
+    """main's exit code, stdout and stderr on argv; SOL is a solution file."""
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"game": str(fixture_path("matrix2")),
+                               "members": [[0, 0], [1, 1]]}))
+    return run_cli(capsys, *(str(sol) if a == "SOL" else a for a in argv))
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+def test_a_flag_the_command_does_not_read_is_refused(capsys, tmp_path, argv):
+    code, out, err = _refused(capsys, tmp_path, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_each_harness_and_graph_action_accepts_the_flags_it_reads():
+    # with the refusals above: 13 of 50 theorem flag slots, 3 of 9 graph slots
+    parser = cli.build_parser()
+    accepted = [("theorem", k, flag, THEOREM_FLAGS[flag])
+                for k in sorted(THEOREM_READS) for flag in sorted(THEOREM_READS[k])]
+    accepted += [("graph", action, "cycle-6", *GRAPH_CALLS[action], flag, GRAPH_FLAGS[flag])
+                 for action in sorted(GRAPH_READS) for flag in sorted(GRAPH_READS[action])]
+    assert len(accepted) == 13 + 3
+    for argv in accepted:
+        args = parser.parse_args(argv)
+        assert getattr(args, argv[-2].lstrip("-").replace("-", "_")) is not None, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("prices",),
+    ("degree", "matrix2"),
+    ("degree", "matrix2", "SOL"),
+    ("graph", "check", "cycle-6", "--coloring", "1,2,1,2,1,2", "--stable", "bogus"),
+    ("prices", "matrix2", "--ne", "--eps", "1"),
+    ("bounds", "matrix2", "--solutions", "SOL", "--ne"),
+    ("graph", "check", "cycle-6"),
+    ("graph", "construct", "cycle-6"),
+    ("graph", "colour", "cycle-6"),
+    ("theorem", "6"),
+    ("theorem",),
+    ("theorem", "4", "--max", "3"),
+    ("theorem", "3", "--n", "x"),
+    ("routing", "analyze", "fig1-3", "--to", "1e-6"),
+    (),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_argparse_usage_errors_leave_as_one_line(capsys, tmp_path, argv):
+    code, out, err = _refused(capsys, tmp_path, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: transit") and err.count("\n") == 1
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "transit.cli", "prices", "matrix2", "--ne"],

@@ -98,10 +98,12 @@ def test_theorem1_holds_on_generated_instances():
 
 def test_theorem1_gates_and_prices_each_instance_once(monkeypatch, capsys):
     # theorem 1 --instances 20: the generator draws 26 candidates that pass
-    # every other hypothesis and prices the 20 it keeps; verification then
-    # gates each instance once and prices it once for all m.  Before, it
-    # ran the checks and built a price report once per m: 86 regularity
-    # checks (26 + 3 * 20) and 80 price reports (20 + 3 * 20).
+    # every other hypothesis and keeps the 20 whose optimum is positive,
+    # without pricing them; verification then gates each instance once and
+    # prices it once for all m.  Before, the generator also built a price
+    # report of every instance it kept (40 in all), and before that the
+    # checks and the report ran once per m: 86 regularity checks
+    # (26 + 3 * 20) and 80 price reports (20 + 3 * 20).
     calls = {"price_report": 0, "_regularity": 0}
     for name in calls:
         inner = getattr(polymatrix, name)
@@ -113,7 +115,7 @@ def test_theorem1_gates_and_prices_each_instance_once(monkeypatch, capsys):
         monkeypatch.setattr(polymatrix, name, counted)
     assert cli.main(["theorem", "1", "--instances", "20"]) == 0
     capsys.readouterr()
-    assert calls == {"price_report": 20 + 20, "_regularity": 26 + 20}
+    assert calls == {"price_report": 20, "_regularity": 26 + 20}
 
 
 def test_singleton_solution_set_floor_is_trivial():
