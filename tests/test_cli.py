@@ -202,6 +202,14 @@ def test_theorem1_report_is_pinned(capsys, argv, name):
     assert out == (Path(__file__).parent / "theorem_reports" / name).read_text()
 
 
+def test_theorem3_report_is_pinned(capsys):
+    # stdout captured while the stretch bound still solved the transition
+    # costs itself; two Figure 2 networks, each priced once
+    code, out, err = run_cli(capsys, "theorem", "3")
+    assert code == 0 and err == ""
+    assert out == (Path(__file__).parent / "theorem_reports" / "theorem3.json").read_text()
+
+
 def test_theorem1_reports_a_generator_shortfall(capsys, monkeypatch):
     # at 1,000 attempts the generator accepts 61 of the 200 instances asked
     # for; the report counts what it verified and records the shortfall
