@@ -82,7 +82,7 @@ def _numbers(text: str, kind, option: str) -> list:
 
 
 def _solution_set(game: Game, args) -> SolutionSet:
-    if args.solutions:
+    if args.solutions is not None:
         return tio.load_solution_set(args.solutions, game)
     if args.eps is not None:
         return enumerate_pure_ne(game, as_exact(args.eps)).require_nonempty()
@@ -325,7 +325,7 @@ def _theorem3(args) -> Report:
     rows = []
     for delta in deltas:
         inst = fig2_family(args.n, args.m, delta)
-        sb = stretch_bound(inst, tol=args.tol)
+        sb = stretch_bound(inst, transition_costs(inst, tol=args.tol))
         rows.append(
             {
                 "delta": delta,
@@ -351,7 +351,7 @@ def _theorem4(args) -> Report:
     report = Report("theorem-4", {"graph": args.graph and _echo(args.graph),
                                   "random": args.random, "seed": args.seed})
     instances = []
-    if args.graph:
+    if args.graph is not None:
         inst, _ = _load_arg(args.graph, "graph", "graph", tio.load_graph)
         instances.append(("input", inst))
     if args.random:

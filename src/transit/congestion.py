@@ -285,10 +285,6 @@ def verify_parallel_link_family(n: int) -> list[dict]:
     return rows
 
 
-def has_monotone_costs(cg: CongestionGame) -> bool:
-    return _nondecreasing(cg.costs)
-
-
 def random_subadditive_costs(rng: random.Random, n: int, hi=10) -> tuple[Fraction, ...]:
     """Sample a nondecreasing subadditive table for loads 1..n.
 

@@ -119,10 +119,6 @@ def utilities(inst: GraphColoringInstance, col: Sequence[int]) -> list[int]:
     return [sum(1 for j in adj[i] if col[j] == col[i]) for i in range(inst.n_nodes)]
 
 
-def social_welfare(inst: GraphColoringInstance, col: Sequence[int]) -> int:
-    return sum(utilities(inst, col))
-
-
 def coordination_to_game(inst: GraphColoringInstance) -> Game:
     """Dense strategic-form view; refuse beyond the profile cap."""
     limit = profile_cap()
@@ -498,10 +494,6 @@ def star_graph(n: int) -> GraphColoringInstance:
     if n < 2:
         raise ParseError("stars need at least two nodes")
     return GraphColoringInstance(n, tuple((0, i) for i in range(1, n)))
-
-
-def path_graph(n: int) -> GraphColoringInstance:
-    return GraphColoringInstance(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def random_tree_edges(rng: random.Random, nodes: Sequence[int]) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import Infeasible, UndefinedPrice, WrongArity, WrongConvention
 from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne
-from .transitions import degree_map, transition_set
+from .transitions import box_profiles, degree_map, transition_set
 
 ONE = Fraction(1)
 
@@ -138,9 +138,10 @@ def price_report(
         D = SolutionSet(game, D.members, D.label)
 
     best, top, opt = _optimum(game)
-    box = transition_set(D).box
+    ts = transition_set(D)
     stable = game.stable_grid(stable_variant)
-    if not stable[box].any():
+    stable_box = stable[ts.box]
+    if not stable_box.any():
         raise UndefinedPrice(
             f"solution set {D.label!r} has no {stable_variant} stable transition; "
             "posta and posts are undefined"
@@ -148,22 +149,28 @@ def price_report(
 
     wit: dict = {"optimum": best}
 
-    def prices(keys, profiles):
-        """Anarchy then stability ratio over the rows of profiles, with the
-        first extreme of each as its witness."""
-        values = game.welfare[tuple(profiles.T)]
-        picks = int(np.argmin(values)), int(np.argmax(values))
-        wit.update((key, tuple(profiles[k].tolist())) for key, k in zip(keys, picks))
+    def prices(keys, values, profiles):
+        """Anarchy then stability ratio over values, with the first extreme
+        of each as its witness; profiles(picks) names the picked entries."""
+        picks = [int(np.argmin(values)), int(np.argmax(values))]
+        wit.update(zip(keys, profiles(picks)))
         return [Fraction(int(values[k]), top) for k in picks]
 
+    # W over the box as one flat vector in lexicographic order; each mask
+    # selects flat indices, and only the picked ones become profiles
+    flat = game.welfare[ts.box].ravel()
+
+    def over_box(keys, at):
+        return prices(keys, flat[at], lambda picks: box_profiles(ts, at[picks]))
+
     members = np.array(D.members)
-    trans = np.stack(np.broadcast_arrays(*box), axis=-1).reshape(-1, game.n)
-    poa, pos = prices(("poa", "pos"), members)
-    pota, pots = prices(("pota", "pots"), trans)
-    posta, posts = prices(("posta", "posts"), trans[stable[box].ravel()])
+    poa, pos = prices(("poa", "pos"), game.welfare[tuple(members.T)],
+                      lambda picks: [tuple(members[k].tolist()) for k in picks])
+    pota, pots = prices(("pota", "pots"), flat, lambda picks: box_profiles(ts, picks))
+    posta, posts = over_box(("posta", "posts"), np.flatnonzero(stable_box))
     degree = degree_map(D)
     m_pota, m_pots = zip(*(
-        prices((f"m_pota[{m}]", f"m_pots[{m}]"), trans[degree.ravel() <= m])
+        over_box((f"m_pota[{m}]", f"m_pots[{m}]"), np.flatnonzero(degree <= m))
         for m in range(1, game.n + 1)
     ))
 

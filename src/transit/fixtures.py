@@ -132,11 +132,6 @@ def matching_strategy_game(alphas=(2, 3)) -> Game:
     return Game.from_function((n,) * n, pay)
 
 
-def constant_game(n=2, k=2, value=1) -> Game:
-    v = as_exact(value)
-    return Game.from_function((k,) * n, lambda s: (v,) * n)
-
-
 def forest10_graph() -> GraphColoringInstance:
     return random_forest(random.Random(10), 10)
 
@@ -412,7 +407,8 @@ def resolve_fixture(name: str) -> Fixture:
 def resolve_input(path_or_name: str) -> tuple[str, Path]:
     """Accept either a real path or a fixture name; return (kind hint, path)."""
     p = Path(path_or_name)
-    if p.exists():
+    # Path("") is the working directory, which names no input
+    if path_or_name and p.exists():
         return "", p
     if path_or_name in REGISTRY:
         fp = fixture_path(path_or_name)

@@ -456,13 +456,3 @@ def identical_utilities(game: Game) -> bool:
     """True when all players receive the same payoff at every profile."""
     payoff = game.ints[1]
     return bool((payoff == payoff[0]).all())
-
-
-def has_independent_best_responses(game: Game) -> bool:
-    """Whether each player's best-response set ignores the others: player
-    i's best-response grid (`Game.regret` at 0) is constant off axis i."""
-    for i, br in enumerate(game.regret[1] == 0):
-        rest = tuple(j for j in range(game.n) if j != i)
-        if (br.any(axis=rest) != br.all(axis=rest)).any():
-            return False
-    return True

@@ -357,15 +357,6 @@ class RoutingInstance:
                     seen.add(e)
         return True
 
-    def commodities_never_share_edges(self) -> bool:
-        owner: dict[int, int] = {}
-        for i, c in enumerate(self.commodities):
-            for path in c.paths:
-                for e in path:
-                    if owner.setdefault(e, i) != i:
-                        return False
-        return True
-
     def convex_load_costs(self) -> bool:
         return all(c.is_convex_load_cost() for c in self.costs)
 
@@ -379,14 +370,6 @@ class Flow:
     def edge_flows(self) -> np.ndarray:
         return self.inst.path_edge_matrix().T @ self.path_flows
 
-    def feasible(self, tol: float = FEASIBILITY_TOL) -> bool:
-        if np.any(self.path_flows < -tol):
-            return False
-        for c, sl in zip(self.inst.commodities, self.inst.commodity_slices()):
-            if abs(float(np.sum(self.path_flows[sl])) - c.rate) > tol:
-                return False
-        return True
-
     def path_costs(self) -> np.ndarray:
         return self.inst.path_edge_matrix() @ self.inst.edge_costs().cost(self.edge_flows())
 
@@ -394,10 +377,6 @@ class Flow:
         """Edge form of the total cost, sum_e c_e(f_e) * f_e."""
         fe = self.edge_flows()
         return float((self.inst.edge_costs().cost(fe) * fe).sum())
-
-    def cost_path_form(self) -> float:
-        """Path form, sum_P c_P(f) * f_P; agrees with cost() analytically."""
-        return float(np.dot(self.path_costs(), self.path_flows))
 
 
 # -- conditional gradient -----------------------------------------------------
@@ -577,34 +556,6 @@ def supported_paths(inst: RoutingInstance, eq: Flow) -> dict:
     }
 
 
-def is_transition_flow(
-    inst: RoutingInstance,
-    flow: Flow,
-    m: int | None = None,
-    eq: Flow | None = None,
-) -> bool:
-    """True iff every positive-flow path is supported by some equilibrium.
-
-    The m-limited variant coincides with the unrestricted one for every
-    m >= 1: equilibria form a convex set (minimisers of a convex potential),
-    so averaging one witness per supported path yields a single equilibrium
-    flow positive on all of them.
-    """
-    if m is not None and m < 1:
-        raise BadParams("m must be at least 1")
-    if not flow.feasible():
-        return False
-    if eq is None:
-        eq = equilibrium_flow(inst)
-    sup = supported_paths(inst, eq)["paths"]
-    slices = inst.commodity_slices()
-    for ci, sl in enumerate(slices):
-        for p in range(sl.stop - sl.start):
-            if flow.path_flows[sl.start + p] > FEASIBILITY_TOL and p not in sup[ci]:
-                return False
-    return True
-
-
 # supported-path vertices priced per array pass.  The pass holds a few
 # (VERTEX_BLOCK, E) float arrays whatever the vertex count: at 128 it peaks
 # at about 0.1 MB on fig2_family(11, 3) and 0.2 MB on fig2_family(16, 4)
@@ -698,7 +649,6 @@ def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
         "worst_flow": Flow(inst, worst_flow),
         "worst_exact": convex,
         "best_cost": best,
-        "best_flow": best_flow,
         "optimum_cost": opt,
         "poa": ratio(eq_cost),
         "pota": ratio(worst),
@@ -709,19 +659,16 @@ def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
 # -- stretch bound -------------------------------------------------------------
 
 
-def stretch_bound(
-    inst: RoutingInstance, tol: float = DEFAULT_TOL, prices: dict | None = None
-) -> dict:
+def stretch_bound(inst: RoutingInstance, prices: dict) -> dict:
     """Per-commodity stretch values and the anarchy-ratio cap they imply.
 
     For commodity i with demand r_i, the stretch compares the longest path
     priced at the supremum cost under the full network load against the
     shortest path priced at the infimum cost under r_i / |paths_i|, over the
     multiset of the instance's edge cost functions.  The measured
-    pota / poa never exceeds the largest stretch; when the infimum term is
-    zero the bound is infinite and the assertion is vacuous.  `prices` is
-    the `transition_costs` result of `inst` when the caller already has it;
-    otherwise it is computed here with `tol`.
+    pota / poa, read from `prices` (the `transition_costs` result of
+    `inst`), never exceeds the largest stretch; when an infimum term is zero
+    the bound is infinite, `degenerate` is set and the assertion is vacuous.
     """
     total = inst.total_demand()
     sup_term = max(cost(total) for cost in inst.costs)
@@ -736,42 +683,11 @@ def stretch_bound(
         else:
             out_s.append(max(lens) * sup_term / (min(lens) * inf_term))
 
-    linear = all(
-        isinstance(cost, PolyCost)
-        and len(cost.coeffs) == 2
-        and cost.coeffs[0] == 0
-        for cost in inst.costs
-    )
-    linear_values = None
-    disjoint_values = None
-    if linear:
-        a = [cost.coeffs[1] for cost in inst.costs]
-        a_max, a_min = max(a), min(a)
-        linear_values = []
-        disjoint_values = []
-        for c in inst.commodities:
-            lens = [len(p) for p in c.paths]
-            rest = total - c.rate
-            linear_values.append(
-                max(lens) * a_max * (c.rate + rest) / (min(lens) * a_min * c.rate)
-                * len(c.paths)
-            )
-            disjoint_values.append(
-                max(lens) * a_max / (min(lens) * a_min) * len(c.paths)
-            )
-
-    if prices is None:
-        prices = transition_costs(inst, tol)
     cap = max(out_s)
     ratio = prices["pota"] / prices["poa"]
     return {
         "stretch": out_s,
         "cap": cap,
-        "linear_stretch": linear_values,
-        "disjoint_linear_stretch": disjoint_values if
-        (linear and inst.commodities_never_share_edges()) else None,
-        "pota": prices["pota"],
-        "poa": prices["poa"],
         "ratio": ratio,
         "degenerate": degenerate,
         "holds": True if degenerate else ratio <= cap * (1 + 1e-9),

@@ -137,13 +137,12 @@ def degree_map(D: SolutionSet) -> np.ndarray:
     return transition_set(D).degree
 
 
-def _box_profiles(ts: TransitionSet, mask: np.ndarray) -> list[Profile]:
-    """The profiles at the true entries of a mask over the transition box,
-    in lexicographic order."""
-    return [
-        tuple(p[k] for p, k in zip(ts.projections, idx))
-        for idx in zip(*(a.tolist() for a in np.nonzero(mask)))
-    ]
+def box_profiles(ts: TransitionSet, flat: np.ndarray) -> list[Profile]:
+    """The profiles at flat (C-order) indices of the transition box, in the
+    order of `flat`: each index is unravelled on the box's axes and read
+    through the projections."""
+    axes = np.unravel_index(flat, [len(p) for p in ts.projections])
+    return list(zip(*(np.asarray(p)[a].tolist() for p, a in zip(ts.projections, axes))))
 
 
 def m_transition_set(D: SolutionSet, m: int) -> list[Profile]:
@@ -153,7 +152,7 @@ def m_transition_set(D: SolutionSet, m: int) -> list[Profile]:
     D.require_nonempty()
     if m == 1:
         return sorted(D.members)
-    return _box_profiles(transition_set(D), degree_map(D) <= m)
+    return box_profiles(transition_set(D), np.flatnonzero(degree_map(D) <= m))
 
 
 def is_stable_transition(D: SolutionSet, s: Sequence[int], variant: str = "strict") -> bool:
@@ -176,7 +175,7 @@ def is_stable_transition(D: SolutionSet, s: Sequence[int], variant: str = "stric
 def stable_transition_set(D: SolutionSet, variant: str = "strict") -> list[Profile]:
     """All stable transitions, in lexicographic order."""
     ts = transition_set(D)
-    return _box_profiles(ts, D.game.stable_grid(variant)[ts.box])
+    return box_profiles(ts, np.flatnonzero(D.game.stable_grid(variant)[ts.box]))
 
 
 @dataclass(frozen=True)
@@ -207,12 +206,3 @@ def saturation_degree(D: SolutionSet) -> SaturationResult:
     basis = degrees.greedy_basis(D.members)
     m = int(degree_map(D).max())
     return SaturationResult(m=m, basis=tuple(basis), basis_is_minimal=m == len(basis))
-
-
-def is_product_set(profiles: Sequence[Profile]) -> bool:
-    """True iff the profile set equals the product of its own projections."""
-    if not profiles:
-        raise EmptySolutionSet("empty profile list")
-    n = len(profiles[0])
-    projs = degrees.projections(profiles, n)
-    return degrees.product_size(projs) == len(set(profiles))

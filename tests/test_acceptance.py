@@ -208,7 +208,7 @@ def test_acceptance_08_stretch_bound_and_trend():
     ok = True
     for delta in (0.1, 0.01):
         inst = fig2_family(4, 2, delta)
-        sb = stretch_bound(inst, tol=1e-10)
+        sb = stretch_bound(inst, transition_costs(inst, tol=1e-10))
         ok &= sb["holds"]
         gaps.append(sb["cap"] - sb["ratio"])
     ok &= gaps[1] < gaps[0]

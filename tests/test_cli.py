@@ -264,6 +264,17 @@ def test_malformed_numeric_arguments_are_parse_errors(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("prices", "matrix2", "--solutions", ""),
+    ("theorem", "4", "--graph", ""),
+])
+def test_an_empty_flag_value_is_not_an_absent_flag(capsys, argv):
+    # an empty file name names no input; the default analysis must not run
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # Fuzz pass over the four document kinds: every case deletes one required
 # key or swaps one value for a value of a wrong type.  Per kind: the base
 # document, the command that reads it (DOC stands for its path), the keys it

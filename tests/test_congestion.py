@@ -29,6 +29,11 @@ from transit.games import enumerate_pure_ne
 F = Fraction
 
 
+def has_monotone_costs(cg):
+    """Every resource's per-user cost table is nondecreasing in the load."""
+    return all(a <= b for table in cg.costs for a, b in zip(table, table[1:]))
+
+
 def two_links_linear():
     # 2 players, 2 parallel links, c(x) = x
     return parallel_links(2)
@@ -141,8 +146,6 @@ def test_merge_lemma_pinned_counterexample_monotone_subadditive():
         ],
         costs=[[10, 15, 21], [3, 4, 6], [1, 1, 1]],
     )
-    from transit.congestion import has_monotone_costs
-
     assert is_subadditive(cg) and has_monotone_costs(cg)
     out = verify_merge_lemma(cg, [(0, 2, 0), (2, 0, 1)])
     assert not out["holds"]
@@ -181,8 +184,6 @@ def test_merge_lemma_needs_monotone_costs():
     # subadditivity alone does not carry the welfare bound: with the
     # decreasing table (10, 1, 3), two profiles that crowd the resource pay
     # 1 per user, while a merge that leaves a single user there pays 10.
-    from transit.congestion import has_monotone_costs
-
     cg = CongestionGame.build(
         strategies=[[[0], [0, 1], [1]]] * 3,
         costs=[[0, 0, 0], [10, 1, 3]],

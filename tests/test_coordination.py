@@ -20,10 +20,8 @@ from transit.coordination import (
     is_stable_non_equilibrium,
     ne_floor,
     observation5_violations,
-    path_graph,
     random_forest,
     random_graph,
-    social_welfare,
     st_floor,
     stable_transitions,
     star_graph,
@@ -41,6 +39,14 @@ from transit.games import enumerate_pure_ne
 from transit.transitions import is_stable_transition
 
 F = Fraction
+
+
+def path_graph(n):
+    return GraphColoringInstance(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def social_welfare(inst, col):
+    return sum(utilities(inst, col))
 
 
 def test_utilities_basics():

@@ -25,7 +25,6 @@ from transit.efficiency import (
     verify_identical_utility,
 )
 from transit.fixtures import (
-    constant_game,
     example2_game,
     matching_strategy_game,
     matrix2_game,
@@ -365,6 +364,11 @@ def test_lambda_grid_contains_one_and_two():
     assert len(grid) == 64
     assert F(1) in grid and F(2) in grid
     assert all(0 < x <= 2 for x in grid)
+
+
+def constant_game(n=2, k=2, value=1):
+    """n players with k strategies each, all paid `value` everywhere."""
+    return Game.from_function((k,) * n, lambda s: (F(value),) * n)
 
 
 def test_constant_game_smoothness_certifies_one():
@@ -870,7 +874,7 @@ def test_verify_identical_utility_rejects_other_games():
 def test_independent_best_responses_imply_equal_prices():
     # separable utilities make every transition of equilibria an equilibrium
     rng = random.Random(33)
-    from transit.games import has_independent_best_responses
+    from test_properties import has_independent_best_responses
 
     for _ in range(15):
         n = rng.randint(2, 3)

@@ -23,7 +23,6 @@ from transit.games import (
     SolutionSet,
     best_responses,
     enumerate_pure_ne,
-    has_independent_best_responses,
 )
 from transit.polymatrix import m_posta
 from transit.transitions import (
@@ -35,6 +34,16 @@ from transit.transitions import (
 )
 
 F = Fraction
+
+
+def has_independent_best_responses(game):
+    """Whether each player's best-response set ignores the others: player
+    i's best-response grid (`Game.regret` at 0) is constant off axis i."""
+    for i, br in enumerate(game.regret[1] == 0):
+        rest = tuple(j for j in range(game.n) if j != i)
+        if (br.any(axis=rest) != br.all(axis=rest)).any():
+            return False
+    return True
 
 
 def game_strategy(draw, max_players=3, max_strats=3, lo=0, hi=8, convention=None):

@@ -13,7 +13,6 @@ import pytest
 from transit import routing
 from transit.cli import main
 from transit.errors import BadParams, NoConvergence, ParseError, TooLarge
-from transit.fixtures import REGISTRY
 from transit.io import routing_to_dict
 from transit.routing import (
     Commodity,
@@ -25,7 +24,6 @@ from transit.routing import (
     equilibrium_flow,
     fig1_family,
     fig2_family,
-    is_transition_flow,
     min_cost_flow,
     pigou_pair,
     prop4_network,
@@ -140,7 +138,9 @@ def test_fig1_equilibrium_spreads_evenly(n):
 def test_cost_forms_agree():
     for inst in (fig1_family(3), pigou_pair(), prop4_network()):
         eq = equilibrium_flow(inst)
-        assert eq.cost() == pytest.approx(eq.cost_path_form(), rel=1e-12)
+        # path form, sum_P c_P(f) * f_P, against the edge form of cost()
+        path_form = float(np.dot(eq.path_costs(), eq.path_flows))
+        assert eq.cost() == pytest.approx(path_form, rel=1e-12)
 
 
 def test_equilibrium_condition_on_used_paths():
@@ -194,6 +194,34 @@ def test_supported_paths_excludes_expensive_intercept():
     )
     eq = equilibrium_flow(inst)
     assert supported_paths(inst, eq)["paths"] == [[0]]
+
+
+def is_transition_flow(inst, flow, m=None, eq=None):
+    """True iff the flow is feasible and every positive-flow path is
+    supported by some equilibrium.
+
+    The m-limited variant coincides with the unrestricted one for every
+    m >= 1: equilibria form a convex set (minimisers of a convex potential),
+    so averaging one witness per supported path yields a single equilibrium
+    flow positive on all of them.
+    """
+    if m is not None and m < 1:
+        raise BadParams("m must be at least 1")
+    tol = routing.FEASIBILITY_TOL
+    if np.any(flow.path_flows < -tol):
+        return False
+    slices = inst.commodity_slices()
+    if any(abs(float(np.sum(flow.path_flows[sl])) - c.rate) > tol
+           for c, sl in zip(inst.commodities, slices)):
+        return False
+    if eq is None:
+        eq = equilibrium_flow(inst)
+    sup = supported_paths(inst, eq)["paths"]
+    for ci, sl in enumerate(slices):
+        for p in range(sl.stop - sl.start):
+            if flow.path_flows[sl.start + p] > tol and p not in sup[ci]:
+                return False
+    return True
 
 
 def test_transition_flow_membership():
@@ -257,7 +285,8 @@ def test_pigou_pots_reaches_optimum():
 
 
 def test_stretch_fig1_tight():
-    sb = stretch_bound(fig1_family(3))
+    inst = fig1_family(3)
+    sb = stretch_bound(inst, transition_costs(inst))
     assert sb["cap"] == pytest.approx(3.0)
     assert sb["ratio"] == pytest.approx(3.0, rel=1e-6)
     assert sb["holds"]
@@ -266,19 +295,11 @@ def test_stretch_fig1_tight():
 def test_stretch_bound_fig2_and_trend():
     gaps = []
     for delta in (0.1, 0.01):
-        sb = stretch_bound(fig2_family(4, 2, delta))
+        inst = fig2_family(4, 2, delta)
+        sb = stretch_bound(inst, transition_costs(inst))
         assert sb["holds"]
         gaps.append(sb["cap"] - sb["ratio"])
     assert gaps[1] < gaps[0]
-
-
-ROUTING_FIXTURES = [f for f in REGISTRY.values() if f.kind == "routing"]
-
-
-@pytest.mark.parametrize("fixture", ROUTING_FIXTURES, ids=lambda f: f.name)
-def test_stretch_bound_reuses_given_prices(fixture):
-    inst = fixture.build()
-    assert stretch_bound(inst, prices=transition_costs(inst)) == stretch_bound(inst)
 
 
 def _count_solves(monkeypatch):
@@ -382,11 +403,19 @@ def test_path_edge_matrix_is_cached_and_read_only():
 
 
 def test_stretch_linear_specialisation():
+    # with c_e(x) = a_e * x the supremum term is a_max * total and the
+    # infimum term a_min * r_i / |P_i|, so the stretch has a closed form
     inst = fig2_family(4, 2, 0.5)
-    sb = stretch_bound(inst)
-    assert sb["linear_stretch"] is not None
-    # all paths have length one, so the general and linear forms agree
-    assert sb["linear_stretch"] == pytest.approx(sb["stretch"])
+    sb = stretch_bound(inst, transition_costs(inst))
+    a = [cost.coeffs[1] for cost in inst.costs]
+    assert all(cost.coeffs[0] == 0 and len(cost.coeffs) == 2 for cost in inst.costs)
+    total = inst.total_demand()
+    closed = []
+    for c in inst.commodities:
+        lens = [len(p) for p in c.paths]
+        closed.append(max(lens) * max(a) * total * len(c.paths)
+                      / (min(lens) * min(a) * c.rate))
+    assert sb["stretch"] == pytest.approx(closed)
 
 
 def test_stretch_degenerate_zero_intercept_with_constant_cost():
@@ -396,7 +425,7 @@ def test_stretch_degenerate_zero_intercept_with_constant_cost():
         (PolyCost((0.0,)), PolyCost((0.0, 1.0))),
         (Commodity(0, 1, 1.0, ((0,), (1,))),),
     )
-    sb = stretch_bound(inst)
+    sb = stretch_bound(inst, transition_costs(inst))
     assert sb["degenerate"] and sb["holds"]
     assert math.isinf(sb["cap"])
 
@@ -412,7 +441,6 @@ def test_fig2_shares_exactly_the_top_edge():
     first_paths = {p[0] for p in inst.commodities[0].paths}
     second_paths = {p[0] for p in inst.commodities[1].paths}
     assert first_paths & second_paths == {0}
-    assert not inst.commodities_never_share_edges()
 
 
 def test_min_cost_flow_restriction_matches_unrestricted_when_all_supported():

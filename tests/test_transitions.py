@@ -13,7 +13,6 @@ from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit import oracle
 from transit.transitions import (
     degree_map,
-    is_product_set,
     is_stable_transition,
     is_transition,
     m_transition_set,
@@ -24,6 +23,12 @@ from transit.transitions import (
 )
 
 F = Fraction
+
+
+def is_product_set(profiles):
+    """True iff the profile set equals the product of its own projections."""
+    projections = [set(column) for column in zip(*profiles)]
+    return math.prod(map(len, projections)) == len(set(profiles))
 
 
 def ne_of(game):
