@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import random
 import sys
@@ -321,6 +322,8 @@ def _theorem2(args) -> Report:
 
 def _theorem3(args) -> Report:
     deltas = _numbers(args.deltas, float, "--deltas")
+    if not all(0 < delta < math.inf for delta in deltas):
+        raise ParseError(f"--deltas values must be finite and above 0, got {args.deltas!r}")
     report = Report("theorem-3", {"n": args.n, "m": args.m, "deltas": deltas})
     rows = []
     for delta in deltas:
@@ -469,6 +472,19 @@ def _int_at_least(low: int):
     return parse
 
 
+def _relative_gap(text: str) -> float:
+    """An argparse type: the relative gap that ends a flow solve, strictly
+    between 0 and 1 (so never nan), as the gap lies in [0, 1] for
+    nonnegative costs."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return value
+
+
+_relative_gap.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every verb, built once per process and shared
@@ -513,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     action = p.add_subparsers(dest="action", required=True)
     pa = add(action, "analyze", cmd_routing, "equilibrium, transitions, stretch")
     pa.add_argument("network")
-    pa.add_argument("--tol", type=float, default=1e-8)
-    pa.add_argument("--m", type=int, default=None)
+    pa.add_argument("--tol", type=_relative_gap, default=1e-8)
+    pa.add_argument("--m", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("graph", help="coordination-game analyses")
     action = p.add_subparsers(dest="action", required=True)
@@ -534,12 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--instances", type=_int_at_least(0), default=200)
     pt.add_argument("--seed", type=int, default=0)
     pt = add(harness, "2", _theorem2, "parallel-link merges against m * poa")
-    pt.add_argument("--n", type=int, default=4)
+    pt.add_argument("--n", type=_int_at_least(1), default=4)
     pt = add(harness, "3", _theorem3, "routing stretch bound on the Figure 2 family")
-    pt.add_argument("--n", type=int, default=4)
-    pt.add_argument("--m", type=int, default=2)
+    pt.add_argument("--n", type=_int_at_least(2), default=4)
+    pt.add_argument("--m", type=_int_at_least(1), default=2)
     pt.add_argument("--deltas", default="0.1,0.01")
-    pt.add_argument("--tol", type=float, default=1e-8)
+    pt.add_argument("--tol", type=_relative_gap, default=1e-8)
     pt = add(harness, "4", _theorem4, "coordination-game poa and posta floors")
     pt.add_argument("--graph")
     pt.add_argument("--random", type=_int_at_least(0), default=0)

@@ -232,19 +232,19 @@ def check_polymatrix_symmetry_and_regularity(
 
 
 def m_posta(game: Game, D: SolutionSet, m: int) -> Fraction:
-    """Worst welfare ratio over transitions that are both stable and m-limited."""
+    """Worst welfare ratio over transitions that are both stable and
+    m-limited: as in `price_report`, the least signed welfare W over the
+    best W, which under the min convention is the greatest cost over the
+    least."""
+    _, top, _ = _optimum(game)
     box = transition_set(D).box
-    welfare = game.welfare if game.convention == "max" else -game.welfare
-    pool = welfare[box][(degree_map(D) <= m) & game.stable_grid("strict")[box]]
-    opt = welfare.max()
-    if opt <= 0:
-        raise UndefinedPrice("maximum social welfare is nonpositive")
+    pool = game.welfare[box][(degree_map(D) <= m) & game.stable_grid("strict")[box]]
     if pool.size == 0:
         raise UndefinedPrice(
             f"solution set {D.label!r} has no strict stable transition of degree "
             f"<= {m}; m-posta is undefined"
         )
-    return Fraction(int(pool.min()), int(opt))
+    return Fraction(int(pool.min()), top)
 
 
 def verify_theorem1(pg: PolymatrixGame, D: SolutionSet, ms: Sequence[int]) -> list[dict]:

@@ -447,9 +447,27 @@ def test_a_flag_the_command_does_not_read_is_refused(capsys, tmp_path, argv):
     ("theorem", "4", "--random", "-2"),
     ("theorem", "5", "--forests", "-1"),
     ("theorem", "1", "--instances", "-5"),
+    ("theorem", "2", "--n", "0"),
+    ("theorem", "3", "--n", "0"),
+    ("theorem", "3", "--n", "1"),
+    ("theorem", "3", "--m", "0"),
+    ("theorem", "3", "--deltas", "0"),
+    ("theorem", "3", "--deltas", "-0.1"),
+    ("theorem", "3", "--deltas", "0.1,nan"),
+    ("theorem", "3", "--tol", "-1"),
+    ("theorem", "3", "--tol", "1"),
+    ("routing", "analyze", "fig1-3", "--m", "0"),
+    ("routing", "analyze", "fig1-3", "--m", "-1"),
+    ("routing", "analyze", "pigou-pair", "--tol", "-1"),
+    ("routing", "analyze", "pigou-pair", "--tol", "nan"),
+    ("routing", "analyze", "fig2-4x2", "--tol", "5"),
+    ("routing", "analyze", "fig2-4x2", "--tol", "inf"),
 ], ids=" ".join)
 def test_a_count_below_its_floor_is_refused(capsys, tmp_path, argv):
-    # counts are at least 0 and random graphs have at least three nodes
+    # counts are at least 0, random graphs have at least three nodes, games
+    # at least one player, the Figure 2 family two links, one commodity and
+    # finite positive spreads, and a solve's relative-gap tolerance lies
+    # strictly between 0 and 1; each is refused before any work
     code, out, err = _refused(capsys, tmp_path, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -461,6 +479,11 @@ def test_counts_at_their_floor_are_accepted():
     assert (args.random, args.max_nodes) == (0, 3)
     assert parser.parse_args(["theorem", "5", "--forests", "0"]).forests == 0
     assert parser.parse_args(["theorem", "1", "--instances", "0"]).instances == 0
+    assert parser.parse_args(["theorem", "2", "--n", "1"]).n == 1
+    args = parser.parse_args(["theorem", "3", "--n", "2", "--m", "1", "--tol", "1e-12"])
+    assert (args.n, args.m, args.tol) == (2, 1, 1e-12)
+    args = parser.parse_args(["routing", "analyze", "fig1-3", "--m", "1", "--tol", "1e-12"])
+    assert (args.m, args.tol) == (1, 1e-12)
 
 
 def test_each_harness_and_graph_action_accepts_the_flags_it_reads():

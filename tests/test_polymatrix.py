@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from transit import cli, oracle, polymatrix
+from transit.congestion import congestion_to_game, parallel_links
+from transit.efficiency import price_report
 from transit.errors import PreconditionFailed, UndefinedPrice
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.polymatrix import (
@@ -155,12 +157,20 @@ def test_m_posta_between_posta_and_poa():
     rng = random.Random(55)
     pg, D = next(generate_theorem1_instances(rng, 1))
     game = pg.to_game()
-    from transit.efficiency import price_report
-
     r = price_report(game, D)
     for m in range(1, game.n + 1):
         val = m_posta(game, D, m)
         assert r.posta <= val <= r.poa
+
+
+def test_m_posta_on_a_cost_game_is_the_greatest_cost_over_the_least():
+    # three players on three unit-slope links: the optimum spreads them at
+    # cost 3, one merge of two equilibria piles two on one link (cost 5),
+    # and at m = n the price is posta
+    game = congestion_to_game(parallel_links(3), "min")
+    D = enumerate_pure_ne(game)
+    assert [m_posta(game, D, m) for m in (1, 2, 3)] == [F(1), F(5, 3), F(5, 3)]
+    assert m_posta(game, D, 3) == price_report(game, D).posta
 
 
 def test_m_posta_is_undefined_without_a_stable_transition():

@@ -212,10 +212,11 @@ def test_array_passes_match_the_oracle(instance):
         assert rep.witnesses == _first_extremes(game, members, variant)
         # witnesses are plain ints, so reports render them as JSON numbers
         assert all(type(x) is int for w in rep.witnesses.values() for x in w)
-    if game.convention == "min":
-        return
+    # m-posta is the worst m-limited stable transition over the optimum:
+    # least welfare over the best, or greatest cost over the least
+    worst, best = (min, max) if game.convention == "max" else (max, min)
     sw = {s: sum(game.payoffs[s]) for s in game.profiles()}
-    opt = max(sw.values())
+    opt = best(sw.values())
     stable = set(oracle.stable_transitions(game, members))
     for m in range(1, game.n + 1):
         pool = [sw[t] for t in oracle.m_transitions(game, members, m) if t in stable]
@@ -223,7 +224,7 @@ def test_array_passes_match_the_oracle(instance):
             with pytest.raises(UndefinedPrice):
                 m_posta(game, D, m)
         else:
-            assert m_posta(game, D, m) == min(pool) / opt
+            assert m_posta(game, D, m) == worst(pool) / opt
 
 
 def _first_extremes(game, members, variant):
