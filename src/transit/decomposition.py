@@ -12,6 +12,7 @@ an input: we verify certificates, we do not construct them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,16 +21,15 @@ from fractions import Fraction
 import numpy as np
 
 from .congestion import CongestionGame, congestion_to_game, is_superadditive
-from .efficiency import price_report
+from .efficiency import _row, price_report
 from .errors import CertificateInvalid, EmptySolutionSet, PreconditionFailed
 from .games import Game, SolutionSet, enumerate_pure_ne
 from .transitions import degree_map, transition_set
 
-F = Fraction
 
-
-def exact_potential_fourcycle(game: Game, witness: bool = False):
-    """Exact-potential test via unilateral four-cycles.
+def fourcycle_witness(game: Game) -> tuple | None:
+    """The first failing unilateral four-cycle (a, b, c, d), or None when
+    the game has an exact potential.
 
     A game admits an exact potential iff around every cycle
     s -> (x_i') -> (x_i', x_j') -> (x_j') -> s of two players' unilateral
@@ -48,13 +48,10 @@ def exact_potential_fourcycle(game: Game, witness: bool = False):
         cycles = np.diff(np.diff(payoff[j] - payoff[i], axis=i), axis=j)
         bad = np.flatnonzero(cycles)
         if bad.size:
-            if not witness:
-                return False
             a = tuple(int(x) for x in np.unravel_index(bad[0], cycles.shape))
             b, d = (a[:k] + (a[k] + 1,) + a[k + 1:] for k in (i, j))
-            c = b[:j] + (b[j] + 1,) + b[j + 1:]
-            return False, (a, b, c, d)
-    return (True, None) if witness else True
+            return a, b, b[:j] + (b[j] + 1,) + b[j + 1:], d
+    return None
 
 
 @dataclass(frozen=True)
@@ -63,13 +60,15 @@ class DecompositionCertificate:
 
     Invariants (checked by validate): both games share shape and convention,
     the residual utilities sum to exactly zero at every profile, and the
-    potential part passes the exact-potential four-cycle test.
+    potential part passes the exact-potential four-cycle test.  Without an
+    alpha the transfer factors are searched; with one, every row uses it.
     """
 
     game: Game
     potential: Game
     alpha: Fraction | None = None
 
+    @functools.cached_property
     def _residual(self) -> tuple[int, np.ndarray]:
         """(L, R): L = lcm of both games' denominators and R[i, *s] the
         residual u_i(s) - v_i(s) times L, in Python ints when a sum over
@@ -88,33 +87,32 @@ class DecompositionCertificate:
             raise CertificateInvalid("game and potential part differ in shape")
         if g.convention != p.convention or g.convention != "max":
             raise CertificateInvalid("certificates are utility-maximisation only")
-        scale, residual = self._residual()
+        scale, residual = self._residual
         total = residual.sum(axis=0)
         bad = np.flatnonzero(total)
         if bad.size:
             s = tuple(int(x) for x in np.unravel_index(bad[0], total.shape))
-            raise CertificateInvalid(
-                f"residual is not zero-sum at {s}: sums to "
-                f"{Fraction(int(total[s]), scale)}"
-            )
-        if not exact_potential_fourcycle(p):
-            raise CertificateInvalid("potential part fails the four-cycle test")
+            raise CertificateInvalid(f"residual is not zero-sum at {s}: sums to "
+                                     f"{Fraction(int(total[s]), scale)}")
+        cycle = fourcycle_witness(p)
+        if cycle is not None:
+            raise CertificateInvalid(f"potential part fails the four-cycle test at {cycle}")
 
     def epsilon(self) -> Fraction:
-        scale, residual = self._residual()
+        scale, residual = self._residual
         return Fraction(int(np.abs(residual).max()), scale)
 
 
-def _abs_welfare(D: SolutionSet, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """|W| (`Game.welfare`) over D's solutions and over its transitions of
+def _welfare(D: SolutionSet, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """W (`Game.welfare`) over D's solutions and over its transitions of
     degree at most m."""
-    welfare = np.abs(D.game.welfare)
+    welfare = D.game.welfare
     return (welfare[tuple(np.array(D.members).T)],
             welfare[transition_set(D).box][degree_map(D) <= m])
 
 
 def _tight_alpha(loose, strict) -> Fraction | None:
-    """Transfer factor between matching extremes of |sw|, in one unit.
+    """Transfer factor between matching extremes of sw, in one unit.
 
     The extreme over the loose set divided by the same extreme over the
     strict set: min over min gives the anarchy factor, max over max the
@@ -122,32 +120,41 @@ def _tight_alpha(loose, strict) -> Fraction | None:
     extreme is zero (no finite factor exists).
     """
     if strict == 0:
-        return F(1) if loose == 0 else None
-    return F(int(loose), int(strict))
+        return Fraction(1) if loose == 0 else None
+    return Fraction(int(loose), int(strict))
+
+
+# row, the price it compares, its alpha, and whether it is a lower bound;
+# a lower bound takes least welfare, and the m_ prices read m-transitions
+_TRANSFERS = (
+    ("anarchy-transfer", "poa", "alpha_ne", True),
+    ("stability-transfer", "pos", "alpha_ne_upper", False),
+    ("degree-anarchy-transfer", "m_pota", "alpha_m", True),
+    ("degree-stability-transfer", "m_pots", "alpha_m_upper", False),
+)
 
 
 def verify_decomposition_bounds(
     cert: DecompositionCertificate,
     m: int,
-    alpha_mode: str = "search",
     congestion: CongestionGame | None = None,
 ) -> dict:
     """Check the anarchy/stability transfer inequalities of a certificate.
 
     Enumerates the 2-epsilon equilibria of the potential part and their
     m-limited transitions, extracts the tightest transfer factors (or uses
-    the certificate's claimed alpha when alpha_mode="given"), and asserts:
+    the certificate's alpha when it has one), and asserts:
 
       poa_G / poa_P >= alpha_ne        pos_G / pos_P <= alpha_ne_upper
       m_pota_G / m_pota_P >= alpha_m   m_pots_G / m_pots_P <= alpha_m_upper
 
-    With a superadditive utility-maximisation congestion backend for the
-    potential part, additionally asserts m_pota_G >= (alpha_m / m) * poa_P.
+    The transfer needs nonnegative welfare on every m-limited transition of
+    P's 2-epsilon equilibria, the largest set whose extremes the rows
+    compare; PreconditionFailed is raised otherwise.  With a superadditive
+    utility-maximisation congestion backend for the potential part,
+    additionally asserts m_pota_G >= (alpha_m / m) * poa_P.  A row with an
+    undefined ratio or alpha is skipped.
     """
-    if alpha_mode not in ("search", "given"):
-        raise ValueError(f"unknown alpha_mode {alpha_mode!r}")
-    if alpha_mode == "given" and cert.alpha is None:
-        raise CertificateInvalid("alpha_mode='given' needs a supplied alpha")
     cert.validate()
     G, P = cert.game, cert.potential
     eps = cert.epsilon()
@@ -158,86 +165,45 @@ def verify_decomposition_bounds(
     if ne_g.is_empty or ne_p.is_empty:
         raise EmptySolutionSet("both games need pure equilibria for the transfer")
 
+    loose, exact = _welfare(loose_p, m), _welfare(ne_p, m)
+    if loose[1].min() < 0:
+        raise PreconditionFailed(f"welfare is negative on a transition of degree at most {m} "
+                                 "of the potential part's 2-epsilon equilibria")
+
     report_g = price_report(G, ne_g)
     report_p = price_report(P, ne_p)
 
-    loose_ne, loose_m = _abs_welfare(loose_p, m)
-    exact_ne, exact_m = _abs_welfare(ne_p, m)
-    searched = {
-        "alpha_ne": _tight_alpha(loose_ne.min(), exact_ne.min()),
-        "alpha_ne_upper": _tight_alpha(loose_ne.max(), exact_ne.max()),
-        "alpha_m": _tight_alpha(loose_m.min(), exact_m.min()),
-        "alpha_m_upper": _tight_alpha(loose_m.max(), exact_m.max()),
-    }
-    if alpha_mode == "given":
-        used = {k: cert.alpha for k in searched}
-    else:
-        used = searched
+    def price(report, key):
+        return getattr(report, f"{key}_at")(m) if key[:2] == "m_" else getattr(report, key)
 
-    rows = []
+    searched, used, rows = {}, {}, []
+    for name, key, alpha, lower in _TRANSFERS:
+        extreme, stage = (np.min if lower else np.max), key[:2] == "m_"
+        searched[alpha] = _tight_alpha(extreme(loose[stage]), extreme(exact[stage]))
+        a = used[alpha] = searched[alpha] if cert.alpha is None else cert.alpha
+        g, p = price(report_g, key), price(report_p, key)
+        rows.append(_row(name, "decomposition-transfer", {alpha: a},
+                         f"{key}_G / {key}_P {'>=' if lower else '<='} {alpha}",
+                         g / p if p else None, a, ge=lower))
 
-    def row(name, lhs, rhs, ge=True):
-        if lhs is None or rhs is None:
-            rows.append({"name": name, "holds": None, "skipped": "alpha undefined"})
-            return
-        rows.append(
-            {
-                "name": name,
-                "lhs": lhs,
-                "rhs": rhs,
-                "holds": lhs >= rhs if ge else lhs <= rhs,
-            }
-        )
-
-    a = used["alpha_ne"]
-    row("anarchy-transfer", abs(report_g.poa / report_p.poa) if report_p.poa else None,
-        a)
-    a_up = used["alpha_ne_upper"]
-    row(
-        "stability-transfer",
-        abs(report_g.pos / report_p.pos) if report_p.pos else None,
-        a_up,
-        ge=False,
-    )
-    am = used["alpha_m"]
-    mp_g = report_g.m_pota_at(m)
-    mp_p = report_p.m_pota_at(m)
-    row("degree-anarchy-transfer", abs(mp_g / mp_p) if mp_p else None, am)
-    am_up = used["alpha_m_upper"]
-    ms_g = report_g.m_pots_at(m)
-    ms_p = report_p.m_pots_at(m)
-    row("degree-stability-transfer", abs(ms_g / ms_p) if ms_p else None, am_up,
-        ge=False)
-
-    corollary = None
     if congestion is not None:
         backing = congestion_to_game(congestion, "max")
         if backing.ints[0] != P.ints[0] or not np.array_equal(backing.ints[1], P.ints[1]):
-            raise PreconditionFailed(
-                "congestion backend does not reproduce the potential part"
-            )
+            raise PreconditionFailed("congestion backend does not reproduce the potential part")
         if not is_superadditive(congestion):
             raise PreconditionFailed("congestion utilities are not superadditive")
-        if am is None:
-            corollary = {"name": "congestion-degree-floor", "holds": None,
-                         "skipped": "alpha undefined"}
-        else:
-            rhs = am / m * report_p.poa
-            corollary = {
-                "name": "congestion-degree-floor",
-                "lhs": mp_g,
-                "rhs": rhs,
-                "holds": mp_g >= rhs,
-            }
-        rows.append(corollary)
+        a = used["alpha_m"]
+        rows.append(_row("congestion-degree-floor", "superadditive-congestion-corollary",
+                         {"alpha_m": a}, "m_pota_G >= alpha_m / m * poa_P",
+                         report_g.m_pota_at(m), None if a is None else a / m * report_p.poa))
 
     return {
         "epsilon": eps,
-        "alpha_mode": alpha_mode,
+        "alpha_mode": "search" if cert.alpha is None else "given",
         "alphas_searched": searched,
         "alphas_used": used,
         "prices_game": report_g.as_dict(),
         "prices_potential": report_p.as_dict(),
-        "rows": rows,
-        "holds": all(r.get("holds") is not False for r in rows),
+        "rows": [row.as_dict() for row in rows],
+        "holds": all(row.holds is not False for row in rows),
     }

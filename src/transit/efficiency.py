@@ -196,13 +196,14 @@ def price_report(
 def _tightest(num, den) -> Fraction | None:
     """Smallest constant a >= 1 with den >= num / a (equivalently num <= a*den).
 
-    num and den are integers in one unit.  A 0/0 constraint binds nothing
-    and yields 1; a positive numerator over a nonpositive denominator admits
-    no finite constant and yields None.
+    num and den are integers in one unit.  Over a nonpositive denominator
+    a*den only falls as a grows, so a = 1 is the answer when num <= den and
+    no a >= 1 exists otherwise (None): a 0/0 constraint binds nothing, while
+    den < num <= 0, say num = -2 over den = -10, admits no constant.
     """
     if den > 0:
         return max(Fraction(int(num), int(den)), ONE)
-    return ONE if num <= 0 else None
+    return ONE if num <= den else None
 
 
 def _dependence(small: np.ndarray, large: np.ndarray) -> tuple[tuple, tuple]:
@@ -422,7 +423,8 @@ def check_bound_observations(game: Game, D: SolutionSet) -> list[BoundRow]:
 
     Every row pairs the hypothesis constants extracted from the instance with
     the concluded inequality, evaluated against the directly computed prices.
-    Rows whose constants are undefined are reported as skipped, never
+    Rows whose constants are undefined, and the per-player rows when a
+    utility at a solution is negative, are reported as skipped, never
     silently dropped.
     """
     if game.convention != "max":
@@ -436,6 +438,10 @@ def check_bound_observations(game: Game, D: SolutionSet) -> list[BoundRow]:
     report = price_report(game, D)
     dep = coordination_dependence(game, D)
     beta_undefined = any(v is None for v in dep.beta)
+    # the per-player proofs divide u_i(s) / alpha_i >= u_i(s) / alpha, which
+    # needs every utility at the solutions to be nonnegative
+    members = tuple(np.array(D.members).T)
+    negative = bool((game.ints[1][(slice(None),) + members] < 0).any())
     rows: list[BoundRow] = []
     for fam in _BOUND_FAMILIES:
         for m in range(2, game.n + 1) if fam.per_degree else (None,):
@@ -445,6 +451,9 @@ def check_bound_observations(game: Game, D: SolutionSet) -> list[BoundRow]:
                 stages = value[: m - 1] if fam.per_degree else (value,)
                 if not fam.per_player:
                     stages = tuple((c,) for c in stages)
+                if fam.per_player and negative:
+                    rows.append(_skip(name, fam.anchor, "a utility is negative at a solution"))
+                    continue
                 if fam.skip and (
                     any(c is None for stage in stages for c in stage)
                     or (fam.per_player and beta_undefined)

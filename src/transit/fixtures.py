@@ -3,9 +3,10 @@
 Every fixture ships as a JSON instance file plus an expectations file.
 Expectation values are either closed forms quoted from the source analyses
 or values regenerated by the brute-force oracle command
-(`transit oracle <name> --update`); none are hand-typed numbers.  The
-registry refuses fixtures without expectations, so a stale corpus fails at
-import time in the test suite rather than silently shipping.
+(`transit oracle <name> --update`); none are hand-typed numbers.
+`fixtures()`, which `transit fixtures` and the test suite call, refuses a
+fixture without an expectations file, so a stale corpus fails there rather
+than silently shipping.
 """
 
 from __future__ import annotations

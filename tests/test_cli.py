@@ -210,6 +210,16 @@ def test_theorem3_report_is_pinned(capsys):
     assert out == (Path(__file__).parent / "theorem_reports" / "theorem3.json").read_text()
 
 
+@pytest.mark.parametrize("number", ["4", "5"])
+def test_theorem4_and_5_reports_are_pinned(capsys, number):
+    # stdout captured at their defaults before the decomposition rows moved
+    # to BoundRow
+    code, out, err = run_cli(capsys, "theorem", number)
+    assert code == 0 and err == ""
+    name = f"theorem{number}.json"
+    assert out == (Path(__file__).parent / "theorem_reports" / name).read_text()
+
+
 def test_theorem1_reports_a_generator_shortfall(capsys, monkeypatch):
     # at 1,000 attempts the generator accepts 61 of the 200 instances asked
     # for; the report counts what it verified and records the shortfall

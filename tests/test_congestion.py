@@ -22,7 +22,7 @@ from transit.congestion import (
     verify_merge_lemma,
     verify_parallel_link_family,
 )
-from transit.decomposition import exact_potential_fourcycle
+from transit.decomposition import fourcycle_witness
 from transit.efficiency import price_report
 from transit.games import enumerate_pure_ne
 
@@ -296,7 +296,7 @@ def test_congestion_games_admit_exact_potential():
         cg = random_congestion_game(rng, rng.randint(2, 3), rng.randint(1, 3),
                                     subadditive=rng.random() < 0.5)
         game = congestion_to_game(cg)
-        assert exact_potential_fourcycle(game)
+        assert fourcycle_witness(game) is None
 
 
 def test_equilibria_of_parallel_links_are_permutations():

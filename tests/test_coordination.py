@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -497,3 +498,12 @@ def test_welfare_floor_attainment_search():
         assert check_stable_transition_exact(inst, col, "strict")
         assert social_welfare(inst, col) == len(inst.edges) - inst.n_nodes
     assert len(attainers) >= 1
+
+
+@pytest.mark.parametrize("fixture", ["clique-4", "cycle-6", "forest-10", "star-5"])
+def test_graph_bounds_reports_are_pinned(fixture, capsys):
+    # stdout captured before the decomposition rows moved to BoundRow
+    assert main(["graph", "bounds", fixture]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (Path(__file__).parent / "graph_reports" / f"{fixture}.json").read_text()

@@ -10,10 +10,16 @@ import pytest
 from transit.congestion import CongestionGame, congestion_to_game
 from transit.decomposition import (
     DecompositionCertificate,
-    exact_potential_fourcycle,
+    fourcycle_witness,
     verify_decomposition_bounds,
 )
-from transit.errors import CertificateInvalid
+from transit.efficiency import BoundRow
+from transit.errors import (
+    CertificateInvalid,
+    EmptySolutionSet,
+    PreconditionFailed,
+    UndefinedPrice,
+)
 from transit.fixtures import matrix2_game, matrix5_game
 from transit.games import Game
 
@@ -42,8 +48,8 @@ def perturbed(P: Game, scale: Fraction) -> Game:
 
 
 def test_identical_utility_games_pass_fourcycle():
-    assert exact_potential_fourcycle(matrix5_game())
-    assert exact_potential_fourcycle(matrix2_game())
+    assert fourcycle_witness(matrix5_game()) is None
+    assert fourcycle_witness(matrix2_game()) is None
 
 
 def matching_pennies():
@@ -54,8 +60,8 @@ def matching_pennies():
 
 
 def test_fourcycle_rejects_with_witness():
-    ok, cycle = exact_potential_fourcycle(matching_pennies(), witness=True)
-    assert not ok and cycle is not None
+    cycle = fourcycle_witness(matching_pennies())
+    assert cycle is not None
     assert len(set(cycle)) == 4
 
 
@@ -99,16 +105,20 @@ def test_potential_part_must_pass_fourcycle():
     shifted = Game.from_function(
         (2, 2), lambda s: tuple(v + F(2) for v in mp.payoffs[s])
     )
-    assert not exact_potential_fourcycle(shifted)
-    with pytest.raises(CertificateInvalid, match="four-cycle"):
+    cycle = fourcycle_witness(shifted)
+    assert cycle == ((0, 0), (1, 0), (1, 1), (0, 1))
+    with pytest.raises(CertificateInvalid) as info:
         verify_decomposition_bounds(DecompositionCertificate(shifted, shifted), m=1)
+    assert str(info.value) == f"potential part fails the four-cycle test at {cycle}"
 
 
 def test_given_alpha_mode_uses_supplied_constant():
     _, P = congestion_potential_2x2()
     cert = DecompositionCertificate(P, P, alpha=F(1, 2))
-    out = verify_decomposition_bounds(cert, m=1, alpha_mode="given")
-    assert out["alphas_used"]["alpha_ne"] == F(1, 2)
+    out = verify_decomposition_bounds(cert, m=1)
+    assert out["alpha_mode"] == "given"
+    assert set(out["alphas_used"].values()) == {F(1, 2)}
+    assert out["alphas_searched"]["alpha_ne"] == 1
     # ratio 1 >= 1/2: the lower rows hold; upper rows need ratio <= 1/2 and fail
     by_name = {r["name"]: r for r in out["rows"]}
     assert by_name["anarchy-transfer"]["holds"]
@@ -200,8 +210,8 @@ def test_array_fourcycle_matches_the_per_cycle_definition():
     failing = 0
     for game in games:
         verdict, first = reference_fourcycle(game)
-        ok, cycle = exact_potential_fourcycle(game, witness=True)
-        assert exact_potential_fourcycle(game) == ok == verdict
+        cycle = fourcycle_witness(game)
+        assert (cycle is None) == verdict
         assert cycle == first
         if cycle is not None:
             failing += 1
@@ -227,3 +237,74 @@ def test_residual_message_names_the_first_failing_profile_and_its_sum():
     with pytest.raises(CertificateInvalid) as info:
         DecompositionCertificate(G, P).validate()
     assert str(info.value) == "residual is not zero-sum at (0, 1): sums to 1/3"
+
+
+# -- the welfare precondition and the row schema --------------------------------
+
+
+def test_negative_welfare_on_a_transition_is_a_failed_precondition():
+    # P is identical interest in phi; at m = 2 the rows would compare
+    # m_pota_G = 0 against m_pota_P = -3/4, across a sign change
+    phi = [[-2, 1, 2], [2, 2, -3], [4, 0, -3]]
+    r = [[2, -2, 2], [-1, -1, 0], [1, 1, -2]]
+    P = Game.from_function((3, 3), lambda s: (F(phi[s[0]][s[1]]),) * 2)
+    G = Game.from_function((3, 3), lambda s: (F(phi[s[0]][s[1]] + r[s[0]][s[1]]),
+                                              F(phi[s[0]][s[1]] - r[s[0]][s[1]])))
+    with pytest.raises(PreconditionFailed, match="welfare is negative"):
+        verify_decomposition_bounds(DecompositionCertificate(G, P), m=2)
+
+
+def random_certificate(rng):
+    """An exact potential game P (a potential plus per-player dummy terms)
+    and P plus a random zero-sum residual, on 2-3 players."""
+    n = rng.randint(2, 3)
+    shape = tuple(rng.randint(2, 3) for _ in range(n))
+    phi, dummy, residual = {}, [{} for _ in range(n)], {}
+
+    def potential(s):
+        base = phi.setdefault(s, rng.randint(-2, 4))
+        return tuple(F(base + dummy[i].setdefault(s[:i] + s[i + 1:], rng.randint(-1, 1)))
+                     for i in range(n))
+
+    def game(s):
+        r = residual.setdefault(s, [rng.randint(-1, 1) for _ in range(n - 1)])
+        return tuple(v + e for v, e in zip(potential(s), r + [-sum(r)]))
+
+    return Game.from_function(shape, game), Game.from_function(shape, potential)
+
+
+def test_random_certificates_with_nonnegative_welfare_keep_their_bounds():
+    rng = random.Random(5)
+    checked = negative = 0
+    for _ in range(300):
+        G, P = random_certificate(rng)
+        try:
+            out = verify_decomposition_bounds(DecompositionCertificate(G, P),
+                                              m=rng.randint(1, G.n))
+        except PreconditionFailed:
+            negative += 1
+            continue
+        except (EmptySolutionSet, UndefinedPrice):
+            continue
+        assert out["alpha_mode"] == "search"
+        assert out["holds"], out
+        checked += 1
+    assert checked > 50 and negative > 50
+
+
+def test_rows_share_the_bounds_schema_and_the_residual_is_built_once():
+    cg, P = congestion_potential_2x2()
+    cert = DecompositionCertificate(perturbed(P, F(1, 10)), P)
+    out = verify_decomposition_bounds(cert, m=2, congestion=cg)
+    residual = vars(cert)["_residual"]
+    cert.validate()
+    assert cert.epsilon() == F(1, 10) and vars(cert)["_residual"] is residual
+    assert [row["name"] for row in out["rows"]] == [
+        "anarchy-transfer", "stability-transfer", "degree-anarchy-transfer",
+        "degree-stability-transfer", "congestion-degree-floor",
+    ]
+    keys = set(BoundRow("r", "a", {}, "", None, None, None, None).as_dict())
+    for row in out["rows"]:
+        assert set(row) == keys and row["skipped"] is None
+        assert row["slack"] == (row["lhs"] - row["rhs"] if ">=" in row["asserted_inequality"]
+                                else row["rhs"] - row["lhs"])

@@ -18,6 +18,7 @@ from transit.efficiency import (
     coordination_dependence,
     SmoothnessResult,
     _grid_envelope,
+    _tightest,
     default_lambda_grid,
     extensive_smoothness,
     price_report,
@@ -663,9 +664,11 @@ def test_smoothness_is_undefined_without_positive_welfare(tmp_path, capsys):
 
 
 def _reference_tightest(num, den):
+    # the least a >= 1 with num <= a * den: a * den never grows with a when
+    # den <= 0, so a = 1 is then the only candidate
     if den > 0:
         return max(num / den, F(1))
-    return F(1) if num <= 0 else None
+    return F(1) if num <= den else None
 
 
 def _reference_beta_verifies(game, sw, D, i, b):
@@ -750,6 +753,65 @@ def test_dependence_constants_match_the_fraction_reference():
             witnessed += bool(got.witnesses)
     # both beta paths run: undefined constants, and pairs that set one
     assert undefined_betas > 0 and witnessed > 0
+
+
+def test_tightest_is_the_least_constant_of_its_contract():
+    # _tightest(num, den) is the least a >= 1 with num <= a * den, or None
+    # when no such a exists; the candidates cover every answer in range
+    candidates = sorted({F(1)} | {F(p, q) for p in range(1, 5) for q in range(1, 5)
+                                  if p >= q})
+    for num, den in itertools.product(range(-4, 5), repeat=2):
+        feasible = [a for a in candidates if num <= a * den]
+        assert _tightest(num, den) == (feasible[0] if feasible else None), (num, den)
+
+
+def test_every_bound_row_that_is_not_skipped_holds_on_random_games():
+    # negative and zero payoffs, equilibrium and arbitrary solution sets:
+    # 18 of these instances had a failing row before the constants and the
+    # per-player rows respected the sign of what they divide
+    checked = 0
+    for game, D in _random_instances():
+        try:
+            rows = check_bound_observations(game, D)
+        except UndefinedPrice:
+            continue
+        checked += 1
+        assert [r.name for r in rows if r.holds is False] == [], (game.payoffs, D.members)
+    assert checked > 300
+
+
+def _bounds_rows(tmp_path, capsys, payoffs, strategies):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"convention": "max", "players": ["p1", "p2"],
+                                "strategies": strategies, "payoffs": payoffs}))
+    code = main(["bounds", str(path), "--ne"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return {row["name"]: row for row in json.loads(out)["results"]["rows"]}
+
+
+def test_bounds_skip_a_welfare_constant_with_no_finite_value(tmp_path, capsys):
+    # least welfare -2 over the solutions against -10 over the transitions:
+    # no a >= 1 gives -2 >= -10 / a, so the anarchy rows have no constant
+    payoffs = [[["-6", "-4"], ["4", "2"]], [["-4", "2"], ["-6", "-4"]],
+               [["-6", "-6"], ["-3", "1"]]]
+    rows = _bounds_rows(tmp_path, capsys, payoffs, [["0", "1", "2"], ["0", "1"]])
+    assert rows["welfare-lower-dependence-anarchy"]["skipped"] == "constant undefined"
+    assert rows["welfare-degree-anarchy(m=2)"]["skipped"] == (
+        "a per-degree constant is undefined")
+    assert all(row["holds"] is not False for row in rows.values())
+
+
+def test_bounds_skip_the_per_player_rows_on_a_negative_solution_utility(tmp_path, capsys):
+    # player 1 gets -1 at the equilibrium (1, 1); the per-player proofs need
+    # every solution utility nonnegative, and here their anarchy rows would
+    # read 1/5 against 8/25
+    payoffs = [[["1", "2"], ["-1", "5"]], [["1", "4"], ["-1", "2"]]]
+    rows = _bounds_rows(tmp_path, capsys, payoffs, [["0", "1"], ["0", "1"]])
+    for name in ("player-dependence-anarchy", "player-dependence-stability",
+                 "player-degree-anarchy(m=2)", "player-degree-stability(m=2)"):
+        assert rows[name]["skipped"] == "a utility is negative at a solution"
+    assert rows["welfare-lower-dependence-anarchy"]["holds"]
 
 
 def test_smoothness_matches_pairwise_when_no_transition_has_positive_welfare():
@@ -852,6 +914,22 @@ def test_bounds_reports_are_pinned(fixture, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (REPORTS / f"{fixture}.json").read_text()
+
+
+PRICES = Path(__file__).parent / "prices_reports"
+
+
+@pytest.mark.parametrize("fixture", sorted(STATUS))
+@pytest.mark.parametrize("stable", ["strict", "weak"])
+def test_prices_reports_are_pinned(fixture, stable, capsys):
+    # captured before the decomposition rows moved to BoundRow; every
+    # shipped game, under both stable variants
+    argv = ["prices", fixture, "--ne"] + (["--stable", "weak"] if stable == "weak" else [])
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    suffix = "-weak" if stable == "weak" else ""
+    assert out == (PRICES / f"{fixture}{suffix}.json").read_text()
 
 
 # -- identical utility -------------------------------------------------------------
@@ -1044,18 +1122,20 @@ BOUND_ROWS = {
         ('welfare-degree-stability(m=3)', 'degree-coordination-bound',
          {'alphas': (F(1), F(1))}, 'm_pots <= prod(alpha_i) * pos',
          F(1), F(1), True, F(0), None),
+        # player 3 gets -2 at the equilibrium (0, 1, 0): the per-player
+        # hypothesis fails before any constant is read
         _skipped('player-dependence-anarchy', 'player-coordination-bound',
-                 'a per-player constant is undefined'),
+                 'a utility is negative at a solution'),
         _skipped('player-dependence-stability', 'player-coordination-bound',
-                 'a per-player constant is undefined'),
+                 'a utility is negative at a solution'),
         _skipped('player-degree-anarchy(m=2)', 'player-degree-bound',
-                 'a constant is undefined'),
+                 'a utility is negative at a solution'),
         _skipped('player-degree-stability(m=2)', 'player-degree-bound',
-                 'a constant is undefined'),
+                 'a utility is negative at a solution'),
         _skipped('player-degree-anarchy(m=3)', 'player-degree-bound',
-                 'a constant is undefined'),
+                 'a utility is negative at a solution'),
         _skipped('player-degree-stability(m=3)', 'player-degree-bound',
-                 'a constant is undefined'),
+                 'a utility is negative at a solution'),
     ],
 }
 

@@ -389,6 +389,25 @@ def test_routing_reports_are_pinned(network, inst, tmp_path, monkeypatch, capsys
     assert out == (REPORTS / pinned).read_text()
 
 
+@pytest.mark.parametrize("network", ["fig1-3", "fig2-4x2", "pigou-pair", "prop4-network"])
+def test_a_loose_tol_keeps_the_support_or_reports_the_cost_ordering(network, capsys):
+    # a loose tol may stop the solve early; the report must then either
+    # keep the default run's supported paths or flag the cost ordering it
+    # breaks (prop4-network at 0.5 accepts its starting flow, whose gap is
+    # exactly 0.5, and reads [[1]] while all its flow is on path 0)
+    def analyze(*extra):
+        code = main(["routing", "analyze", network, *extra])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == (1 if doc["findings"] else 0)
+        return doc
+
+    default = analyze()["results"]["supported_paths"]
+    for tol in ("0.1", "0.3", "0.5", "0.9"):
+        doc = analyze("--tol", tol)
+        assert (any(f.startswith("cost-ordering") for f in doc["findings"])
+                or doc["results"]["supported_paths"] == default), (tol, doc)
+
+
 def test_path_edge_matrix_is_cached_and_read_only():
     inst = fig2_family(4, 2, 0.1)
     # both commodities' first path is the shared edge 0, then private edges

@@ -15,7 +15,7 @@ import pytest
 
 from transit import degrees
 from transit.cli import main
-from transit.decomposition import _abs_welfare
+from transit.decomposition import _welfare
 from transit.efficiency import (
     check_bound_observations,
     coordination_dependence,
@@ -116,7 +116,7 @@ def _consumers(game, other):
         calls += [
             (f"m_transition_set {m}", lambda D, m=m: m_transition_set(D, m)),
             (f"m_posta {m}", lambda D, m=m: m_posta(game, D, m)),
-            (f"abs_welfare {m}", lambda D, m=m: _abs_welfare(D, m)),
+            (f"welfare {m}", lambda D, m=m: _welfare(D, m)),
         ]
     return calls
 
