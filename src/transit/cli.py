@@ -3,7 +3,9 @@
 Verbs: prices, bounds, degree, routing, graph, theorem, oracle, fixtures.
 Exit codes: 0 all asserted inequalities hold, 1 at least one failed (a
 finding, printed prominently), 2 parse errors, 3 empty solution sets,
-4 undefined prices, 5 other operational errors.
+4 undefined prices, 5 other operational errors, among them a stdout closed
+before the report is written (a reader that exits early); that one is left
+silent.
 """
 
 from __future__ import annotations
@@ -581,7 +583,13 @@ def main(argv: list[str] | None = None) -> int:
     except TransitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    sys.stdout.write(report.render(args.format))
+    try:
+        sys.stdout.write(report.render(args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would raise again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 5
     if report.findings:
         print("findings:", file=sys.stderr)
         for line in report.findings:

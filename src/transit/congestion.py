@@ -24,7 +24,7 @@ import numpy as np
 from .efficiency import price_report
 from .errors import ParseError
 from .games import Game, Profile, as_exact, checked_shape, enumerate_pure_ne
-from .transitions import merge_set
+from .transitions import _merge_box
 
 F = Fraction
 
@@ -73,20 +73,6 @@ class CongestionGame:
         m = len(tables)
         return cls(n, m, menus, tables)
 
-    def loads(self, s: Sequence[int]) -> list[int]:
-        out = [0] * self.n_resources
-        for i, choice in enumerate(s):
-            for j in self.strategies[i][choice]:
-                out[j] += 1
-        return out
-
-    def player_cost(self, i: int, s: Sequence[int]) -> Fraction:
-        loads = self.loads(s)
-        return sum(
-            (self.costs[j][loads[j] - 1] for j in self.strategies[i][s[i]]),
-            start=F(0),
-        )
-
     def shape(self) -> tuple[int, ...]:
         return tuple(len(menu) for menu in self.strategies)
 
@@ -94,20 +80,31 @@ class CongestionGame:
 def congestion_to_game(cg: CongestionGame, convention: str = "min") -> Game:
     """Dense strategic-form view; costs by default, utilities on request.
 
-    Built by array passes over the profile grid, one resource at a time: with
-    A_i[r, x] = 1 when player i's strategy x uses resource r, r's load at s
-    is sum_i A_i[r, s_i], and player i pays sum_r A_i[r, s_i] * c_r(load).
-    The costs are integers over the tables' common denominator, in Python
-    ints when max c * n * m could reach 2**62.  The profile cap is checked
-    before any array is allocated.
+    The costs are `_cost_grid` over the whole profile grid.  The profile cap
+    is checked before any array is allocated.
     """
-    n, m = cg.n_players, cg.n_resources
-    players = tuple(f"p{i + 1}" for i in range(n))
+    players = tuple(f"p{i + 1}" for i in range(cg.n_players))
     names = tuple(
         tuple("{" + ",".join(str(j) for j in sorted(sub)) + "}" for sub in menu)
         for menu in cg.strategies
     )
-    shape = checked_shape(players, names, convention)
+    checked_shape(players, names, convention)
+    scale, totals = _cost_grid(cg, [range(len(menu)) for menu in cg.strategies])
+    return Game(players, names, scale, totals, convention)
+
+
+def _cost_grid(cg: CongestionGame, picks: Sequence[Sequence[int]]) -> tuple[int, np.ndarray]:
+    """(scale, totals): totals[i][s] is player i's cost times scale at the
+    profile whose coordinate j is picks[j][s[j]], over the box of the picks.
+
+    Built by array passes over the box, one resource at a time: with
+    A_i[r, x] = 1 when player i's strategy x uses resource r, r's load at s
+    is sum_i A_i[r, s_i], and player i pays sum_r A_i[r, s_i] * c_r(load).
+    The costs are integers over the tables' common denominator, in Python
+    ints when max c * n * m could reach 2**62.
+    """
+    n, m = cg.n_players, cg.n_resources
+    shape = tuple(len(pick) for pick in picks)
     costs = [c for table in cg.costs for c in table]
     scale = math.lcm(*(c.denominator for c in costs))
     wide = max(costs) * scale * n * m >= 2**62
@@ -120,16 +117,16 @@ def congestion_to_game(cg: CongestionGame, convention: str = "min") -> Game:
     totals = np.zeros((n, *shape), dtype=dtype)
     for r in range(m):
         uses = [
-            np.array([r in sub for sub in menu], dtype=np.intp).reshape(
+            np.array([r in menu[x] for x in pick], dtype=np.intp).reshape(
                 [k if j == i else 1 for j, k in enumerate(shape)]
             )
-            for i, menu in enumerate(cg.strategies)
+            for i, (menu, pick) in enumerate(zip(cg.strategies, picks))
         ]
         cost = table[r][sum(uses)]
         for total, use in zip(totals, uses):
             if use.any():
                 total += use * cost
-    return Game(players, names, scale, totals, convention)
+    return scale, totals
 
 
 def _additivity(tables, superadditive: bool) -> bool:
@@ -176,10 +173,6 @@ def has_monotone_subadditive_totals(cg: CongestionGame) -> bool:
     return _nondecreasing(totals) and _additivity(totals, superadditive=False)
 
 
-def social_cost(cg: CongestionGame, s: Sequence[int]) -> Fraction:
-    return sum((cg.player_cost(i, s) for i in range(cg.n_players)), start=F(0))
-
-
 def verify_merge_lemma(cg: CongestionGame, profiles: Sequence[Profile]) -> dict:
     """Check sw(t) <= sum of member welfares for every merge t.
 
@@ -187,24 +180,29 @@ def verify_merge_lemma(cg: CongestionGame, profiles: Sequence[Profile]) -> dict:
     class a violation is legitimate, including on subadditive nondecreasing
     per-user tables such as (10, 15, 21), and comes back as a counterexample,
     not an exception.  The "subadditive" key reports per-user subadditivity.
+
+    The social costs are read off `_cost_grid` over the merge box, whose C
+    order is `merge_set`'s lexicographic order; the first merge over budget
+    in that order is the counterexample.
     """
     members = [tuple(p) for p in profiles]
-    budget = sum((social_cost(cg, s) for s in members), start=F(0))
-    checked = 0
+    projs = _merge_box(members)
+    scale, totals = _cost_grid(cg, projs)
+    welfare = totals.sum(axis=0)
+    budget = sum(int(welfare[tuple(p.index(x) for p, x in zip(projs, s))]) for s in members)
+    over = np.flatnonzero(welfare.ravel() > budget)
     counterexample = None
-    for t in merge_set(members):
-        checked += 1
-        if social_cost(cg, t) > budget:
-            counterexample = {
-                "merge": t,
-                "merge_welfare": social_cost(cg, t),
-                "budget": budget,
-            }
-            break
+    if over.size:
+        t = np.unravel_index(over[0], welfare.shape)
+        counterexample = {
+            "merge": tuple(p[k] for p, k in zip(projs, t)),
+            "merge_welfare": F(int(welfare[t]), scale),
+            "budget": F(budget, scale),
+        }
     return {
         "holds": counterexample is None,
-        "checked": checked,
-        "budget": budget,
+        "checked": int(over[0]) + 1 if over.size else welfare.size,
+        "budget": F(budget, scale),
         "counterexample": counterexample,
         "subadditive": is_subadditive(cg),
     }

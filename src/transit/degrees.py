@@ -24,11 +24,6 @@ from .errors import Infeasible, NotATransition
 Profile = tuple[int, ...]
 
 
-def covers(members: Sequence[Profile], t: Sequence[Profile]) -> bool:
-    """True iff every coordinate of t appears in some member at that slot."""
-    return all(any(d[i] == t[i] for d in members) for i in range(len(t)))
-
-
 def projections(members: Sequence[Profile], n: int) -> tuple[tuple[int, ...], ...]:
     """Per-coordinate sorted value sets of a nonempty profile list."""
     return tuple(tuple(sorted({d[i] for d in members})) for i in range(n))
@@ -156,24 +151,16 @@ def exact_cover(ci: CoverInstance) -> list[int]:
     return greedy
 
 
-def is_independent(members: Sequence[Profile], subset: Sequence[int]) -> bool:
-    """Independence oracle: no chosen solution is a transition of the others."""
-    chosen = [members[i] for i in subset]
-    for pos in range(len(chosen)):
-        rest = chosen[:pos] + chosen[pos + 1 :]
-        if rest and covers(rest, chosen[pos]):
-            return False
-    return True
-
-
 def greedy_basis(members: Sequence[Profile]) -> list[int]:
     """Grow an independent set, in member order, until maximal.
 
-    The basis `is_independent` accepts, read from the pairwise agreement
-    masks: a candidate joins unless the basis covers it (the OR of its masks
-    against the basis is full) or it completes the cover of some basis
-    member (that member's running OR against the rest of the basis, with
-    the candidate's mask added, is full).
+    A set of solutions is independent when none of them is a transition of
+    the others: each member has a coordinate that no other member shares at
+    its slot.  Read from the pairwise agreement masks: a candidate joins
+    unless the basis covers it (the OR of its masks against the basis is
+    full) or it completes the cover of some basis member (that member's
+    running OR against the rest of the basis, with the candidate's mask
+    added, is full).
     """
     if not members:
         return []

@@ -502,14 +502,10 @@ def two_player_pots_condition(game: Game) -> bool:
 # -- extensive smoothness ----------------------------------------------------
 
 
-# 2^-62 .. 2^1: the k-th grid lambda is the integer 2^k over 2^_SHIFT
+# 64 geometric points in (0, 2] with ratio 2, so 1 and 2 are included:
+# 2^-62 .. 2^1, the k-th grid lambda is the integer 2^k over 2^_SHIFT
 _SHIFT = 62
 _LAMBDA_GRID = tuple(Fraction(2) ** k for k in range(-_SHIFT, 2))
-
-
-def default_lambda_grid() -> list[Fraction]:
-    """64 geometric points in (0, 2] with ratio 2, so 1 and 2 are included."""
-    return list(_LAMBDA_GRID)
 
 
 @dataclass(frozen=True)
@@ -528,7 +524,7 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     The three smoothness conditions are instantiated with their tightest
     constants: alpha from comparing transitions against the solutions they
     borrow a coordinate from, beta from swapping the transition completing an
-    optimal strategy, and for each lambda in `default_lambda_grid()` the
+    optimal strategy, and for each lambda of the grid (`_LAMBDA_GRID`) the
     least feasible mu.  The certified bound alpha*beta*lambda / (1 +
     alpha*beta*mu) is maximised over the grid and checked against the
     exhaustively computed price.  Raises UndefinedPrice, as `price_report`

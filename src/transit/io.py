@@ -21,12 +21,15 @@ from .games import Game, SolutionSet, as_exact, checked_shape
 from .routing import Commodity, RoutingInstance, cost_from_spec
 
 
-def _load_json(path: str | Path) -> Any:
-    """The JSON document at `path`, read as bytes: `json.loads` detects
-    UTF-8, -16 or -32 itself (RFC 8259), whatever the locale."""
+def _load_json(path: str | Path, text: str | None = None) -> Any:
+    """The JSON document at `path`, read as bytes unless its `text` was
+    read already: `json.loads` detects UTF-8, -16 or -32 itself (RFC 8259),
+    whatever the locale."""
     try:
-        with open(path, "rb") as fh:
-            return json.loads(fh.read())
+        if text is None:
+            with open(path, "rb") as fh:
+                text = fh.read()
+        return json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -40,14 +43,15 @@ def _load_json(path: str | Path) -> Any:
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _load(path: str | Path, build, *args):
-    """`build(document, *args)` on the JSON document at `path`.
+def _load(path: str | Path, build, *args, text: str | None = None):
+    """`build(document, *args)` on the JSON document at `path`, or in its
+    `text` when that was read already.
 
     Builders index and convert fields directly, so a missing key or a value
     of the wrong type surfaces here, where it becomes a ParseError naming
     the file.
     """
-    data = _load_json(path)
+    data = _load_json(path, text)
     try:
         return build(data, *args)
     except _MALFORMED as exc:
@@ -255,7 +259,11 @@ def graph_from_text(text: str) -> GraphColoringInstance:
 
 
 def load_graph(path: str | Path) -> GraphColoringInstance:
+    """A graph from a `.json` document, or from a file of any other name:
+    an edge list, or a JSON document when its text starts with "{".  Each
+    file is read once."""
     p = Path(path)
+    text = None
     if p.suffix != ".json":
         try:
             text = p.read_text(encoding="utf-8")
@@ -265,4 +273,4 @@ def load_graph(path: str | Path) -> GraphColoringInstance:
             raise ParseError(f"{p} is not UTF-8 text: {exc}") from exc
         if not text.lstrip().startswith("{"):
             return graph_from_text(text)
-    return _load(p, graph_from_dict)
+    return _load(p, graph_from_dict, text=text)

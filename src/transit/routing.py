@@ -44,20 +44,6 @@ class PolyCost:
         if not self.coeffs or any(c < 0 for c in self.coeffs):
             raise ParseError("polynomial costs need nonnegative coefficients")
 
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def marginal(self, x: float) -> float:
-        """d/dx of x * c(x), one x at a time: the reference that the tests
-        hold `EdgeCosts.marginal` to."""
-        deriv = 0.0
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            deriv = deriv * x + k * self.coeffs[k]
-        return self(x) + x * deriv
-
     def is_convex_load_cost(self) -> bool:
         # x * poly(x) keeps nonnegative coefficients, hence convex on x >= 0
         return True
@@ -86,32 +72,6 @@ class PwlCost:
         if any(y < 0 for y in ys) or any(b < a for a, b in zip(ys, ys[1:])):
             raise ParseError("piecewise-linear costs must be nonnegative and nondecreasing")
 
-    def _segment(self, x: float) -> int:
-        xs = [p[0] for p in self.points]
-        for k in range(len(xs) - 1):
-            if x <= xs[k + 1]:
-                return k
-        return len(xs) - 2
-
-    def __call__(self, x: float) -> float:
-        xs = [p[0] for p in self.points]
-        ys = [p[1] for p in self.points]
-        if x <= xs[0]:
-            return ys[0]
-        k = self._segment(x)
-        t = (x - xs[k]) / (xs[k + 1] - xs[k])
-        return ys[k] + t * (ys[k + 1] - ys[k])
-
-    def marginal(self, x: float) -> float:
-        """d/dx of x * c(x) with the slope right of x: 0 before the first
-        point, the last segment's slope from the last point on.  One x at a
-        time: the reference that the tests hold `EdgeCosts.marginal` to."""
-        if x < self.points[0][0]:
-            return self(x)
-        k = max(i for i, p in enumerate(self.points[:-1]) if p[0] <= x)
-        (x0, y0), (x1, y1) = self.points[k], self.points[k + 1]
-        return self(x) + x * ((y1 - y0) / (x1 - x0))
-
     def is_convex_load_cost(self) -> bool:
         # x * c(x) is convex when c is convex; check slopes nondecreasing
         slopes = []
@@ -124,14 +84,19 @@ class PwlCost:
 
 
 class EdgeCosts:
-    """Every edge's cost c_e, or its marginal d/dx[x * c_e(x)], in one pass.
+    """Every edge's cost c_e, or its marginal d/dx[x * c_e(x)], in one pass:
+    the one evaluator of the edge costs.
 
-    Both map edge flows of shape (..., E) to an array of that shape, by the
-    rules of `PolyCost` and `PwlCost`.  Polynomial edges are evaluated by
-    Horner over a zero-padded coefficient matrix, the marginal over the
-    coefficients (k + 1) * a_k of x * c(x); table edges all at once, over a
-    breakpoint matrix padded with +inf.  `along` gives the derivative of the
-    objective along a move, a polynomial in the step on polynomial edges.
+    Both map edge flows of shape (..., E) to an array of that shape.
+    Polynomial edges are evaluated by Horner, highest coefficient first,
+    over a zero-padded coefficient matrix, the marginal over the
+    coefficients (k + 1) * a_k of x * c(x).  Table edges are priced all at
+    once, over a breakpoint matrix padded with +inf: a table holds its first
+    value up to its first point, interpolates between points and extends its
+    last slope beyond its last point; its marginal c(x) + x * slope takes
+    the slope to the right of x, 0 before the first point.  `along` gives
+    the derivative of the objective along a move, a polynomial in the step
+    on polynomial edges.
     """
 
     def __init__(self, costs: Sequence[PolyCost | PwlCost]) -> None:
@@ -188,8 +153,13 @@ class EdgeCosts:
         return out
 
     def _price_tables(self, x: np.ndarray, marginal: bool) -> np.ndarray:
-        """Table row t priced at x[..., t], with the operations of
-        `PwlCost.__call__` and `PwlCost.marginal` in their order."""
+        """Table row t priced at x[..., t]: on the segment k with
+        xs[k] < x <= xs[k + 1] (the first up to the first point, the last
+        beyond the table), c = ys[k] + t * rise[k] with
+        t = (max(x, xs[0]) - xs[k]) / run[k], so the first value is held
+        before the first point; the marginal adds x times the slope right of
+        x, the segment with xs[k] <= x < xs[k + 1], and 0 before the first
+        point."""
         rows = np.arange(len(self.tables))
         # the segment k with xs[k] < x <= xs[k + 1], the last one beyond
         # the table; up to the first point t = 0 holds the first value
@@ -249,8 +219,8 @@ class EdgeCosts:
 
 def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Row e of coeffs (lowest degree first along the last axis, at least two
-    columns; any leading axes broadcast) evaluated at x[..., e], step by step
-    as `PolyCost.__call__` does."""
+    columns; any leading axes broadcast) evaluated at x[..., e] in Horner
+    order: acc = acc * x + a_j from the highest coefficient down."""
     acc = x * coeffs[..., -1]
     acc += coeffs[..., -2]
     for j in range(coeffs.shape[-1] - 3, -1, -1):
@@ -670,13 +640,15 @@ def stretch_bound(inst: RoutingInstance, prices: dict) -> dict:
     `inst`), never exceeds the largest stretch; when an infimum term is zero
     the bound is infinite, `degenerate` is set and the assertion is vacuous.
     """
-    total = inst.total_demand()
-    sup_term = max(cost(total) for cost in inst.costs)
+    # row 0 prices every edge at the full load, row i + 1 at commodity i's
+    # even split, all in one call
+    loads = [inst.total_demand()] + [c.rate / len(c.paths) for c in inst.commodities]
+    prices_at = inst.edge_costs().cost(np.outer(loads, np.ones(len(inst.edges))))
+    sup_term = prices_at[0].max().item()
     out_s = []
     degenerate = False
-    for c in inst.commodities:
+    for c, inf_term in zip(inst.commodities, prices_at[1:].min(axis=1).tolist()):
         lens = [len(p) for p in c.paths]
-        inf_term = min(cost(c.rate / len(c.paths)) for cost in inst.costs)
         if inf_term <= 0:
             degenerate = True
             out_s.append(math.inf)

@@ -88,16 +88,21 @@ def is_transition(D: SolutionSet, s: Sequence[int]) -> bool:
 def merge_set(profiles: Sequence[Profile]) -> list[Profile]:
     """Transition set of an arbitrary nonempty profile list, enumerated.
 
-    The inputs need not be solutions of anything; this is the merge used by
-    the congestion-game welfare lemma.
+    The inputs need not be solutions of anything; the congestion-game
+    welfare lemma reads its costs over the same box (`_merge_box`).
     """
+    return list(itertools.product(*_merge_box(profiles)))
+
+
+def _merge_box(profiles: Sequence[Profile]) -> tuple[tuple[int, ...], ...]:
+    """The per-player projections of a nonempty profile list, whose product
+    is its merge set, refused over the profile cap."""
     if not profiles:
         raise EmptySolutionSet("cannot merge an empty profile list")
-    n = len(profiles[0])
-    projs = degrees.projections(profiles, n)
+    projs = degrees.projections(profiles, len(profiles[0]))
     if degrees.product_size(projs) > profile_cap():
         raise TooLarge("merge set exceeds the profile cap")
-    return list(itertools.product(*projs))
+    return projs
 
 
 @dataclass(frozen=True)
@@ -163,19 +168,14 @@ def is_stable_transition(D: SolutionSet, s: Sequence[int], variant: str = "stric
     current strategy a best response.  In the strict variant (the default)
     the helper must itself not be best responding; the weak variant only
     requires the helper to have a best response differing from its current
-    strategy (a tie suffices).  The condition is read off the game's
-    stable grid (`Game.stable_grid`).
+    strategy (a tie suffices).  Membership in the transition set is
+    `is_transition`'s test; the condition is read off the game's stable
+    grid (`Game.stable_grid`).
     """
-    D.require_nonempty()
+    ts = transition_set(D)
     t = D.game.validate_profile(s)
     grid = D.game.stable_grid(variant)
-    return degrees.covers(D.members, t) and bool(grid[t])
-
-
-def stable_transition_set(D: SolutionSet, variant: str = "strict") -> list[Profile]:
-    """All stable transitions, in lexicographic order."""
-    ts = transition_set(D)
-    return box_profiles(ts, np.flatnonzero(D.game.stable_grid(variant)[ts.box]))
+    return t in ts and bool(grid[t])
 
 
 @dataclass(frozen=True)

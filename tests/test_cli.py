@@ -559,6 +559,26 @@ def _run_module(*argv, **env):
                           env=full)
 
 
+@pytest.mark.parametrize("argv", [
+    ("prices", "matrix6", "--ne"),  # exit 0 on an open pipe
+    ("theorem", "2", "--n", "4"),  # exit 1, a finding, on an open pipe
+])
+def test_a_reader_that_closes_at_once_ends_the_run_with_exit_5(argv):
+    # the pipe's read end is closed before the process starts, so the
+    # report's write meets a closed pipe every time
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        src = str(Path(transit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH", "")]))}
+        proc = subprocess.run([sys.executable, "-m", "transit", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (5, b"")
+
+
 def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(json.dumps(NAMED_GAME, ensure_ascii=False).encode("latin-1"))

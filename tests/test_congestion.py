@@ -18,15 +18,59 @@ from transit.congestion import (
     parallel_link_m_pota_claimed,
     parallel_links,
     random_congestion_game,
-    social_cost,
     verify_merge_lemma,
     verify_parallel_link_family,
 )
 from transit.decomposition import fourcycle_witness
 from transit.efficiency import price_report
 from transit.games import enumerate_pure_ne
+from transit.transitions import merge_set
 
 F = Fraction
+
+
+# -- per-profile references: one profile at a time, in Fractions ----------------
+
+
+def loads(cg, s):
+    """How many players use each resource at the profile s."""
+    out = [0] * cg.n_resources
+    for i, choice in enumerate(s):
+        for j in cg.strategies[i][choice]:
+            out[j] += 1
+    return out
+
+
+def player_cost(cg, i, s):
+    """What player i pays at s: each resource of player i's strategy, priced
+    at its load."""
+    at = loads(cg, s)
+    return sum((cg.costs[j][at[j] - 1] for j in cg.strategies[i][s[i]]), start=F(0))
+
+
+def social_cost(cg, s):
+    return sum((player_cost(cg, i, s) for i in range(cg.n_players)), start=F(0))
+
+
+def _reference_merge_lemma(cg, profiles):
+    """`verify_merge_lemma` by enumeration: every merge in lexicographic
+    order against the members' summed social costs."""
+    members = [tuple(p) for p in profiles]
+    budget = sum((social_cost(cg, s) for s in members), start=F(0))
+    checked = 0
+    counterexample = None
+    for t in merge_set(members):
+        checked += 1
+        if social_cost(cg, t) > budget:
+            counterexample = {"merge": t, "merge_welfare": social_cost(cg, t), "budget": budget}
+            break
+    return {
+        "holds": counterexample is None,
+        "checked": checked,
+        "budget": budget,
+        "counterexample": counterexample,
+        "subadditive": is_subadditive(cg),
+    }
 
 
 def has_monotone_costs(cg):
@@ -180,6 +224,29 @@ def test_merge_lemma_holds_on_parallel_link_equilibria():
             assert verify_merge_lemma(cg, sorted(chosen))["holds"]
 
 
+def test_merge_lemma_matches_the_per_profile_reference():
+    # the cost grid over the merge box against enumerating the merges one
+    # profile at a time: subadditive and arbitrary tables, fractional per-user
+    # costs and costs past 2**62, members repeated or in any order
+    rng = random.Random(77)
+    failing = 0
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        cg = random_congestion_game(rng, n, rng.randint(1, 3), subadditive=trial % 2 == 0)
+        if trial % 3 == 1:
+            cg = CongestionGame(cg.n_players, cg.n_resources, cg.strategies, tuple(
+                tuple(f / k for k, f in enumerate(table, 1)) for table in cg.costs))
+        elif trial % 3 == 2:
+            cg = CongestionGame(cg.n_players, cg.n_resources, cg.strategies, tuple(
+                tuple(f * 2**62 + 1 for f in table) for table in cg.costs))
+        profiles = [tuple(rng.randrange(k) for k in cg.shape())
+                    for _ in range(rng.randint(1, 4))]
+        got = verify_merge_lemma(cg, profiles)
+        assert got == _reference_merge_lemma(cg, profiles), (cg, profiles)
+        failing += not got["holds"]
+    assert failing >= 3  # the first merge over budget is compared too
+
+
 def test_merge_lemma_needs_monotone_costs():
     # subadditivity alone does not carry the welfare bound: with the
     # decreasing table (10, 1, 3), two profiles that crowd the resource pay
@@ -312,7 +379,7 @@ def _reference_ints(cg, convention):
     int64 unless some |U| reaches 2**62."""
     shape = cg.shape()
     profiles = list(itertools.product(*map(range, shape)))
-    costs = [cg.player_cost(i, s) for i in range(cg.n_players) for s in profiles]
+    costs = [player_cost(cg, i, s) for i in range(cg.n_players) for s in profiles]
     scale = math.lcm(*(v.denominator for v in costs))
     sign = 1 if convention == "max" else -1
     grid = [sign * v.numerator * (scale // v.denominator) for v in costs]

@@ -462,6 +462,16 @@ def test_observation5_holds_exhaustively():
         assert out["stable"] == [] and out["equilibria"] == []
 
 
+def test_observation5_reports_a_colouring_below_the_floor(monkeypatch):
+    # with a stability check that accepts every colouring, the star's centre
+    # (floor 1 at degree 3) falls below its floor wherever it differs from
+    # all three leaves, while each leaf (floor 0) stays above its own
+    monkeypatch.setattr(coordination, "check_stable_transition_exact", lambda *args: True)
+    star = GraphColoringInstance(4, ((0, 1), (0, 2), (0, 3)))
+    out = observation5_violations(star)
+    assert out == {"stable": [(1, 2, 2, 2), (2, 1, 1, 1)], "equilibria": []}
+
+
 def test_graph_validation():
     with pytest.raises(ParseError):
         GraphColoringInstance(2, ((0, 0),))

@@ -11,12 +11,10 @@ import numpy as np
 from transit import degrees, oracle
 from transit.degrees import (
     CoverInstance,
-    covers,
     degree_map,
     exact_cover,
     greedy_basis,
     greedy_cover,
-    is_independent,
     reduce_to_cover,
 )
 from transit.errors import Infeasible, NotATransition, TooLarge
@@ -37,6 +35,15 @@ def cover_of(universe, sets):
 def as_profiles(n, sets):
     """Each set as a 0/1 solution; its cover optimum is the degree of all-ones."""
     return [tuple(1 if j in s else 0 for j in range(n)) for s in sets]
+
+
+def is_independent(members, subset):
+    """No chosen solution is a transition of the others."""
+    chosen = [members[i] for i in subset]
+    return not any(
+        oracle.is_transition(chosen[:pos] + chosen[pos + 1 :], chosen[pos])
+        for pos in range(len(chosen))
+    )
 
 
 def covers_universe(ci, picks):

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transit.cli import main
@@ -17,9 +18,10 @@ from transit.efficiency import (
     check_bound_observations,
     coordination_dependence,
     SmoothnessResult,
+    _LAMBDA_GRID,
     _grid_envelope,
+    _ratio_floor,
     _tightest,
-    default_lambda_grid,
     extensive_smoothness,
     price_report,
     two_player_pots_condition,
@@ -361,7 +363,7 @@ def test_condition_implies_pots_equals_pos_on_random_games():
 
 
 def test_lambda_grid_contains_one_and_two():
-    grid = default_lambda_grid()
+    grid = _LAMBDA_GRID
     assert len(grid) == 64
     assert F(1) in grid and F(2) in grid
     assert all(0 < x <= 2 for x in grid)
@@ -442,6 +444,24 @@ def _pairwise_ratio_floor(pairs):
     return hi
 
 
+@pytest.mark.parametrize("groups", [
+    # a <= 1, and a >= 3 from the tighter of -3/-1 and -3/-4
+    [(2, [2]), (-3, [-1, -4])],
+    # a <= -1, and a >= -1/2 from the tighter of 2/-1 and 2/-4
+    [(-1, [1]), (2, [-1, -4])],
+    # a <= 2; a >= 1, then a >= 3 from a later group
+    [(2, [1]), (-1, [-1]), (-3, [-1])],
+])
+def test_negative_denominators_asking_too_much_are_contradictory(groups):
+    # each group (least, dens) stands for the pairs (least, d), d in dens
+    planted = [(least, np.array(dens, dtype=np.int64)) for least, dens in groups]
+    with pytest.raises(Infeasible, match="contradictory"):
+        _ratio_floor(planted)
+    with pytest.raises(Infeasible, match="contradictory"):
+        _pairwise_ratio_floor(
+            (F(least), F(d)) for least, dens in groups for d in dens)
+
+
 def _pairwise_sums(game, optima, trans):
     """(sw(s*), sum_i u_i(s*_i, t_-i), sw(t)) of every (optimum, transition)
     pair, summed once for all lambdas."""
@@ -505,7 +525,7 @@ def _pairwise_smoothness(game, D):
     rows = []
     best = None
     sums = _pairwise_sums(game, optima, trans)
-    for lam in default_lambda_grid():
+    for lam in _LAMBDA_GRID:
         mu = _pairwise_min_mu(sums, lam)
         if mu is None or 1 + ab * mu <= 0:
             continue
@@ -824,17 +844,17 @@ def test_smoothness_matches_pairwise_when_no_transition_has_positive_welfare():
         game = Game.from_function((2, 2), table.__getitem__)
         res = _assert_matches_pairwise(game, SolutionSet(game, ((0, 0),)))
         assert [lam for lam, _, _ in res.grid] == [
-            lam for lam in default_lambda_grid() if lam <= F(1, 2)
+            lam for lam in _LAMBDA_GRID if lam <= F(1, 2)
         ]
 
 
 def _brute_tops(lines, opt):
-    return [max(F(lam * opt - m, v) for v, m in lines) for lam in default_lambda_grid()]
+    return [max(F(lam * opt - m, v) for v, m in lines) for lam in _LAMBDA_GRID]
 
 
 def _swept_tops(lines, opt):
     tops = _grid_envelope(lines, opt)
-    assert len(tops) == len(default_lambda_grid()) and all(den > 0 for _, den in tops)
+    assert len(tops) == len(_LAMBDA_GRID) and all(den > 0 for _, den in tops)
     return [F(num, den) for num, den in tops]
 
 
@@ -864,7 +884,7 @@ def test_upper_envelope_is_the_greatest_line(lines, opt):
 
 
 def test_upper_envelope_breakpoints_on_powers_of_two_are_exact():
-    grid = default_lambda_grid()
+    grid = _LAMBDA_GRID
     for opt, lam in ((8, F(1, 4)), (1, F(2)), (2**63, F(1, 2**62))):
         # (lambda*opt - 0) / 2 and (lambda*opt - 1) / 1 meet exactly at lam
         assert F(lam * opt, 2) == lam * opt - 1

@@ -1,6 +1,10 @@
 """Wire formats: loaders reject malformed input, dumpers round-trip."""
 
+import builtins
+import io
 import json
+import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -138,7 +142,9 @@ def test_routing_round_trip_poly_and_pwl():
         "commodities": [{"source": 0, "sink": 1, "rate": 1, "paths": [[0]]}],
     }
     pwl = tio.routing_from_dict(doc)
-    assert pwl.costs[0](0.5) == 1.0
+    from test_routing import scalar_cost
+
+    assert scalar_cost(pwl.costs[0], 0.5) == 1.0
 
 
 def test_graph_text_and_json(tmp_path):
@@ -150,6 +156,34 @@ def test_graph_text_and_json(tmp_path):
     jpath.write_text(json.dumps(tio.graph_to_dict(g)))
     g2 = tio.load_graph(jpath)
     assert g2.edges == g.edges
+
+
+def test_a_json_graph_under_another_name_is_read_once(tmp_path, monkeypatch):
+    # the text read to tell JSON from an edge list is the text parsed, with
+    # the errors of every other JSON loader
+    path = tmp_path / "g.graph"
+    opened = []
+    real = builtins.open
+
+    def counting(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    path.write_text(json.dumps({"nodes": 3, "edges": [[0, 1], [1, 2]]}))
+    opened.clear()
+    g = tio.load_graph(path)
+    assert (g.n_nodes, g.edges) == (3, ((0, 1), (1, 2)))
+    assert opened == [os.fspath(path)]
+    for text, message in (
+        ('{"nodes": 3}', f"{path} is malformed: missing key 'edges'"),
+        ('{"nodes": 3, "edges": [[0, "x"]]}', f"{path} is malformed: invalid literal"),
+        ('{"nodes": 3,', f"{path} is not valid JSON: "),
+    ):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            tio.load_graph(path)
 
 
 def test_graph_text_rejects_garbage(tmp_path):

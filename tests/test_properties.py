@@ -29,9 +29,9 @@ from transit.transitions import (
     degree_map,
     is_stable_transition,
     m_transition_set,
-    stable_transition_set,
     transition_set,
 )
+from test_transitions import stable_transition_set
 
 F = Fraction
 

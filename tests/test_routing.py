@@ -33,17 +33,68 @@ from transit.routing import (
 )
 
 
+# -- scalar references: one edge at one x, for `EdgeCosts` to match bit for bit
+
+
+def scalar_cost(cost, x):
+    """c(x).  A polynomial by Horner from its highest coefficient; a table
+    holds its first value up to its first point, interpolates on the segment
+    through x and extends its last slope beyond its last point."""
+    if isinstance(cost, PolyCost):
+        acc = 0.0
+        for c in reversed(cost.coeffs):
+            acc = acc * x + c
+        return acc
+    xs = [p[0] for p in cost.points]
+    ys = [p[1] for p in cost.points]
+    if x <= xs[0]:
+        return ys[0]
+    k = _scalar_segment(cost, x)
+    t = (x - xs[k]) / (xs[k + 1] - xs[k])
+    return ys[k] + t * (ys[k + 1] - ys[k])
+
+
+def _scalar_segment(cost, x):
+    """The first table segment whose right end is at or past x, the last
+    one beyond the table."""
+    xs = [p[0] for p in cost.points]
+    for k in range(len(xs) - 1):
+        if x <= xs[k + 1]:
+            return k
+    return len(xs) - 2
+
+
+def scalar_marginal(cost, x):
+    """d/dx of x * c(x); on a table with the slope right of x: 0 before the
+    first point, the last segment's slope from the last point on."""
+    if isinstance(cost, PolyCost):
+        deriv = 0.0
+        for k in range(len(cost.coeffs) - 1, 0, -1):
+            deriv = deriv * x + k * cost.coeffs[k]
+        return scalar_cost(cost, x) + x * deriv
+    if x < cost.points[0][0]:
+        return scalar_cost(cost, x)
+    k = max(i for i, p in enumerate(cost.points[:-1]) if p[0] <= x)
+    (x0, y0), (x1, y1) = cost.points[k], cost.points[k + 1]
+    return scalar_cost(cost, x) + x * ((y1 - y0) / (x1 - x0))
+
+
 def test_poly_cost_eval_and_marginal():
     c = PolyCost((1.0, 2.0, 3.0))  # 1 + 2x + 3x^2
-    assert c(2.0) == 17.0
+    assert scalar_cost(c, 2.0) == 17.0
     # d/dx x*c(x) = c(x) + x c'(x) = 17 + 2*(2 + 12) = 45
-    assert c.marginal(2.0) == pytest.approx(45.0)
+    assert scalar_marginal(c, 2.0) == pytest.approx(45.0)
+
+
+def test_poly_cost_refuses_any_negative_coefficient():
+    with pytest.raises(ParseError, match="nonnegative coefficients"):
+        PolyCost((1.0, -1.0))
 
 
 def test_pwl_cost_interpolation_and_validation():
     c = PwlCost(((0.0, 1.0), (1.0, 3.0)))
-    assert c(0.5) == pytest.approx(2.0)
-    assert c(2.0) == pytest.approx(5.0)  # extrapolated slope 2
+    assert scalar_cost(c, 0.5) == pytest.approx(2.0)
+    assert scalar_cost(c, 2.0) == pytest.approx(5.0)  # extrapolated slope 2
     with pytest.raises(ParseError):
         PwlCost(((0.0, 3.0), (1.0, 1.0)))  # decreasing
 
@@ -61,12 +112,12 @@ def test_pwl_marginal_uses_the_right_hand_slope():
         6.0: 18.0 + 6.0 * 4.0,  # past the table
     }
     for x, want in cases.items():
-        assert c.marginal(x) == want
+        assert scalar_marginal(c, x) == want
     xs = np.array(list(cases))
     costs = routing.EdgeCosts((c, PolyCost((1.0, 1.0))))
     fe = np.stack([xs, xs], axis=1)
     assert np.array_equal(costs.marginal(fe)[:, 0], list(cases.values()))
-    assert np.array_equal(costs.cost(fe)[:, 0], [c(x) for x in xs])
+    assert np.array_equal(costs.cost(fe)[:, 0], [scalar_cost(c, x) for x in xs])
 
 
 def test_table_edges_are_priced_bit_for_bit_in_one_pass():
@@ -94,8 +145,8 @@ def test_table_edges_are_priced_bit_for_bit_in_one_pass():
     evaluator = routing.EdgeCosts(costs)
     got_cost, got_marginal = evaluator.cost(fe), evaluator.marginal(fe)
     for e in tables:
-        assert got_cost[:, e].tolist() == [costs[e](v) for v in probes]
-        assert got_marginal[:, e].tolist() == [costs[e].marginal(v) for v in probes]
+        assert got_cost[:, e].tolist() == [scalar_cost(costs[e], v) for v in probes]
+        assert got_marginal[:, e].tolist() == [scalar_marginal(costs[e], v) for v in probes]
 
 
 @pytest.mark.parametrize(
@@ -112,7 +163,7 @@ def test_pwl_convexity_reads_the_slopes(points, convex):
 def test_cost_spec_roundtrip():
     c = cost_from_spec({"poly": [0, 1]})
     assert isinstance(c, PolyCost)
-    assert cost_from_spec(c.spec())(3.0) == 3.0
+    assert scalar_cost(cost_from_spec(c.spec()), 3.0) == 3.0
     p = cost_from_spec({"pwl": [[0, 0], [1, 2]]})
     assert isinstance(p, PwlCost)
 
@@ -449,6 +500,50 @@ def test_stretch_degenerate_zero_intercept_with_constant_cost():
     assert math.isinf(sb["cap"])
 
 
+def test_stretch_reads_the_longest_over_the_shortest_path():
+    # one commodity over a 1-edge path and a 2-edge path: the length factor
+    # is max/min = 2, so a min(lens) numerator would read 1
+    inst = RoutingInstance(
+        3,
+        ((0, 2), (0, 1), (1, 2)),
+        (PolyCost((0.0, 1.0)), PolyCost((0.5, 2.0)), PolyCost((0.0, 3.0))),
+        (Commodity(0, 2, 1.0, ((0,), (1, 2))),),
+    )
+    sup = max(scalar_cost(c, 1.0) for c in inst.costs)
+    inf = min(scalar_cost(c, 0.5) for c in inst.costs)
+    sb = stretch_bound(inst, transition_costs(inst))
+    assert sb["stretch"] == [2 * sup / inf] == [2 * 3.0 / 0.5]
+    assert sb["cap"] == 12.0 and sb["holds"]
+
+
+def _reference_stretch(inst):
+    """The stretch of every commodity, priced one edge at a time."""
+    sup = max(scalar_cost(cost, inst.total_demand()) for cost in inst.costs)
+    out = []
+    for c in inst.commodities:
+        lens = [len(p) for p in c.paths]
+        inf = min(scalar_cost(cost, c.rate / len(c.paths)) for cost in inst.costs)
+        out.append(math.inf if inf <= 0 else max(lens) * sup / (min(lens) * inf))
+    return out
+
+
+def test_stretch_matches_the_scalar_reference_bit_for_bit():
+    # the fixtures, Figure 2 shapes and random networks, most with table
+    # edges; the stretch reads only pota / poa of the prices
+    rng = random.Random(3)
+    networks = [fig1_family(3), fig2_family(4, 2, 0.1), pigou_pair(), prop4_network()]
+    networks += [fig2_family(n, m, delta) for n in (2, 5, 11) for m in (1, 3)
+                 for delta in (0.1, 0.5)]
+    networks += [_random_network(rng) for _ in range(60)]
+    tables = 0
+    for inst in networks:
+        tables += any(isinstance(c, PwlCost) for c in inst.costs)
+        sb = stretch_bound(inst, {"pota": 1.0, "poa": 1.0})
+        assert sb["stretch"] == _reference_stretch(inst)
+        assert all(type(v) is float for v in sb["stretch"])
+    assert tables >= 40
+
+
 def test_fig2_shares_exactly_the_top_edge():
     inst = fig2_family(5, 2, 0.1)
     assert len(inst.commodities) == 2
@@ -674,7 +769,7 @@ def _reference_conditional_gradient(inst, edge_price, allowed, tol, max_iter):
 
 def _reference_cost(inst, path_flows):
     fe = inst.path_edge_matrix().T @ path_flows
-    return float(sum(cost(fe[e]) * fe[e] for e, cost in enumerate(inst.costs)))
+    return float(sum(scalar_cost(cost, fe[e]) * fe[e] for e, cost in enumerate(inst.costs)))
 
 
 def _reference_worst_vertex(inst, allowed):
@@ -749,10 +844,13 @@ def test_array_passes_match_the_per_edge_reference():
         inst = _random_network(rng)
         incidence = inst.path_edge_matrix()
         for solve, edge_price in (
-            (lambda: equilibrium_flow(inst, tol, steps), lambda x, e: inst.costs[e](x)),
+            (
+                lambda: equilibrium_flow(inst, tol, steps),
+                lambda x, e: scalar_cost(inst.costs[e], x),
+            ),
             (
                 lambda: min_cost_flow(inst, None, tol, steps),
-                lambda x, e: inst.costs[e].marginal(x),
+                lambda x, e: scalar_marginal(inst.costs[e], x),
             ),
         ):
             got = _capped(solve)
@@ -766,7 +864,7 @@ def test_array_passes_match_the_per_edge_reference():
             fe = got.edge_flows()
             assert np.max(np.abs(fe - incidence.T @ want)) <= 1e-9
             assert got.cost() == pytest.approx(_reference_cost(inst, got.path_flows), rel=1e-12)
-            ce = np.array([cost(fe[e]) for e, cost in enumerate(inst.costs)])
+            ce = np.array([scalar_cost(cost, fe[e]) for e, cost in enumerate(inst.costs)])
             assert np.allclose(got.path_costs(), incidence @ ce, rtol=1e-12, atol=0)
 
         _assert_worst_vertex_matches(inst)

@@ -28,9 +28,9 @@ from transit.transitions import (
     degree_map,
     m_transition_set,
     saturation_degree,
-    stable_transition_set,
     transition_set,
 )
+from test_transitions import stable_transition_set
 
 F = Fraction
 

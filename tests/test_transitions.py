@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from transit.errors import EmptySolutionSet, NotATransition
@@ -12,17 +13,24 @@ from transit.fixtures import example2_game, matrix2_game, matrix5_game
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit import oracle
 from transit.transitions import (
+    box_profiles,
     degree_map,
     is_stable_transition,
     is_transition,
     m_transition_set,
     merge_set,
-    stable_transition_set,
     transition_degree,
     transition_set,
 )
 
 F = Fraction
+
+
+def stable_transition_set(D, variant="strict"):
+    """All stable transitions, in lexicographic order: the stable grid read
+    over D's transition box."""
+    ts = transition_set(D)
+    return box_profiles(ts, np.flatnonzero(D.game.stable_grid(variant)[ts.box]))
 
 
 def is_product_set(profiles):
@@ -261,6 +269,20 @@ def test_stable_nontransition_is_false():
     game = matrix5_game()
     D = SolutionSet(game, ((0, 0),), "single")
     assert not is_stable_transition(D, (1, 1))
+
+
+def test_one_coordinate_outside_its_projection_is_no_transition():
+    # every profile of a constant game is stable, so only membership can
+    # refuse (0, 2) and (2, 1): one coordinate each lies in no solution
+    game = Game.from_function((3, 3), lambda s: (0, 0))
+    D = SolutionSet(game, ((0, 0), (1, 1)))
+    for s in ((0, 2), (2, 1)):
+        assert not oracle.is_transition(D.members, s)
+        assert not is_transition(D, s)
+        for variant in ("strict", "weak"):
+            assert bool(game.stable_grid(variant)[s])
+            assert not is_stable_transition(D, s, variant)
+    assert is_transition(D, (0, 1)) and is_stable_transition(D, (0, 1))
 
 
 def test_degree_map_agrees_with_pointwise_degrees():
