@@ -17,6 +17,8 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from . import fixtures as fx
 from . import io as tio
 from .congestion import verify_parallel_link_family
@@ -154,14 +156,9 @@ def _parse_profile(game: Game, text: str):
     if len(values) > 1:
         return game.validate_profile(tuple(values))
     rank = values[0]
-    shape = game.shape
     if not 0 <= rank < game.num_profiles:
         raise ParseError(f"profile rank {rank} out of range")
-    out = []
-    for k in reversed(shape):
-        out.append(rank % k)
-        rank //= k
-    return tuple(reversed(out))
+    return tuple(int(x) for x in np.unravel_index(rank, game.shape))
 
 
 def cmd_degree(args) -> Report:

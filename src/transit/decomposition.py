@@ -23,7 +23,7 @@ import numpy as np
 from .congestion import CongestionGame, congestion_to_game, is_superadditive
 from .efficiency import _row, price_report
 from .errors import CertificateInvalid, EmptySolutionSet, PreconditionFailed
-from .games import Game, SolutionSet, enumerate_pure_ne
+from .games import Game, enumerate_pure_ne
 from .transitions import degree_map, transition_set
 
 
@@ -103,29 +103,7 @@ class DecompositionCertificate:
         return Fraction(int(np.abs(residual).max()), scale)
 
 
-def _welfare(D: SolutionSet, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """W (`Game.welfare`) over D's solutions and over its transitions of
-    degree at most m."""
-    welfare = D.game.welfare
-    return (welfare[tuple(np.array(D.members).T)],
-            welfare[transition_set(D).box][degree_map(D) <= m])
-
-
-def _tight_alpha(loose, strict) -> Fraction | None:
-    """Transfer factor between matching extremes of sw, in one unit.
-
-    The extreme over the loose set divided by the same extreme over the
-    strict set: min over min gives the anarchy factor, max over max the
-    stability factor.  1 when both are zero; None when only the strict
-    extreme is zero (no finite factor exists).
-    """
-    if strict == 0:
-        return Fraction(1) if loose == 0 else None
-    return Fraction(int(loose), int(strict))
-
-
-# row, the price it compares, its alpha, and whether it is a lower bound;
-# a lower bound takes least welfare, and the m_ prices read m-transitions
+# row, the price it compares, its alpha, and whether it is a lower bound
 _TRANSFERS = (
     ("anarchy-transfer", "poa", "alpha_ne", True),
     ("stability-transfer", "pos", "alpha_ne_upper", False),
@@ -141,9 +119,10 @@ def verify_decomposition_bounds(
 ) -> dict:
     """Check the anarchy/stability transfer inequalities of a certificate.
 
-    Enumerates the 2-epsilon equilibria of the potential part and their
-    m-limited transitions, extracts the tightest transfer factors (or uses
-    the certificate's alpha when it has one), and asserts:
+    Each searched transfer factor is one price of the potential part P over
+    its 2-epsilon equilibria divided by the same price over its equilibria
+    (1 when both are 0, None when only the second is); a certificate's
+    alpha replaces every factor.  Asserts:
 
       poa_G / poa_P >= alpha_ne        pos_G / pos_P <= alpha_ne_upper
       m_pota_G / m_pota_P >= alpha_m   m_pots_G / m_pots_P <= alpha_m_upper
@@ -165,23 +144,22 @@ def verify_decomposition_bounds(
     if ne_g.is_empty or ne_p.is_empty:
         raise EmptySolutionSet("both games need pure equilibria for the transfer")
 
-    loose, exact = _welfare(loose_p, m), _welfare(ne_p, m)
-    if loose[1].min() < 0:
+    if P.welfare[transition_set(loose_p).box][degree_map(loose_p) <= m].min() < 0:
         raise PreconditionFailed(f"welfare is negative on a transition of degree at most {m} "
                                  "of the potential part's 2-epsilon equilibria")
 
     report_g = price_report(G, ne_g)
     report_p = price_report(P, ne_p)
+    report_loose = price_report(P, loose_p)
 
     def price(report, key):
         return getattr(report, f"{key}_at")(m) if key[:2] == "m_" else getattr(report, key)
 
     searched, used, rows = {}, {}, []
     for name, key, alpha, lower in _TRANSFERS:
-        extreme, stage = (np.min if lower else np.max), key[:2] == "m_"
-        searched[alpha] = _tight_alpha(extreme(loose[stage]), extreme(exact[stage]))
+        g, p, loose = (price(report, key) for report in (report_g, report_p, report_loose))
+        searched[alpha] = loose / p if p else (Fraction(1) if loose == 0 else None)
         a = used[alpha] = searched[alpha] if cert.alpha is None else cert.alpha
-        g, p = price(report_g, key), price(report_p, key)
         rows.append(_row(name, "decomposition-transfer", {alpha: a},
                          f"{key}_G / {key}_P {'>=' if lower else '<='} {alpha}",
                          g / p if p else None, a, ge=lower))

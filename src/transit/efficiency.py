@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import Infeasible, UndefinedPrice, WrongArity, WrongConvention
-from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne
+from .errors import Infeasible, NotIdenticalUtility, UndefinedPrice, WrongArity, WrongConvention
+from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne, identical_utilities
 from .transitions import box_profiles, degree_map, transition_set
 
 ONE = Fraction(1)
@@ -717,9 +717,6 @@ def _grid_envelope(lines, opt: int) -> list[tuple[int, int]]:
 
 def verify_identical_utility(game: Game) -> dict:
     """For identical-utility games the best transition is already optimal."""
-    from .errors import NotIdenticalUtility
-    from .games import identical_utilities
-
     if not identical_utilities(game):
         raise NotIdenticalUtility("players' payoff vectors differ")
     D = enumerate_pure_ne(game)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from transit import coordination
+from transit import cli, coordination
 from transit.coordination import (
     GraphColoringInstance,
     check_stable_transition_exact,
@@ -470,6 +470,34 @@ def test_observation5_reports_a_colouring_below_the_floor(monkeypatch):
     star = GraphColoringInstance(4, ((0, 1), (0, 2), (0, 3)))
     out = observation5_violations(star)
     assert out == {"stable": [(1, 2, 2, 2), (2, 1, 1, 1)], "equilibria": []}
+
+
+def test_a_zero_welfare_equilibrium_fails_the_anarchy_floor(monkeypatch, capsys):
+    # a kernel that reports the first colouring of each block as an
+    # equilibrium of welfare 0 drives poa to 0, below its floor of 1/2
+    kernel = coordination._threshold_kernel
+
+    def planted(part, cols):
+        welfare, ne, stable = kernel(part, cols)
+        welfare[0], ne[0] = 0, True
+        return welfare, ne, stable
+
+    monkeypatch.setattr(coordination, "_threshold_kernel", planted)
+    out = efficiency_bounds(cycle_graph(6))
+    assert out["poa"] == 0 and out["poa_holds"] is False
+    assert main(["graph", "bounds", "cycle-6"]) == 1
+    assert json.loads(capsys.readouterr().out)["findings"] == ["anarchy-floor: poa >= 1/2"]
+
+
+def test_a_monochromatic_colouring_fails_the_construction_check(monkeypatch, capsys):
+    # every node agrees with all its neighbours: an equilibrium, which no
+    # construction may return
+    mono = (1,) * 6
+    assert not is_stable_non_equilibrium(cycle_graph(6), mono)
+    monkeypatch.setattr(cli, "construct_st_not_ne", lambda inst, topology: mono)
+    assert main(["graph", "construct", "cycle-6", "--topology", "cycle"]) == 1
+    assert json.loads(capsys.readouterr().out)["findings"] == [
+        "construction-verified: construction must be stable and not an equilibrium"]
 
 
 def test_graph_validation():

@@ -37,7 +37,7 @@ from transit.fixtures import (
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.io import game_to_dict
 from transit.transitions import degree_map, transition_set
-from transit import oracle
+from transit import efficiency, oracle
 
 F = Fraction
 
@@ -305,6 +305,19 @@ def test_bound_soundness_on_random_games():
         for row in rows:
             assert row.skipped or row.holds, row
         checked += 1
+
+
+def test_a_welfare_constant_of_one_fails_the_anarchy_row(monkeypatch):
+    # matrix6's pota (7/16) is below its poa (3/4): with sw_alpha_lower = 1
+    # the row asserts pota >= poa and fails
+    game = matrix6_game()
+    D = enumerate_pure_ne(game)
+    dep = coordination_dependence(game, D)
+    monkeypatch.setattr(efficiency, "coordination_dependence",
+                        lambda game, D: dataclasses.replace(dep, sw_alpha_lower=F(1)))
+    rows = {row.name: row for row in check_bound_observations(game, D)}
+    row = rows["welfare-lower-dependence-anarchy"]
+    assert (row.lhs, row.rhs, row.holds) == (F(7, 16), F(3, 4), False)
 
 
 def test_cost_games_skip_bound_machinery():
@@ -953,6 +966,13 @@ def test_prices_reports_are_pinned(fixture, stable, capsys):
 
 
 # -- identical utility -------------------------------------------------------------
+
+
+def test_identical_utility_fails_on_a_price_of_stability_below_one(monkeypatch):
+    monkeypatch.setattr(efficiency, "price_report",
+                        lambda game, D: dataclasses.replace(price_report(game, D), pos=F(1, 2)))
+    out = verify_identical_utility(matrix5_game(eps="0.1", a=1))
+    assert out["pos"] == F(1, 2) and out["holds"] is False
 
 
 def test_verify_identical_utility_matrix5():

@@ -1,6 +1,7 @@
 """Polymatrix hypothesis checks, generator, and the welfare floor."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -118,6 +119,16 @@ def test_theorem1_gates_and_prices_each_instance_once(monkeypatch, capsys):
     assert cli.main(["theorem", "1", "--instances", "20"]) == 0
     capsys.readouterr()
     assert calls == {"price_report": 20, "_regularity": 26 + 20}
+
+
+def test_m_posta_below_poa_over_m_fails_theorem1(monkeypatch, capsys):
+    # poa is never negative, so m_posta = -1 falls below poa / m at every m
+    monkeypatch.setattr(polymatrix, "m_posta", lambda game, D, m: F(-1))
+    pg, D = next(generate_theorem1_instances(random.Random(99), 1))
+    assert [out["holds"] for out in verify_theorem1(pg, D, (1, 2, 3))] == [False] * 3
+    assert cli.main(["theorem", "1", "--instances", "5"]) == 1
+    assert json.loads(capsys.readouterr().out)["findings"] == [
+        "stable-degree-welfare-floor: m-posta >= poa / m on every generated instance"]
 
 
 def test_singleton_solution_set_floor_is_trivial():

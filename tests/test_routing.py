@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transit import routing
+from transit import cli, routing
 from transit.cli import main
 from transit.errors import BadParams, NoConvergence, ParseError, TooLarge
 from transit.io import routing_to_dict
@@ -514,6 +514,22 @@ def test_stretch_reads_the_longest_over_the_shortest_path():
     sb = stretch_bound(inst, transition_costs(inst))
     assert sb["stretch"] == [2 * sup / inf] == [2 * 3.0 / 0.5]
     assert sb["cap"] == 12.0 and sb["holds"]
+
+
+def test_stretch_above_the_cap_fails_the_bound(monkeypatch, capsys):
+    # prop4-network's cap is 2; prices at pota = 3 poa break it, and
+    # routing analyze exits 1 on that finding alone
+    def inflated(*args, **kwargs):
+        prices = transition_costs(*args, **kwargs)
+        return {**prices, "pota": 3 * prices["poa"]}
+
+    inst = prop4_network()
+    sb = stretch_bound(inst, inflated(inst))
+    assert sb["cap"] == 2.0 and not sb["degenerate"] and sb["holds"] is False
+    monkeypatch.setattr(cli, "transition_costs", inflated)
+    assert main(["routing", "analyze", "prop4-network"]) == 1
+    assert json.loads(capsys.readouterr().out)["findings"] == [
+        "stretch-bound: pota/poa must stay below the largest stretch"]
 
 
 def _reference_stretch(inst):

@@ -15,7 +15,6 @@ import pytest
 
 from transit import degrees
 from transit.cli import main
-from transit.decomposition import _welfare
 from transit.efficiency import (
     check_bound_observations,
     coordination_dependence,
@@ -116,7 +115,6 @@ def _consumers(game, other):
         calls += [
             (f"m_transition_set {m}", lambda D, m=m: m_transition_set(D, m)),
             (f"m_posta {m}", lambda D, m=m: m_posta(game, D, m)),
-            (f"welfare {m}", lambda D, m=m: _welfare(D, m)),
         ]
     return calls
 
