@@ -224,6 +224,10 @@ def cmd_routing(args) -> Report:
         and out["equilibrium_cost"] <= out["worst_cost"] + 1e-9,
         "best <= equilibrium <= worst transition cost",
     )
+    for ci, path in out["off_cheapest"]:
+        report.record("support-carries-flow", False,
+                      f"commodity {ci} path {path} carries equilibrium flow "
+                      "but is not among its cheapest paths")
     return report
 
 

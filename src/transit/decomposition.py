@@ -22,7 +22,7 @@ import numpy as np
 
 from .congestion import CongestionGame, congestion_to_game, is_superadditive
 from .efficiency import _row, price_report
-from .errors import CertificateInvalid, EmptySolutionSet, PreconditionFailed
+from .errors import BadParams, CertificateInvalid, EmptySolutionSet, PreconditionFailed
 from .games import Game, enumerate_pure_ne
 from .transitions import degree_map, transition_set
 
@@ -132,8 +132,11 @@ def verify_decomposition_bounds(
     compare; PreconditionFailed is raised otherwise.  With a superadditive
     utility-maximisation congestion backend for the potential part,
     additionally asserts m_pota_G >= (alpha_m / m) * poa_P.  A row with an
-    undefined ratio or alpha is skipped.
+    undefined ratio or alpha is skipped.  An m below 1 is refused with
+    BadParams before any equilibrium is enumerated.
     """
+    if m < 1:
+        raise BadParams("m must be at least 1")
     cert.validate()
     G, P = cert.game, cert.potential
     eps = cert.epsilon()

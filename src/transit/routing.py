@@ -4,12 +4,15 @@ Commodities route splittable demand over explicit path lists with
 nondecreasing edge costs.  Equilibria minimise the potential
 sum_e integral_0^{f_e} c_e, computed by conditional-gradient iterations
 whose linear oracle is the cheapest path of each commodity.  Each step's
-length is the root of the monotone directional derivative, bracketed to
-2**-70 (or adjacent floats) by the ITP method: regula falsi, truncated and
-projected towards the midpoint, so never more than one step beyond
-bisection and far fewer on smooth derivatives.  On polynomial edges that
-derivative is a polynomial in the step, built once per step, so each probe
-of the search is a scalar Horner.  A transition
+length is the root of the monotone directional derivative.  On an affine
+network (every edge a polynomial of at most 2 coefficients, no table edge)
+that derivative is a line in the step, and its root is taken in closed
+form.  Otherwise it is bracketed to 2**-70 (or adjacent floats) by the ITP
+method: regula falsi, truncated and projected towards the midpoint, so
+never more than one step beyond bisection and far fewer on smooth
+derivatives.  On polynomial edges of higher degree the derivative is a
+polynomial in the step, built once per step, so each probe of the search
+is a scalar Horner.  A transition
 reallocates each commodity freely over the paths that can carry positive
 equilibrium flow; its worst cost is attained at a vertex of the restricted
 polytope whenever x * c_e(x) is convex, and its best cost by the same
@@ -18,6 +21,7 @@ conditional gradient run on the actual cost.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,17 +111,6 @@ class EdgeCosts:
             coeffs[row, : len(costs[e].coeffs)] = costs[e].coeffs
         self.coeffs = coeffs
         self.marginal_coeffs = coeffs * np.arange(1, width + 1)
-        # per pricing, [k, e, m] = binom(m + k, k) * a_{m + k} of row e (0 where
-        # m + k passes the last column): the coefficient of x**m * h**k in the
-        # row's polynomial at x + h
-        k, m = np.indices((width, width))
-        binom = [[math.comb(i + j, i) for j in range(width)] for i in range(width)]
-        weights = np.where(m + k < width, binom, 0)
-        column = np.minimum(m + k, width - 1)
-        self.shifts = {
-            marginal: (c[:, column] * weights).transpose(1, 0, 2)
-            for marginal, c in ((False, coeffs), (True, self.marginal_coeffs))
-        }
 
         tables = [(e, c.points) for e, c in enumerate(costs) if isinstance(c, PwlCost)]
         self.tables = np.array([e for e, _ in tables], dtype=np.intp)
@@ -136,6 +129,22 @@ class EdgeCosts:
             self.rise[row, : len(xs) - 1] = ys[1:] - ys[:-1]
             self.run[row, : len(xs) - 1] = xs[1:] - xs[:-1]
         self.slope = self.rise / self.run
+
+    @functools.cached_property
+    def shifts(self) -> dict[bool, np.ndarray]:
+        """Per pricing, [k, e, m] = binom(m + k, k) * a_{m + k} of row e (0
+        where m + k passes the last column): the coefficient of x**m * h**k
+        in the row's polynomial at x + h.  Built on first read, since only
+        the moves that `_line_search` brackets by ITP read it."""
+        width = self.coeffs.shape[1]
+        k, m = np.indices((width, width))
+        binom = [[math.comb(i + j, i) for j in range(width)] for i in range(width)]
+        weights = np.where(m + k < width, binom, 0)
+        column = np.minimum(m + k, width - 1)
+        return {
+            marginal: (c[:, column] * weights).transpose(1, 0, 2)
+            for marginal, c in ((False, self.coeffs), (True, self.marginal_coeffs))
+        }
 
     def cost(self, fe: np.ndarray) -> np.ndarray:
         return self._evaluate(fe, marginal=False)
@@ -174,12 +183,20 @@ class EdgeCosts:
         return out
 
     def along(self, fe: np.ndarray, de: np.ndarray, marginal: bool):
-        """phi'(gamma) = sum_e de_e * p_e(fe_e + gamma * de_e) as a function
-        of the scalar gamma, p_e the cost or the marginal.
+        """phi'(gamma) = sum_e de_e * p_e(fe_e + gamma * de_e) along the move
+        de from the edge flows fe, p_e the cost or the marginal.
 
-        On polynomial edges phi' is itself a polynomial in gamma of the
-        costs' width: its coefficient of gamma**k is
-        T_k = sum_e de_e**(k + 1) * sum_m shift[k, e, m] * fe_e**m, built
+        On an affine network, every edge a polynomial of at most 2
+        coefficients and none a table, phi' is the line T0 + gamma * T1 with
+        T0 = sum_e de_e * p_e(fe_e) and T1 = sum_e de_e**2 * slope_e, the
+        slope a_1 for the cost and 2 * a_1 for the marginal.  Then the pair
+        (T0, T1) is returned, and `_line_search` takes its root in closed
+        form.
+
+        Otherwise phi' is returned as a function of the scalar gamma, which
+        `_line_search` brackets by ITP.  On polynomial edges it is itself a
+        polynomial in gamma of the costs' width: its coefficient of gamma**k
+        is T_k = sum_e de_e**(k + 1) * sum_m shift[k, e, m] * fe_e**m, built
         here in one array pass, so that each call is a scalar Horner.  Table
         edges are priced at each call by `_price_tables`, over their own
         columns only.
@@ -195,6 +212,10 @@ class EdgeCosts:
         loses at most a factor 2**degree against the edge's price at the
         start of the move.
         """
+        coeffs = self.marginal_coeffs if marginal else self.coeffs
+        if not self.tables.size and coeffs.shape[1] == 2:
+            t0 = (de * _horner(fe, coeffs)).sum()
+            return float(t0), float((de * de * coeffs[:, 1]).sum())
         shift = self.shifts[marginal]
         powers = de[self.poly] ** np.arange(1.0, len(shift) + 1)[:, None]
         taylor = (_horner(fe[self.poly], shift) * powers).sum(axis=1).tolist()[::-1]
@@ -358,10 +379,13 @@ LINE_SEARCH_EPS = 2.0**-71
 
 
 def _line_search(derivative) -> float:
-    """Root of a nondecreasing derivative on [0, 1] by the ITP method.
+    """Root on [0, 1] of a nondecreasing derivative: in closed form when it
+    is a line, given as the pair (T0, T1) of `EdgeCosts.along`, and by the
+    ITP method when it is a function of the step.
 
-    Returns 0 when derivative(0) >= 0 and 1 when derivative(1) <= 0.
-    Otherwise it keeps a bracket with derivative <= 0 at its left end and
+    Returns 0 when derivative(0) >= 0 and 1 when derivative(1) <= 0; on a
+    line, T0 >= 0 and T0 + T1 <= 0.  A line's root is otherwise -T0 / T1.
+    On a function it keeps a bracket with derivative <= 0 at its left end and
     > 0 at its right end, and stops once the ends are adjacent floats or at
     most 2 * LINE_SEARCH_EPS apart.  Each step interpolates the root by
     regula falsi, truncates that point towards the midpoint by
@@ -373,6 +397,11 @@ def _line_search(derivative) -> float:
     step beyond bisection's count (71 on [0, 1]), and far fewer where the
     derivative is smooth.
     """
+    if isinstance(derivative, tuple):
+        t0, t1 = derivative
+        if t0 >= 0:
+            return 0.0
+        return 1.0 if t0 + t1 <= 0 else -t0 / t1
     lo, hi = 0.0, 1.0
     y_lo = derivative(lo)
     if y_lo >= 0:
@@ -449,8 +478,6 @@ def _conditional_gradient(
         path_prices[:-1] = incidence @ price(fe)
         offered = path_prices[choices]
         pick = np.argmin(offered, axis=1)
-        y = np.zeros_like(f)
-        y[choices[commodity, pick]] = rates
         current = float(np.dot(path_prices[:-1], f))
         best_total = 0.0
         for cheapest, rate in zip(offered[commodity, pick].tolist(), rates):
@@ -458,7 +485,9 @@ def _conditional_gradient(
         rel_gap = (current - best_total) / max(abs(current), 1e-30)
         if rel_gap <= tol:
             return f
-        direction = y - f
+        # the move onto the cheapest allowed paths, y - f
+        direction = -f
+        direction[choices[commodity, pick]] += rates
         # the line search works on edge flows: fe + gamma * de
         de = incidence.T @ direction
         step = _line_search(costs.along(fe, de, marginal))
@@ -508,21 +537,27 @@ def supported_paths(inst: RoutingInstance, eq: Flow) -> dict:
 
     Criterion: the path's cost at the equilibrium edge flows equals the
     commodity's minimum path cost (within SUPPORT_REL_TOL, scaled to the
-    cost magnitude).  Exact when each commodity's paths are pairwise
+    cost magnitude), or the path carries more than FEASIBILITY_TOL times the
+    commodity's rate.  Exact when each commodity's paths are pairwise
     edge-disjoint; in general the criterion is necessary but possibly not
-    sufficient, which the `exact` flag reports.
+    sufficient, which the `exact` flag reports.  `off_cheapest` lists the
+    (commodity, path) pairs that carry flow without being among the
+    cheapest, as a solve stopped at a loose gap can leave them.
     """
     costs = eq.path_costs()
     slices = inst.commodity_slices()
-    per_commodity = []
-    for c, sl in zip(inst.commodities, slices):
+    per_commodity, off_cheapest = [], []
+    for ci, (c, sl) in enumerate(zip(inst.commodities, slices)):
         vals = costs[sl]
         floor = float(np.min(vals))
-        cut = floor + SUPPORT_REL_TOL * max(1.0, abs(floor))
-        per_commodity.append([p for p in range(len(c.paths)) if costs[sl.start + p] <= cut])
+        cheapest = vals <= floor + SUPPORT_REL_TOL * max(1.0, abs(floor))
+        carries = eq.path_flows[sl] > FEASIBILITY_TOL * c.rate
+        per_commodity.append(np.flatnonzero(cheapest | carries).tolist())
+        off_cheapest += [(ci, p) for p in np.flatnonzero(carries & ~cheapest).tolist()]
     return {
         "paths": per_commodity,
         "exact": inst.edge_disjoint_paths_per_commodity(),
+        "off_cheapest": off_cheapest,
     }
 
 
@@ -578,7 +613,8 @@ def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
     which is exact when every x * c_e(x) is convex; otherwise the vertex
     maximum is only a lower bound and is flagged.  The best transition is
     the cheapest flow restricted to supported paths; when every path is
-    supported it is the optimum, solved once.
+    supported it is the optimum, solved once.  `off_cheapest` passes on the
+    paths that carry equilibrium flow without being among the cheapest.
     """
     eq = equilibrium_flow(inst, tol)
     sup = supported_paths(inst, eq)
@@ -615,6 +651,7 @@ def transition_costs(inst: RoutingInstance, tol: float = DEFAULT_TOL) -> dict:
         "equilibrium_cost": eq_cost,
         "supported": allowed,
         "supported_exact": sup["exact"],
+        "off_cheapest": sup["off_cheapest"],
         "worst_cost": worst,
         "worst_flow": Flow(inst, worst_flow),
         "worst_exact": convex,

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from transit import decomposition
 from transit.congestion import CongestionGame, congestion_to_game
 from transit.decomposition import (
     DecompositionCertificate,
@@ -15,6 +16,7 @@ from transit.decomposition import (
 )
 from transit.efficiency import BoundRow
 from transit.errors import (
+    BadParams,
     CertificateInvalid,
     EmptySolutionSet,
     PreconditionFailed,
@@ -252,6 +254,18 @@ def test_negative_welfare_on_a_transition_is_a_failed_precondition():
                                               F(phi[s[0]][s[1]] - r[s[0]][s[1]])))
     with pytest.raises(PreconditionFailed, match="welfare is negative"):
         verify_decomposition_bounds(DecompositionCertificate(G, P), m=2)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_m_below_one_is_refused_before_any_equilibrium_is_enumerated(m, monkeypatch):
+    _, P = congestion_potential_2x2()
+
+    def enumerate_pure_ne(*args):
+        raise AssertionError("equilibria enumerated before m was checked")
+
+    monkeypatch.setattr(decomposition, "enumerate_pure_ne", enumerate_pure_ne)
+    with pytest.raises(BadParams, match="m must be at least 1"):
+        verify_decomposition_bounds(DecompositionCertificate(P, P), m=m)
 
 
 def random_certificate(rng):

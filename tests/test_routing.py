@@ -459,6 +459,22 @@ def test_a_loose_tol_keeps_the_support_or_reports_the_cost_ordering(network, cap
                 or doc["results"]["supported_paths"] == default), (tol, doc)
 
 
+def test_a_path_that_carries_flow_stays_supported_and_is_reported(capsys):
+    # at tol 0.5 the solve accepts its starting flow, all on path 0, where
+    # path 1 is the cheaper one: the support keeps both paths, so the cost
+    # ordering holds, and the flow off the cheapest paths is the finding
+    assert main(["routing", "analyze", "prop4-network", "--tol", "0.5"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["supported_paths"] == [[0, 1]]
+    assert doc["findings"] == [
+        "support-carries-flow: commodity 0 path 0 carries equilibrium flow "
+        "but is not among its cheapest paths"
+    ]
+    results = doc["results"]
+    assert (results["best_transition_cost"] <= results["equilibrium_cost"] == 2.0
+            <= results["worst_transition_cost"] == 3.0)
+
+
 def test_path_edge_matrix_is_cached_and_read_only():
     inst = fig2_family(4, 2, 0.1)
     # both commodities' first path is the shared edge 0, then private edges
@@ -558,6 +574,11 @@ def test_stretch_matches_the_scalar_reference_bit_for_bit():
         assert sb["stretch"] == _reference_stretch(inst)
         assert all(type(v) is float for v in sb["stretch"])
     assert tables >= 40
+
+
+def test_prop4_refuses_a_zero_intercept():
+    with pytest.raises(BadParams, match="intercept must be positive"):
+        prop4_network(intercept=0.0)
 
 
 def test_fig2_shares_exactly_the_top_edge():
@@ -813,16 +834,21 @@ def _random_cost(rng):
     return PwlCost(tuple(points))
 
 
-def _random_network(rng):
+def _random_affine_cost(rng):
+    return PolyCost(tuple(rng.uniform(0.1, 2.0) for _ in range(rng.randint(1, 2))))
+
+
+def _random_network(rng, random_cost=_random_cost):
     """A DAG on 6 nodes; each commodity routes over 2-4 distinct paths, whose
-    edges are shared with its other paths and with other commodities."""
+    edges are shared with its other paths and with other commodities.  Each
+    edge's cost is a `random_cost(rng)` draw."""
     edges, costs, index = [], [], {}
 
     def edge(u, v):
         if (u, v) not in index:
             index[(u, v)] = len(edges)
             edges.append((u, v))
-            costs.append(_random_cost(rng))
+            costs.append(random_cost(rng))
         return index[(u, v)]
 
     commodities = []
@@ -835,7 +861,7 @@ def _random_network(rng):
             paths.add(tuple(edge(u, v) for u, v in zip(nodes, nodes[1:])))
         if len(paths) == 1:  # a parallel link keeps a choice
             edges.append((s, t))
-            costs.append(_random_cost(rng))
+            costs.append(random_cost(rng))
             paths.add((len(edges) - 1,))
         commodities.append(Commodity(s, t, rng.uniform(0.5, 2.0), tuple(sorted(paths))))
     return RoutingInstance(6, tuple(edges), tuple(costs), tuple(commodities))
@@ -913,7 +939,80 @@ def test_along_matches_the_direct_derivative():
             for gamma in (0.0, 0.37, 1.0):
                 terms = price(fe + gamma * de) * de
                 want = float(np.dot(price(fe + gamma * de), de))
-                assert abs(derivative(gamma) - want) <= 1e-12 * np.abs(terms).sum()
+                got = _line_value(derivative, gamma)
+                assert abs(got - want) <= 1e-12 * np.abs(terms).sum()
+
+
+def _line_value(derivative, gamma):
+    """phi'(gamma) from what `along` returns: the line's pair or a function."""
+    if isinstance(derivative, tuple):
+        t0, t1 = derivative
+        return t1 * gamma + t0
+    return derivative(gamma)
+
+
+def _affine_moves(rng, count):
+    """`along` on random moves of random affine networks, both pricings: from
+    a random split of each commodity towards a random vertex."""
+    moves = []
+    while len(moves) < count:
+        inst = _random_network(rng, _random_affine_cost)
+        f, y = [], []
+        for c in inst.commodities:
+            split = [rng.random() for _ in c.paths]
+            f += [c.rate * w / sum(split) for w in split]
+            pick = rng.randrange(len(c.paths))
+            y += [c.rate if p == pick else 0.0 for p in range(len(c.paths))]
+        fe = inst.path_edge_matrix().T @ np.array(f)
+        de = inst.path_edge_matrix().T @ (np.array(y) - np.array(f))
+        moves += [inst.edge_costs().along(fe, de, marginal) for marginal in (False, True)]
+    return moves[:count]
+
+
+def test_affine_moves_take_the_closed_form_root_of_the_itp_search():
+    # the line's root -T0 / T1 against ITP on the same line, as Horner
+    # evaluates it: both read the same float function, whose sign changes
+    # within a few units in the last place of the root, and ITP stops within
+    # max(2**-70, float spacing) of that change
+    ends, inside = {0.0: 0, 1.0: 0}, 0
+    for move in _affine_moves(random.Random(29), 1000):
+        assert isinstance(move, tuple) and len(move) == 2
+        closed = routing._line_search(move)
+        itp = routing._line_search(lambda g: _line_value(move, g))
+        if itp in ends:
+            assert closed == itp, (move, closed, itp)
+            ends[itp] += 1
+        else:
+            inside += 1
+            assert 0 < closed < 1
+            assert abs(closed - itp) <= max(2.0**-70, 4 * math.ulp(itp)), (move, closed, itp)
+    assert min(ends.values()) >= 100 and inside >= 100, (ends, inside)
+
+
+def test_forced_itp_steps_reach_the_closed_form_flows(monkeypatch):
+    # the same solves with every affine step bracketed by ITP instead: the
+    # same solves give up, and the rest end within rounding of each other
+    def flows():
+        rng = random.Random(3)
+        out = []
+        for _ in range(200):
+            inst = _random_network(rng, _random_affine_cost)
+            for solve in (equilibrium_flow, lambda i, t, n: min_cost_flow(i, None, t, n)):
+                got = _capped(lambda: solve(inst, routing.DEFAULT_TOL, 1000))
+                out.append(None if isinstance(got, NoConvergence) else got.path_flows)
+        return out
+
+    closed = flows()
+    search = routing._line_search
+
+    monkeypatch.setattr(routing, "_line_search",
+                        lambda derivative: search(lambda g: _line_value(derivative, g)))
+    forced = flows()
+    assert [f is None for f in forced] == [f is None for f in closed]
+    assert sum(f is None for f in closed) < len(closed) // 2
+    for a, b in zip(closed, forced):
+        if a is not None:
+            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def _assert_worst_vertex_matches(inst):

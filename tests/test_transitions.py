@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from transit.errors import EmptySolutionSet, NotATransition
+from transit.errors import EmptySolutionSet, NotATransition, TooLarge
 from transit.fixtures import example2_game, matrix2_game, matrix5_game
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit import oracle
@@ -99,6 +99,27 @@ def test_merge_examples():
     assert merge_set([(0, 0), (0, 1)]) == [(0, 0), (0, 1)]
     game = matrix2_game()
     assert len(merge_set(list(ne_of(game).members))) == 4
+
+
+# three profiles whose box, {0, 1} x {0, 1, 2}, holds six
+CAP_PROFILES = ((0, 0), (1, 1), (1, 2))
+
+
+def test_a_transition_box_is_built_at_the_profile_cap_and_refused_one_past_it(monkeypatch):
+    game = Game.from_function((2, 3), lambda s: (F(s[0]), F(s[1])))
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "6")
+    assert len(transition_set(SolutionSet(game, CAP_PROFILES))) == 6
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "5")
+    with pytest.raises(TooLarge, match="transition set has 6 profiles, cap is 5"):
+        transition_set(SolutionSet(game, CAP_PROFILES))
+
+
+def test_a_merge_set_is_enumerated_at_the_profile_cap_and_refused_one_past_it(monkeypatch):
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "6")
+    assert len(merge_set(CAP_PROFILES)) == 6
+    monkeypatch.setenv("TRANSIT_PROFILE_CAP", "5")
+    with pytest.raises(TooLarge, match="merge set exceeds the profile cap"):
+        merge_set(CAP_PROFILES)
 
 
 def test_empty_solution_set_rejected():
