@@ -3,16 +3,19 @@
 Commodities route splittable demand over explicit path lists with
 nondecreasing edge costs.  Equilibria minimise the potential
 sum_e integral_0^{f_e} c_e, computed by conditional-gradient iterations
-whose linear oracle is the cheapest path of each commodity.  Each step's
-length is the root of the monotone directional derivative.  On an affine
-network (every edge a polynomial of at most 2 coefficients, no table edge)
-that derivative is a line in the step, and its root is taken in closed
-form.  Otherwise it is bracketed to 2**-70 (or adjacent floats) by the ITP
-method: regula falsi, truncated and projected towards the midpoint, so
+whose linear oracle is the cheapest path of each commodity.  A solve refuses
+a tol below 0, or NaN, with BadParams.  Each step's length is the root of the
+monotone directional derivative, whose value t0 at the start of the move is
+minus the gap the iteration has just priced: every step that runs has t0 < 0.
+On an affine network (every edge a polynomial of at most 2 coefficients, no
+table edge) that derivative is a line in the step, and its root is taken in
+closed form.  Otherwise it is bracketed to 2**-70 (or adjacent floats) by the
+ITP method: regula falsi, truncated and projected towards the midpoint, so
 never more than one step beyond bisection and far fewer on smooth
 derivatives.  On polynomial edges of higher degree the derivative is a
-polynomial in the step, built once per step, so each probe of the search
-is a scalar Horner.  A transition
+polynomial in the step, whose coefficients come from each edge's Taylor
+coefficients at its flow, formed once per step by repeated synthetic
+division, so each probe of the search is a scalar Horner.  A transition
 reallocates each commodity freely over the paths that can carry positive
 equilibrium flow; its worst cost is attained at a vertex of the restricted
 polytope whenever x * c_e(x) is convex, and its best cost by the same
@@ -21,7 +24,6 @@ conditional gradient run on the actual cost.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -130,22 +132,6 @@ class EdgeCosts:
             self.run[row, : len(xs) - 1] = xs[1:] - xs[:-1]
         self.slope = self.rise / self.run
 
-    @functools.cached_property
-    def shifts(self) -> dict[bool, np.ndarray]:
-        """Per pricing, [k, e, m] = binom(m + k, k) * a_{m + k} of row e (0
-        where m + k passes the last column): the coefficient of x**m * h**k
-        in the row's polynomial at x + h.  Built on first read, since only
-        the moves that `_line_search` brackets by ITP read it."""
-        width = self.coeffs.shape[1]
-        k, m = np.indices((width, width))
-        binom = [[math.comb(i + j, i) for j in range(width)] for i in range(width)]
-        weights = np.where(m + k < width, binom, 0)
-        column = np.minimum(m + k, width - 1)
-        return {
-            marginal: (c[:, column] * weights).transpose(1, 0, 2)
-            for marginal, c in ((False, self.coeffs), (True, self.marginal_coeffs))
-        }
-
     def cost(self, fe: np.ndarray) -> np.ndarray:
         return self._evaluate(fe, marginal=False)
 
@@ -184,45 +170,51 @@ class EdgeCosts:
 
     def along(self, fe: np.ndarray, de: np.ndarray, marginal: bool):
         """phi'(gamma) = sum_e de_e * p_e(fe_e + gamma * de_e) along the move
-        de from the edge flows fe, p_e the cost or the marginal.
+        de from the edge flows fe, p_e the cost or the marginal.  Its value
+        t0 = phi'(0) is minus the gap the caller has just priced, so it is
+        not priced again here.
 
         On an affine network, every edge a polynomial of at most 2
-        coefficients and none a table, phi' is the line T0 + gamma * T1 with
-        T0 = sum_e de_e * p_e(fe_e) and T1 = sum_e de_e**2 * slope_e, the
-        slope a_1 for the cost and 2 * a_1 for the marginal.  Then the pair
-        (T0, T1) is returned, and `_line_search` takes its root in closed
-        form.
+        coefficients and none a table, phi' is the line t0 + gamma * T1, and
+        its slope T1 = sum_e de_e**2 * slope_e is returned, the slope a_1 for
+        the cost and 2 * a_1 for the marginal; `_line_search` takes the root
+        in closed form.
 
         Otherwise phi' is returned as a function of the scalar gamma, which
         `_line_search` brackets by ITP.  On polynomial edges it is itself a
         polynomial in gamma of the costs' width: its coefficient of gamma**k
-        is T_k = sum_e de_e**(k + 1) * sum_m shift[k, e, m] * fe_e**m, built
-        here in one array pass, so that each call is a scalar Horner.  Table
+        is T_k = sum_e de_e**(k + 1) * c_k(e), with c_k(e) = p_e^(k)(fe_e) / k!
+        the Taylor coefficients of row e at fe_e.  They come from a copy of
+        the coefficient rows by repeated synthetic division,
+        c_j += fe_e * c_{j + 1} for j from the top down, once per k, in one
+        array pass per (k, j), so that each call is a scalar Horner.  Table
         edges are priced at each call by `_price_tables`, over their own
         columns only.
 
-        Cancellation: with nonnegative coefficients and flows, the terms of
-        the Taylor form sum in magnitude to
-        S = sum_e |de_e| * p_e(fe_e + gamma * |de_e|), so its rounding error
-        is at most about n * 2**-53 * S, n the number of roundings along one
-        term (at most 3 * width + E).  The direct form's bound has
-        fe_e + gamma * de_e in place of fe_e + gamma * |de_e|.  The two
-        differ only where the move takes flow off an edge, de_e < 0; there
+        Cancellation: with nonnegative coefficients and flows, the synthetic
+        division adds nonnegative terms only, and the terms of the Taylor
+        form sum in magnitude to S = sum_e |de_e| * p_e(fe_e + gamma * |de_e|),
+        so its rounding error is at most about n * 2**-53 * S, n the number of
+        roundings along one term (at most 3 * width + E).  The direct form's
+        bound has fe_e + gamma * de_e in place of fe_e + gamma * |de_e|.  The
+        two differ only where the move takes flow off an edge, de_e < 0; there
         |de_e| <= fe_e keeps the argument below 2 * fe_e, so the Taylor form
         loses at most a factor 2**degree against the edge's price at the
         start of the move.
         """
         coeffs = self.marginal_coeffs if marginal else self.coeffs
         if not self.tables.size and coeffs.shape[1] == 2:
-            t0 = (de * _horner(fe, coeffs)).sum()
-            return float(t0), float((de * de * coeffs[:, 1]).sum())
-        shift = self.shifts[marginal]
-        powers = de[self.poly] ** np.arange(1.0, len(shift) + 1)[:, None]
-        taylor = (_horner(fe[self.poly], shift) * powers).sum(axis=1).tolist()[::-1]
+            return float((de * de * coeffs[:, 1]).sum())
+        x, taylor = fe[self.poly], coeffs.T.copy()
+        for k in range(len(taylor) - 1):
+            for j in range(len(taylor) - 2, k - 1, -1):
+                taylor[j] += x * taylor[j + 1]
+        powers = de[self.poly] ** np.arange(1.0, len(taylor) + 1)[:, None]
+        terms = (taylor * powers).sum(axis=1).tolist()[::-1]
 
         def polynomial(gamma: float) -> float:
             acc = 0.0
-            for c in taylor:
+            for c in terms:
                 acc = acc * gamma + c
             return acc
 
@@ -239,14 +231,14 @@ class EdgeCosts:
 
 
 def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Row e of coeffs (lowest degree first along the last axis, at least two
-    columns; any leading axes broadcast) evaluated at x[..., e] in Horner
-    order: acc = acc * x + a_j from the highest coefficient down."""
-    acc = x * coeffs[..., -1]
-    acc += coeffs[..., -2]
-    for j in range(coeffs.shape[-1] - 3, -1, -1):
+    """Row e of coeffs (lowest degree first, at least two columns) evaluated
+    at x[..., e] in Horner order: acc = acc * x + a_j from the highest
+    coefficient down."""
+    acc = x * coeffs[:, -1]
+    acc += coeffs[:, -2]
+    for j in range(coeffs.shape[1] - 3, -1, -1):
         acc *= x
-        acc += coeffs[..., j]
+        acc += coeffs[:, j]
     return acc
 
 
@@ -378,16 +370,17 @@ class Flow:
 LINE_SEARCH_EPS = 2.0**-71
 
 
-def _line_search(derivative) -> float:
-    """Root on [0, 1] of a nondecreasing derivative: in closed form when it
-    is a line, given as the pair (T0, T1) of `EdgeCosts.along`, and by the
-    ITP method when it is a function of the step.
+def _line_search(t0: float, derivative) -> float:
+    """Root on [0, 1] of a nondecreasing derivative that starts at t0 < 0,
+    minus the gap: in closed form when it is a line, given as its slope T1
+    by `EdgeCosts.along`, and by the ITP method when it is a function of the
+    step.
 
-    Returns 0 when derivative(0) >= 0 and 1 when derivative(1) <= 0; on a
-    line, T0 >= 0 and T0 + T1 <= 0.  A line's root is otherwise -T0 / T1.
-    On a function it keeps a bracket with derivative <= 0 at its left end and
-    > 0 at its right end, and stops once the ends are adjacent floats or at
-    most 2 * LINE_SEARCH_EPS apart.  Each step interpolates the root by
+    Returns 1 when the derivative at 1 is <= 0; on a line, t0 + T1 <= 0.  A
+    line's root is otherwise -t0 / T1.  On a function it keeps a bracket with
+    derivative <= 0 at its left end, t0 at 0 to start with, and > 0 at its
+    right end, and stops once the ends are adjacent floats or at most
+    2 * LINE_SEARCH_EPS apart.  Each step interpolates the root by
     regula falsi, truncates that point towards the midpoint by
     kappa1 * width**2, and projects it to within r of the midpoint, where r
     is the slack that still meets the bisection's worst case plus n0 steps
@@ -397,15 +390,9 @@ def _line_search(derivative) -> float:
     step beyond bisection's count (71 on [0, 1]), and far fewer where the
     derivative is smooth.
     """
-    if isinstance(derivative, tuple):
-        t0, t1 = derivative
-        if t0 >= 0:
-            return 0.0
-        return 1.0 if t0 + t1 <= 0 else -t0 / t1
-    lo, hi = 0.0, 1.0
-    y_lo = derivative(lo)
-    if y_lo >= 0:
-        return lo
+    if isinstance(derivative, float):
+        return 1.0 if t0 + derivative <= 0 else -t0 / derivative
+    lo, hi, y_lo = 0.0, 1.0, t0
     y_hi = derivative(hi)
     if y_hi <= 0:
         return hi
@@ -450,8 +437,12 @@ def _conditional_gradient(
     all-or-nothing assignment onto cheapest allowed paths (ties to the
     lowest path index).  Each step moves towards that assignment by the
     `_line_search` root of the objective's derivative along the move, which
-    `EdgeCosts.along` builds once per step.
+    `EdgeCosts.along` builds once per step and which starts at minus the
+    gap, best_total - current.  A gap above tol >= 0 keeps that start below
+    0, so a tol below 0, or NaN, is refused with BadParams.
     """
+    if not tol >= 0:
+        raise BadParams(f"the gap tolerance must be a number >= 0, not {tol}")
     costs = inst.edge_costs()
     price = costs.marginal if marginal else costs.cost
     incidence = inst.path_edge_matrix()
@@ -490,9 +481,7 @@ def _conditional_gradient(
         direction[choices[commodity, pick]] += rates
         # the line search works on edge flows: fe + gamma * de
         de = incidence.T @ direction
-        step = _line_search(costs.along(fe, de, marginal))
-        if step <= 0:
-            return f
+        step = _line_search(best_total - current, costs.along(fe, de, marginal))
         f = f + step * direction
     raise NoConvergence(
         f"conditional gradient hit {max_iter} iterations", gap=rel_gap

@@ -472,6 +472,18 @@ def test_observation5_reports_a_colouring_below_the_floor(monkeypatch):
     assert out == {"stable": [(1, 2, 2, 2), (2, 1, 1, 1)], "equilibria": []}
 
 
+def test_observation5_reports_an_equilibrium_below_the_floor(monkeypatch):
+    # with an equilibrium check that accepts every colouring, each leaf of the
+    # path 0-1-2 (floor 1 at degree 1) falls below its floor wherever it
+    # differs from the middle node: every colouring but the constant ones
+    monkeypatch.setattr(coordination, "is_ne_coloring", lambda *args: True)
+    path = GraphColoringInstance(3, ((0, 1), (1, 2)))
+    out = observation5_violations(path)
+    assert out == {"stable": [], "equilibria": [
+        (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 1),
+    ]}
+
+
 def test_a_zero_welfare_equilibrium_fails_the_anarchy_floor(monkeypatch, capsys):
     # a kernel that reports the first colouring of each block as an
     # equilibrium of welfare 0 drives poa to 0, below its floor of 1/2

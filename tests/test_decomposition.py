@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from transit import decomposition
-from transit.congestion import CongestionGame, congestion_to_game
+from transit.congestion import CongestionGame, congestion_to_game, is_superadditive
 from transit.decomposition import (
     DecompositionCertificate,
     fourcycle_witness,
@@ -244,6 +244,24 @@ def test_residual_message_names_the_first_failing_profile_and_its_sum():
 # -- the welfare precondition and the row schema --------------------------------
 
 
+def test_a_congestion_backend_of_another_game_is_refused():
+    # costs (1, 3) on both links build another game than P's (1, 2)
+    cg, P = congestion_potential_2x2()
+    other = CongestionGame.build(strategies=[[[0], [1]], [[0], [1]]], costs=[[1, 3], [1, 3]])
+    assert is_superadditive(other)
+    with pytest.raises(PreconditionFailed, match="does not reproduce the potential part"):
+        verify_decomposition_bounds(DecompositionCertificate(P, P), m=2, congestion=other)
+
+
+def test_a_congestion_backend_that_is_not_superadditive_is_refused():
+    # each link's table has c(2) = 3 < c(1) + c(1) = 4
+    cg = CongestionGame.build(strategies=[[[0], [1]], [[0], [1]]], costs=[[2, 3], [2, 3]])
+    assert not is_superadditive(cg)
+    P = congestion_to_game(cg, "max")
+    with pytest.raises(PreconditionFailed, match="not superadditive"):
+        verify_decomposition_bounds(DecompositionCertificate(P, P), m=2, congestion=cg)
+
+
 def test_negative_welfare_on_a_transition_is_a_failed_precondition():
     # P is identical interest in phi; at m = 2 the rows would compare
     # m_pota_G = 0 against m_pota_P = -3/4, across a sign change
@@ -268,16 +286,18 @@ def test_m_below_one_is_refused_before_any_equilibrium_is_enumerated(m, monkeypa
         verify_decomposition_bounds(DecompositionCertificate(P, P), m=m)
 
 
-def random_certificate(rng):
-    """An exact potential game P (a potential plus per-player dummy terms)
-    and P plus a random zero-sum residual, on 2-3 players."""
+def random_certificate(rng, potential_low=-2, dummy_low=-1):
+    """An exact potential game P (a potential drawn from potential_low..4 plus
+    per-player dummy terms drawn from dummy_low..1) and P plus a random
+    zero-sum residual, on 2-3 players."""
     n = rng.randint(2, 3)
     shape = tuple(rng.randint(2, 3) for _ in range(n))
     phi, dummy, residual = {}, [{} for _ in range(n)], {}
 
     def potential(s):
-        base = phi.setdefault(s, rng.randint(-2, 4))
-        return tuple(F(base + dummy[i].setdefault(s[:i] + s[i + 1:], rng.randint(-1, 1)))
+        base = phi.setdefault(s, rng.randint(potential_low, 4))
+        return tuple(F(base + dummy[i].setdefault(s[:i] + s[i + 1:],
+                                                  rng.randint(dummy_low, 1)))
                      for i in range(n))
 
     def game(s):
@@ -304,6 +324,26 @@ def test_random_certificates_with_nonnegative_welfare_keep_their_bounds():
         assert out["holds"], out
         checked += 1
     assert checked > 50 and negative > 50
+
+
+def test_random_certificates_with_nonnegative_potentials_reach_the_rows():
+    # a potential and dummy terms drawn from 0 up keep P's welfare
+    # nonnegative, so nearly every draw passes the welfare precondition and
+    # the transfer factors themselves are checked
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        G, P = random_certificate(rng, potential_low=0, dummy_low=0)
+        try:
+            out = verify_decomposition_bounds(DecompositionCertificate(G, P),
+                                              m=rng.randint(1, G.n))
+        except (EmptySolutionSet, UndefinedPrice):
+            continue
+        # a row whose constant is undefined (a zero price in P) is skipped
+        assert out["holds"] and len(out["rows"]) == 4
+        assert all(row["holds"] is True or row["skipped"] for row in out["rows"]), out
+        checked += 1
+    assert checked >= 280
 
 
 def test_rows_share_the_bounds_schema_and_the_residual_is_built_once():

@@ -37,7 +37,7 @@ from transit.fixtures import (
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.io import game_to_dict
 from transit.transitions import degree_map, transition_set
-from transit import efficiency, oracle
+from transit import cli, efficiency, oracle
 
 F = Fraction
 
@@ -141,6 +141,28 @@ def test_chain_holds_when_epsilon_equilibria_are_not_stable(tmp_path):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_dict(game)))
     assert main(["prices", str(path), "--eps", "2"]) == 0
+
+
+@pytest.mark.parametrize("plant, findings", [
+    # m_pota rises with m, m_pots falls, posta beats pota: each breaks the chain
+    ({"m_pota": (F(7, 16), F(3, 4))}, ["degree-chain"]),
+    ({"m_pots": (F(1), F(7, 8))}, ["degree-chain"]),
+    ({"posta": F(1, 4)}, ["degree-chain"]),
+    # a worst solution below the worst transition breaks Observation 1 alone
+    ({"poa": F(1, 4)}, ["transition-anarchy-ordering"]),
+])
+def test_prices_reports_a_planted_price_out_of_order(plant, findings, monkeypatch, capsys):
+    # matrix6 under its equilibria: poa 3/4, pota = posta 7/16, every stable
+    # price 1, m_pota (3/4, 7/16), m_pots (1, 1); one price moved out of order
+    real = efficiency.price_report
+
+    def planted(*args):
+        return dataclasses.replace(real(*args), **plant)
+
+    monkeypatch.setattr(cli, "price_report", planted)
+    assert main(["prices", "matrix6", "--ne"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [f.split(":")[0] for f in doc["findings"]] == findings
 
 
 def test_undefined_price_on_nonpositive_optimum():

@@ -21,6 +21,7 @@ from transit.fixtures import (
     matching_strategy_game,
     matrix2_game,
     resolve_input,
+    write_fixture_files,
 )
 
 F = Fraction
@@ -161,6 +162,16 @@ def test_expectation_values_never_drift_from_recompute():
         shipped = load_expectations(name)["values"]
         fresh = compute_expectations(name)["values"]
         assert set(shipped) == set(fresh)
+
+
+def test_regenerating_every_fixture_reproduces_the_shipped_files(tmp_path):
+    # `transit oracle <name> --update` writes what ships, byte for byte: the
+    # instance text and every recomputed value, floats to their last digit
+    for name in REGISTRY:
+        inst, exp = write_fixture_files(name, tmp_path)
+        assert inst.read_bytes() == fixture_path(name).read_bytes(), name
+        assert exp.read_bytes() == expectation_path(name).read_bytes(), name
+    assert len(list(tmp_path.iterdir())) == 2 * len(REGISTRY)
 
 
 def test_fixture_without_expectations_rejected(monkeypatch):

@@ -426,6 +426,12 @@ REPORTS = Path(__file__).parent / "routing_reports"
     ("prop4-network", None),
     ("fig1-16-1.3.json", fig1_family(16, 1.3)),
     ("fig2-11-3-0.1.json", fig2_family(11, 3, 0.1)),
+    # a table edge beside an affine link: its solves bracket steps by ITP;
+    # the equilibrium is (1, 1) at cost 3, the optimum 213/72
+    ("table-pair.json", RoutingInstance(
+        2, ((0, 1), (0, 1)), (PwlCost(((0.0, 1.0), (4.0, 3.0))), PolyCost((0.5, 1.0))),
+        (Commodity(0, 1, 2.0, ((0,), (1,))),),
+    )),
 ])
 def test_routing_reports_are_pinned(network, inst, tmp_path, monkeypatch, capsys):
     # captured under the ITP line search; a solver change that moves a field
@@ -678,18 +684,20 @@ def test_line_search_brackets_the_root_within_one_step_of_bisection():
             ("linear", lambda g: scale * (g - root)),
             ("cubic", lambda g: (g - root) ** 3),
             ("sign", lambda g: 1.0 if g > root else -1.0),
-            ("step", lambda g: 0.0 if g <= root else 1.0),
         ):
-            got, calls = _evaluations(routing._line_search, derivative)
+            # the conditional gradient only searches moves that start
+            # downhill, and hands over that start, minus the gap
+            t0 = derivative(0.0)
+            if t0 >= 0:
+                continue
+            got, calls = _evaluations(lambda d: routing._line_search(t0, d), derivative)
             _, halvings = _evaluations(_bisection_70, derivative)
             # once its ends are adjacent floats, _bisection_70 only evaluates
             # them again; the bisection it replaced stopped there instead
             assert len(calls) <= len(set(halvings)) + 1, (shape, root)
             if shape == "linear":
                 assert len(calls) <= 16, root
-            if derivative(0.0) >= 0:
-                assert got == 0.0
-            elif derivative(1.0) <= 0:
+            if derivative(1.0) <= 0:
                 assert got == 1.0
             else:
                 below = min(got - 2.0**-70, math.nextafter(got, -math.inf))
@@ -706,7 +714,7 @@ def test_line_search_steps_to_where_a_flat_derivative_turns_positive():
         def derivative(g):
             return min(g - a, 0.0) + max(g - b, 0.0)
 
-        got = routing._line_search(derivative)
+        got = routing._line_search(derivative(0.0), derivative)
         assert abs(got - b) <= max(2.0**-70, math.ulp(b)), (a, b, got)
 
 
@@ -936,24 +944,25 @@ def test_along_matches_the_direct_derivative():
         de = inst.path_edge_matrix().T @ (np.array(y) - np.array(f))
         for marginal, price in ((False, costs.cost), (True, costs.marginal)):
             derivative = costs.along(fe, de, marginal)
+            t0 = float(np.dot(price(fe), de))
             for gamma in (0.0, 0.37, 1.0):
                 terms = price(fe + gamma * de) * de
                 want = float(np.dot(price(fe + gamma * de), de))
-                got = _line_value(derivative, gamma)
+                got = _line_value(t0, derivative, gamma)
                 assert abs(got - want) <= 1e-12 * np.abs(terms).sum()
 
 
-def _line_value(derivative, gamma):
-    """phi'(gamma) from what `along` returns: the line's pair or a function."""
-    if isinstance(derivative, tuple):
-        t0, t1 = derivative
-        return t1 * gamma + t0
+def _line_value(t0, derivative, gamma):
+    """phi'(gamma) from phi'(0) = t0 and what `along` returns: the line's
+    slope or a function."""
+    if isinstance(derivative, float):
+        return derivative * gamma + t0
     return derivative(gamma)
 
 
 def _affine_moves(rng, count):
-    """`along` on random moves of random affine networks, both pricings: from
-    a random split of each commodity towards a random vertex."""
+    """(phi'(0), `along`) on random moves of random affine networks, both
+    pricings: from a random split of each commodity towards a random vertex."""
     moves = []
     while len(moves) < count:
         inst = _random_network(rng, _random_affine_cost)
@@ -965,27 +974,32 @@ def _affine_moves(rng, count):
             y += [c.rate if p == pick else 0.0 for p in range(len(c.paths))]
         fe = inst.path_edge_matrix().T @ np.array(f)
         de = inst.path_edge_matrix().T @ (np.array(y) - np.array(f))
-        moves += [inst.edge_costs().along(fe, de, marginal) for marginal in (False, True)]
+        costs = inst.edge_costs()
+        moves += [(float(np.dot(price(fe), de)), costs.along(fe, de, marginal))
+                  for marginal, price in ((False, costs.cost), (True, costs.marginal))]
     return moves[:count]
 
 
 def test_affine_moves_take_the_closed_form_root_of_the_itp_search():
-    # the line's root -T0 / T1 against ITP on the same line, as Horner
+    # the line's root -t0 / T1 against ITP on the same line, as Horner
     # evaluates it: both read the same float function, whose sign changes
     # within a few units in the last place of the root, and ITP stops within
-    # max(2**-70, float spacing) of that change
-    ends, inside = {0.0: 0, 1.0: 0}, 0
-    for move in _affine_moves(random.Random(29), 1000):
-        assert isinstance(move, tuple) and len(move) == 2
-        closed = routing._line_search(move)
-        itp = routing._line_search(lambda g: _line_value(move, g))
+    # max(2**-70, float spacing) of that change.  Only the moves that start
+    # downhill are searched, as in the conditional gradient
+    ends, inside = {1.0: 0}, 0
+    for t0, slope in _affine_moves(random.Random(29), 1000):
+        assert isinstance(slope, float)
+        if t0 >= 0:
+            continue
+        closed = routing._line_search(t0, slope)
+        itp = routing._line_search(t0, lambda g: _line_value(t0, slope, g))
         if itp in ends:
-            assert closed == itp, (move, closed, itp)
+            assert closed == itp, (t0, slope, closed, itp)
             ends[itp] += 1
         else:
             inside += 1
             assert 0 < closed < 1
-            assert abs(closed - itp) <= max(2.0**-70, 4 * math.ulp(itp)), (move, closed, itp)
+            assert abs(closed - itp) <= max(2.0**-70, 4 * math.ulp(itp)), (t0, slope, closed, itp)
     assert min(ends.values()) >= 100 and inside >= 100, (ends, inside)
 
 
@@ -1006,13 +1020,69 @@ def test_forced_itp_steps_reach_the_closed_form_flows(monkeypatch):
     search = routing._line_search
 
     monkeypatch.setattr(routing, "_line_search",
-                        lambda derivative: search(lambda g: _line_value(derivative, g)))
+                        lambda t0, slope: search(t0, lambda g: _line_value(t0, slope, g)))
     forced = flows()
     assert [f is None for f in forced] == [f is None for f in closed]
     assert sum(f is None for f in closed) < len(closed) // 2
     for a, b in zip(closed, forced):
         if a is not None:
             assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_a_negative_or_nan_tol_is_refused(tol):
+    # the gap test ends every solve whose gap is not above tol; below 0, or
+    # NaN, it would let a move that starts uphill reach the line search
+    inst = fig2_family(4, 2, 0.5)
+    with pytest.raises(BadParams, match="tolerance"):
+        equilibrium_flow(inst, tol)
+    with pytest.raises(BadParams, match="tolerance"):
+        min_cost_flow(inst, None, tol)
+
+
+@pytest.fixture(scope="module")
+def searched_moves():
+    """Every move the conditional gradient searches on the affine set (200
+    `_random_network` draws of random.Random(3) with affine costs, max_iter
+    1,000) and on the set with tables (its first 60 draws with any costs,
+    max_iter 300), both solves: the start t0 handed to `_line_search`, and
+    sum_e de_e * p_e(fe_e) and sum_e |de_e * p_e(fe_e)| priced from what
+    `along` was handed."""
+    moves = []
+    along, search = routing.EdgeCosts.along, routing._line_search
+
+    def recorded_along(self, fe, de, marginal):
+        terms = (self.marginal(fe) if marginal else self.cost(fe)) * de
+        moves.append([float(terms.sum()), float(np.abs(terms).sum())])
+        return along(self, fe, de, marginal)
+
+    def recorded_search(t0, derivative):
+        moves[-1].append(t0)
+        return search(t0, derivative)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing.EdgeCosts, "along", recorded_along)
+        patch.setattr(routing, "_line_search", recorded_search)
+        for draws, random_cost, max_iter in ((200, _random_affine_cost, 1000),
+                                             (60, _random_cost, 300)):
+            rng = random.Random(3)
+            for _ in range(draws):
+                inst = _random_network(rng, random_cost)
+                _capped(lambda: equilibrium_flow(inst, routing.DEFAULT_TOL, max_iter))
+                _capped(lambda: min_cost_flow(inst, None, routing.DEFAULT_TOL, max_iter))
+    return moves
+
+
+def test_every_searched_move_starts_downhill(searched_moves):
+    assert len(searched_moves) > 10_000
+    assert all(len(move) == 3 for move in searched_moves)
+    assert max(t0 for _, _, t0 in searched_moves) < 0
+
+
+def test_the_start_of_a_move_is_its_priced_derivative(searched_moves):
+    # best_total - current, the negative gap, against sum_e de_e * p_e(fe_e)
+    for direct, magnitude, t0 in searched_moves:
+        assert abs(t0 - direct) <= 1e-12 * magnitude, (t0, direct, magnitude)
 
 
 def _assert_worst_vertex_matches(inst):
