@@ -11,7 +11,6 @@ from .games import (
     Game,
     Profile,
     SolutionSet,
-    Welfare,
     best_responses,
     enumerate_pure_ne,
     social_value,
@@ -43,7 +42,6 @@ __all__ = [
     "Game",
     "Profile",
     "SolutionSet",
-    "Welfare",
     "best_responses",
     "enumerate_pure_ne",
     "social_value",

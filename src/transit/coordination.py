@@ -392,16 +392,14 @@ def construct_st_not_ne(
         for v in hkids[hkeep:]:
             col[v] = first
 
-        # everything deeper copies its parent; other components go mono
-        frontier = [(x, v) for v in hkids for x in adj[v] if x != helper] + [
-            (x, v) for v in children if v != helper for x in adj[v] if x != root
-        ]
-        while frontier:
-            node, parent = frontier.pop()
-            if node in col:
-                continue
-            col[node] = col[parent]
-            frontier.extend((x, node) for x in adj[node] if x != parent)
+        # every node not planted above copies its parent; other components go mono
+        stack = [(root, None)]
+        while stack:
+            node, parent = stack.pop()
+            for x in adj[node]:
+                if x != parent:
+                    col.setdefault(x, col[node])
+                    stack.append((x, node))
         for v in range(inst.n_nodes):
             col.setdefault(v, first)
         out = tuple(col[v] for v in range(inst.n_nodes))

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import Infeasible, NotIdenticalUtility, UndefinedPrice, WrongArity, WrongConvention
-from .games import Game, Profile, SolutionSet, Welfare, enumerate_pure_ne, identical_utilities
+from .games import Game, Profile, SolutionSet, enumerate_pure_ne, identical_utilities
 from .transitions import box_profiles, degree_map, transition_set
 
 ONE = Fraction(1)
@@ -62,7 +62,7 @@ class PriceReport:
     posts: Fraction
     m_pota: tuple[Fraction, ...]
     m_pots: tuple[Fraction, ...]
-    optimum: Welfare
+    optimum: Fraction
     solutions_stable: bool  # every solution is itself a stable transition
     witnesses: dict = field(default_factory=dict, compare=False)
 
@@ -116,7 +116,7 @@ class PriceReport:
             "posts": self.posts,
             "m_pota": list(self.m_pota),
             "m_pots": list(self.m_pots),
-            "optimum": self.optimum.value,
+            "optimum": self.optimum,
         }
 
 
@@ -133,10 +133,7 @@ def price_report(
     stable so that posta and posts extremise over nothing; ratios are never
     silently clamped.
     """
-    D.require_nonempty()
-    if D.game is not game:
-        D = SolutionSet(game, D.members, D.label)
-
+    D = D.require_nonempty().on(game)
     best, top, opt = _optimum(game)
     ts = transition_set(D)
     stable = game.stable_grid(stable_variant)
@@ -184,7 +181,7 @@ def price_report(
         posts=posts,
         m_pota=m_pota,
         m_pots=m_pots,
-        optimum=Welfare(opt, game.convention),
+        optimum=opt,
         solutions_stable=bool(stable[tuple(members.T)].all()),
         witnesses=wit,
     )
@@ -246,6 +243,7 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
     """
     if game.convention != "max":
         raise WrongConvention("dependence constants are defined for utility games")
+    D = D.on(game)
     box = transition_set(D).box
     payoff, welfare = game.ints[1], game.welfare
     members = tuple(np.array(D.members).T)
@@ -435,6 +433,7 @@ def check_bound_observations(game: Game, D: SolutionSet) -> list[BoundRow]:
                 "bound machinery is defined for utility-maximisation games",
             )
         ]
+    D = D.on(game)
     report = price_report(game, D)
     dep = coordination_dependence(game, D)
     beta_undefined = any(v is None for v in dep.beta)
@@ -548,7 +547,7 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
         raise WrongConvention("smoothness certificates require utility games")
     if D is None:
         D = enumerate_pure_ne(game)
-    D.require_nonempty()
+    D = D.require_nonempty().on(game)
     _, opt, _ = _optimum(game)
     ts = transition_set(D)
     # the certificate reads no degree; this read keeps the count of degree

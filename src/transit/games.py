@@ -9,10 +9,10 @@ ints (dtype object) once some |U| reaches 2**62, so no difference of two
 entries overflows.  Equilibrium ties and epsilon comparisons are therefore
 decided exactly.
 
-Best responses, equilibria, stable transitions, prices and welfare extremes
-all read U and the welfare W = sum over i of U_i (`Game.welfare`).  The
-payoffs as written, exact `Fraction`s keyed by profile (`Game.payoffs`), are
-a view built from U on first read.
+Best responses, equilibria, stable transitions, prices, welfare extremes
+and `social_value` read U and the welfare W = sum over i of U_i
+(`Game.welfare`).  The payoffs as written (`Game.payoffs`, exact `Fraction`s
+keyed by profile), a view built from U on first read, serve the oracle.
 """
 
 from __future__ import annotations
@@ -341,14 +341,6 @@ class Game:
 
 
 @dataclass(frozen=True)
-class Welfare:
-    """Total payoff of a profile under the game's convention."""
-
-    value: Fraction
-    convention: str
-
-
-@dataclass(frozen=True)
 class SolutionSet:
     """A designated finite set of profiles of a game.
 
@@ -387,6 +379,11 @@ class SolutionSet:
             if s in seen:
                 raise ParseError(f"duplicate solution {s!r}")
             seen.add(s)
+
+    def on(self, game: Game) -> "SolutionSet":
+        """This set when it is one of `game`, else its members re-made as a
+        set of `game`, which refuses (ParseError) a member that does not fit."""
+        return self if self.game is game else SolutionSet(game, self.members, self.label)
 
     @property
     def is_empty(self) -> bool:
@@ -446,10 +443,10 @@ def enumerate_pure_ne(game: Game, epsilon: object = 0) -> SolutionSet:
     return SolutionSet(game, members, label)
 
 
-def social_value(game: Game, s: Sequence[int]) -> Welfare:
+def social_value(game: Game, s: Sequence[int]) -> Fraction:
     """Social welfare (or social cost under the min convention) of s."""
-    t = game.validate_profile(s)
-    return Welfare(sum(game.payoffs[t]), game.convention)
+    w = int(game.welfare[game.validate_profile(s)])
+    return Fraction(w if game.convention == "max" else -w, game.ints[0])
 
 
 def identical_utilities(game: Game) -> bool:

@@ -99,27 +99,25 @@ def _payoff_values(tensor, shape: tuple[int, ...]) -> list:
 
 
 def _first_fault(tensor, shape: tuple[int, ...]) -> list:
-    """Walk the tensor in document order and raise at its first ragged
-    node, once the scalars before it are parsed, so that the reported fault
-    is the first in document order; return the scalars if there is none.
+    """Walk the tensor in document order, parsing each payoff vector's
+    scalars when the walk reaches it, and raise at the first ragged node or
+    bad scalar, so that the reported fault is the first in document order;
+    return the scalars if there is none.
     """
     n = len(shape)
     values: list = []
-
-    def fault(message):
-        for v in values:
-            as_exact(v)
-        return ParseError(message)
 
     def walk(node, prefix):
         depth = len(prefix)
         if depth == n:
             if not isinstance(node, list) or len(node) != n:
-                raise fault(f"payoff vector at {prefix} must list {n} values")
+                raise ParseError(f"payoff vector at {prefix} must list {n} values")
+            for v in node:
+                as_exact(v)
             values.extend(node)
             return
         if not isinstance(node, list) or len(node) != shape[depth]:
-            raise fault(
+            raise ParseError(
                 f"payoff tensor is ragged at {prefix}: expected {shape[depth]} entries"
             )
         for idx, sub in enumerate(node):

@@ -236,6 +236,7 @@ def m_posta(game: Game, D: SolutionSet, m: int) -> Fraction:
     m-limited: as in `price_report`, the least signed welfare W over the
     best W, which under the min convention is the greatest cost over the
     least."""
+    D = D.on(game)
     _, top, _ = _optimum(game)
     box = transition_set(D).box
     pool = game.welfare[box][(degree_map(D) <= m) & game.stable_grid("strict")[box]]

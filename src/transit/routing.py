@@ -294,19 +294,13 @@ class RoutingInstance:
                     at = v
                 if at != c.sink:
                     raise ParseError(f"path {path} does not reach the sink")
-        incidence = np.zeros((sum(len(c.paths) for c in self.commodities), len(self.edges)))
-        for row, (i, p) in enumerate(self.all_paths):
-            for e in self.commodities[i].paths[p]:
+        paths = [path for c in self.commodities for path in c.paths]
+        incidence = np.zeros((len(paths), len(self.edges)))
+        for row, path in enumerate(paths):
+            for e in path:
                 incidence[row, e] += 1.0
         incidence.flags.writeable = False
         object.__setattr__(self, "_incidence", incidence)
-
-    @property
-    def all_paths(self) -> list[tuple[int, int]]:
-        """(commodity index, path index) pairs in declaration order."""
-        return [
-            (i, p) for i, c in enumerate(self.commodities) for p in range(len(c.paths))
-        ]
 
     def path_edge_matrix(self) -> np.ndarray:
         """0/1 incidence of paths (rows) on edges (columns), built once with

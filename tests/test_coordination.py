@@ -37,7 +37,7 @@ from transit.errors import (
     UndefinedPrice,
 )
 from transit.games import enumerate_pure_ne
-from transit.transitions import is_stable_transition
+from transit.transitions import is_stable_transition, is_transition
 
 F = Fraction
 
@@ -142,18 +142,39 @@ def test_fast_equals_exact_strict_on_random_graphs():
     assert mismatches == []
 
 
-def test_exact_matches_strategic_form_on_small_graphs():
+def _small_graphs():
+    """25 random graphs of 2-5 nodes on the default menus, then 300 whose
+    every node has a menu of one to three colours from {1, 2, 3, 4}."""
     rng = random.Random(9)
     for _ in range(25):
+        yield random_graph(rng, rng.randint(2, 5), p=0.5)
+    rng = random.Random(31)
+    for _ in range(300):
         inst = random_graph(rng, rng.randint(2, 5), p=0.5)
+        menus = tuple(tuple(sorted(rng.sample((1, 2, 3, 4), rng.randint(1, 3))))
+                      for _ in range(inst.n_nodes))
+        yield GraphColoringInstance(inst.n_nodes, inst.edges, menus)
+
+
+def test_exact_matches_strategic_form_on_small_graphs():
+    # the graph check evaluates the stability condition alone; on default
+    # menus every colouring is a transition of the equilibria (both
+    # monochromatic colourings are ones), on other menus not always
+    for inst in _small_graphs():
         game = coordination_to_game(inst)
         ne = enumerate_pure_ne(game)
+        members = set(ne.members)
         menus = inst.menus()
-        for variant in ("strict", "weak"):
-            for s in game.profiles():
-                col = tuple(menus[i][s[i]] for i in range(inst.n_nodes))
-                assert check_stable_transition_exact(inst, col, variant) == \
-                    is_stable_transition(ne, s, variant), (inst.edges, col, variant)
+        for s in game.profiles():
+            col = tuple(menus[i][s[i]] for i in range(inst.n_nodes))
+            where = (inst.edges, inst.colors, col)
+            assert is_ne_coloring(inst, col) == (s in members), where
+            assert inst.colors is not None or is_transition(ne, s), where
+            for variant in ("strict", "weak"):
+                exact = check_stable_transition_exact(inst, col, variant)
+                assert exact == bool(game.stable_grid(variant)[s]), (*where, variant)
+                assert is_stable_transition(ne, s, variant) == \
+                    (exact and is_transition(ne, s)), (*where, variant)
 
 
 def test_star5_balanced_leaves_split_by_variant():

@@ -1051,7 +1051,7 @@ def test_m_price_arrays_match_explicit_recomputation():
     game = example2_game()
     D = enumerate_pure_ne(game)
     rep = price_report(game, D)
-    opt = rep.optimum.value
+    opt = rep.optimum
     for m in range(1, game.n + 1):
         pool = m_transition_set(D, m)
         sw = [sum(game.payoffs[t]) for t in pool]

@@ -105,18 +105,29 @@ def test_epsilon_ne_label_and_oracle_agreement():
 
 def test_social_value_matrix2():
     game = matrix2_game(a=1)
-    assert social_value(game, (0, 0)).value == 2
+    assert social_value(game, (0, 0)) == 2
 
 
 def test_social_value_zero_game():
     game = Game.from_function((2, 2), lambda s: (F(0), F(0)))
-    assert social_value(game, (1, 0)).value == 0
+    assert social_value(game, (1, 0)) == 0
 
 
 def test_social_value_matrix6_off_diagonal():
     # direct sum of the two off-diagonal entries: a/c + b/c
     game = matrix6_game(a=4, b=3, c=2)
-    assert social_value(game, (0, 1)).value == F(7, 2)
+    assert social_value(game, (0, 1)) == F(7, 2)
+
+
+def test_social_value_is_the_sum_of_the_payoffs_as_written():
+    # both conventions, on int64 grids and on grids wide enough for Python ints
+    for convention in ("max", "min"):
+        for big in (0, 2**61):
+            game = Game.from_function(
+                (2, 3), lambda s: (F(big + s[0], 3), F(big - s[1] - 1, 2)), convention
+            )
+            for s in game.profiles():
+                assert social_value(game, s) == sum(game.payoffs[s]), (convention, big, s)
 
 
 def test_social_value_negation_shift():
@@ -126,8 +137,8 @@ def test_social_value_negation_shift():
         lambda s: (-game.payoffs[s][0], game.payoffs[s][1]),
     )
     for s in game.profiles():
-        lhs = social_value(flipped, s).value
-        rhs = social_value(game, s).value - 2 * game.payoffs[s][0]
+        lhs = social_value(flipped, s)
+        rhs = social_value(game, s) - 2 * game.payoffs[s][0]
         assert lhs == rhs
 
 

@@ -4,6 +4,7 @@ import builtins
 import io
 import json
 import os
+import random
 import re
 from fractions import Fraction
 
@@ -95,6 +96,82 @@ def test_game_loader_reports_the_first_fault_in_document_order(payoffs, message)
     doc = {"players": ["a", "b"], "strategies": [["x", "y"], ["u", "v"]], "payoffs": payoffs}
     with pytest.raises(ParseError, match=message):
         tio.game_from_dict(doc)
+
+
+# a bad payoff scalar and the message of the loader's refusal
+_BAD_SCALARS = (
+    ("x", "cannot parse rational 'x'"),
+    ("1/0", "cannot parse rational '1/0'"),
+    (True, "boolean is not a payoff value: True"),
+    (None, "cannot interpret None as a payoff value"),
+    (["1"], "cannot interpret ['1'] as a payoff value"),
+    ({"a": 1}, "cannot interpret {'a': 1} as a payoff value"),
+)
+
+
+def _planted_faults(rng):
+    """(shape, payoffs, message): a well-formed tensor of 1-3 players of 1-3
+    strategies with one node made ragged and one scalar made bad, outside
+    the ragged subtree, at random preorder positions; the message is the
+    refusal of whichever of the two comes first.  None when every scalar
+    lies below the ragged node."""
+    shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+    n = len(shape)
+    sizes = (*shape, n)
+
+    def build(depth):
+        return [build(depth + 1) if depth < n else "1" for _ in range(sizes[depth])]
+
+    def preorder(node, path):
+        yield path
+        if len(path) <= n:
+            for k, sub in enumerate(node):
+                yield from preorder(sub, path + [k])
+
+    def at(node, path):
+        for k in path:
+            node = node[k]
+        return node
+
+    payoffs = build(0)
+    order = list(preorder(payoffs, []))
+    ragged = rng.choice([p for p in order if len(p) <= n])
+    scalars = [p for p in order if len(p) == n + 1 and p[: len(ragged)] != ragged]
+    if not scalars:
+        return None
+    scalar = rng.choice(scalars)
+    bad, bad_message = rng.choice(_BAD_SCALARS)
+    at(payoffs, scalar[:-1])[scalar[-1]] = bad
+    node = at(payoffs, ragged)
+    if rng.random() < 0.5:
+        node.pop()
+    else:
+        node.append(build(len(ragged) + 1) if len(ragged) < n else "1")
+    if order.index(scalar) < order.index(ragged):
+        return shape, payoffs, bad_message
+    if len(ragged) == n:
+        return shape, payoffs, f"payoff vector at {ragged} must list {n} values"
+    return shape, payoffs, (
+        f"payoff tensor is ragged at {ragged}: expected {shape[len(ragged)]} entries"
+    )
+
+
+def test_game_loader_reports_the_first_of_two_planted_faults():
+    rng = random.Random(8)
+    cases = [c for c in (_planted_faults(rng) for _ in range(4000)) if c is not None]
+    firsts = set()
+    for shape, payoffs, message in cases:
+        doc = {"players": [f"p{i}" for i in range(len(shape))],
+               "strategies": [[str(x) for x in range(k)] for k in shape],
+               "payoffs": payoffs}
+        with pytest.raises(ParseError) as exc:
+            tio.game_from_dict(doc)
+        assert str(exc.value) == message, (shape, payoffs)
+        firsts.add(" ".join(message.split()[:2]))
+    # both orders, and both kinds of ragged node, are drawn
+    assert len(cases) > 2500
+    assert firsts == {"payoff vector", "payoff tensor", "cannot parse", "cannot interpret",
+                      "boolean is"}
 
 
 def test_game_loader_rejects_bad_vector_arity():

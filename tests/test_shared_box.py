@@ -21,6 +21,8 @@ from transit.efficiency import (
     extensive_smoothness,
     price_report,
 )
+from transit.errors import ParseError
+from transit.fixtures import example2_game, matrix6_game
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.polymatrix import m_posta
 from transit.transitions import (
@@ -96,15 +98,18 @@ def _outcome(call, D):
 
 def _consumers(game, other):
     """Every reader of the box, as (name, call on a solution set of game);
-    `other` is a game of the same shape that price_report is handed instead
-    of the set's own."""
+    `other` is a game of the same shape that the "on another game" calls
+    are handed instead of the set's own."""
     calls = [
         ("price_report", lambda D: price_report(game, D)),
         ("price_report weak", lambda D: price_report(game, D, "weak")),
         ("price_report on another game", lambda D: price_report(other, D)),
         ("coordination_dependence", lambda D: coordination_dependence(game, D)),
+        ("coordination_dependence on another game",
+         lambda D: coordination_dependence(other, D)),
         ("check_bound_observations", lambda D: check_bound_observations(game, D)),
         ("extensive_smoothness", lambda D: extensive_smoothness(game, D)),
+        ("extensive_smoothness on another game", lambda D: extensive_smoothness(other, D)),
         ("saturation_degree", saturation_degree),
         ("stable_transition_set", stable_transition_set),
         ("stable_transition_set weak", lambda D: stable_transition_set(D, "weak")),
@@ -115,6 +120,7 @@ def _consumers(game, other):
         calls += [
             (f"m_transition_set {m}", lambda D, m=m: m_transition_set(D, m)),
             (f"m_posta {m}", lambda D, m=m: m_posta(game, D, m)),
+            (f"m_posta {m} on another game", lambda D, m=m: m_posta(other, D, m)),
         ]
     return calls
 
@@ -148,3 +154,19 @@ def test_every_consumer_reads_the_shared_box_as_it_would_a_fresh_one():
         for name, _ in calls:
             assert forward[name] == fresh[name], (name, game.shape, D.members)
             assert backward[name] == fresh[name], (name, game.shape, D.members)
+
+
+def test_every_analysis_refuses_a_set_that_does_not_fit_its_game():
+    # matrix6's two equilibria are profiles of a 2 x 2 game, not of
+    # example2's 2 x 2 x 2 grid
+    D = enumerate_pure_ne(matrix6_game())
+    game = example2_game()
+    calls = [
+        lambda: price_report(game, D),
+        lambda: check_bound_observations(game, D),
+        lambda: coordination_dependence(game, D),
+        lambda: extensive_smoothness(game, D),
+    ] + [lambda m=m: m_posta(game, D, m) for m in (1, 2, 3)]
+    for call in calls:
+        with pytest.raises(ParseError, match=r"invalid profile \(0, 0\) for shape \(2, 2, 2\)"):
+            call()
