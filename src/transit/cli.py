@@ -134,20 +134,26 @@ def cmd_bounds(args) -> Report:
                 rep.pots == rep.pos,
                 "condition promises pots = pos",
             )
-    if game.convention == "max":
-        try:
-            smooth = extensive_smoothness(game, D)
-            report.results["smoothness"] = {
-                "alpha": smooth.alpha,
-                "beta": smooth.beta,
-                "best_bound": smooth.best_bound,
-                "pota": smooth.pota,
-                "holds": smooth.holds,
-            }
-            report.record("smoothness-certificate", smooth.holds,
-                          "certified bound must not exceed the true price")
-        except (Infeasible, EmptySolutionSet):
-            report.results["smoothness"] = {"skipped": "no feasible certificate"}
+    if game.convention != "max":
+        return report
+    # the certificate's derivation needs u_i(d) >= u_i(x, d_-i) at every d
+    members = np.array(D.members, dtype=np.intp).reshape(len(D.members), game.n).T
+    if game.regret[1][(slice(None), *members)].any():
+        report.results["smoothness"] = {"skipped": "a solution is not a pure equilibrium"}
+        return report
+    try:
+        smooth = extensive_smoothness(game, D)
+        report.results["smoothness"] = {
+            "alpha": smooth.alpha,
+            "beta": smooth.beta,
+            "best_bound": smooth.best_bound,
+            "pota": smooth.pota,
+            "holds": smooth.holds,
+        }
+        report.record("smoothness-certificate", smooth.holds,
+                      "certified bound must not exceed the true price")
+    except (Infeasible, EmptySolutionSet):
+        report.results["smoothness"] = {"skipped": "no feasible certificate"}
     return report
 
 

@@ -14,8 +14,10 @@ on demand for cross-validation.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +80,18 @@ class GraphColoringInstance:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(a) for a in adj)
+
+    @functools.cached_property
+    def _played(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the colours it holds in some equilibrium colouring, so
+        a colouring is a transition of the equilibria exactly when each
+        node's colour is among its own.  On one shared colour pair both
+        monochromatic colourings are equilibria, so these are the menus,
+        read without enumerating."""
+        with contextlib.suppress(NotTwoColour):
+            _shared_pair(self)
+            return self.menus()
+        return _equilibrium_colours(self)
 
     def menus(self) -> tuple[tuple[int, ...], ...]:
         if self.colors is None:
@@ -151,6 +165,32 @@ def best_colour_set(inst: GraphColoringInstance, col: Sequence[int], i: int) -> 
 def is_ne_coloring(inst: GraphColoringInstance, col: Sequence[int]) -> bool:
     c = inst.validate_coloring(col)
     return all(c[i] in best_colour_set(inst, c, i) for i in range(inst.n_nodes))
+
+
+def _equilibrium_colours(inst: GraphColoringInstance) -> tuple[tuple[int, ...], ...]:
+    """Per node, the colours it holds in some equilibrium colouring, from one
+    sweep over every colouring, `_SWEEP_BLOCK` at a time: a colouring is an
+    equilibrium when no node has a colour in its menu that more neighbours
+    hold than hold its own.  Refused past the profile cap."""
+    limit = profile_cap()
+    if inst.colorings_exceed(limit):
+        raise TooLarge(f"the colourings exceed the cap {limit}")
+    menus, adj = inst.menus(), inst.neighbors()
+    sizes = [len(menu) for menu in menus]
+    total = math.prod(sizes)
+    played: list[set[int]] = [set() for _ in menus]
+    for lo in range(0, total, _SWEEP_BLOCK):
+        picks = np.unravel_index(np.arange(lo, min(lo + _SWEEP_BLOCK, total)), sizes)
+        cols = [np.array(menu)[p] for menu, p in zip(menus, picks)]
+        ne = np.ones(len(cols[0]), dtype=bool)
+        for i, menu in enumerate(menus):
+            none = np.zeros(len(ne), dtype=np.intp)
+            own = sum((cols[j] == cols[i] for j in adj[i]), none)
+            for c in menu:
+                ne &= own >= sum((cols[j] == c for j in adj[i]), none)
+        for seen, col in zip(played, cols):
+            seen.update(col[ne].tolist())
+    return tuple(tuple(sorted(seen)) for seen in played)
 
 
 def st_floor(deg: int) -> int:
@@ -230,15 +270,20 @@ def check_stable_transition_fast(inst: GraphColoringInstance, col: Sequence[int]
 def check_stable_transition_exact(
     inst: GraphColoringInstance, col: Sequence[int], variant: str = "strict"
 ) -> bool:
-    """Direct evaluation of the stable-transition condition on the graph.
+    """Direct evaluation of stable-transition membership on the graph.
 
-    Combinatorial equivalent of the strategic-form membership test: only a
-    neighbour's flip changes a node's agreement counts, so helper search is
-    restricted to the neighbourhood.
+    Combinatorial equivalent of the strategic-form membership test: the
+    colouring must be a transition of the equilibria, each node holding a
+    colour it holds in some equilibrium, and only a neighbour's flip
+    changes a node's agreement counts, so helper search is restricted to
+    the neighbourhood.
     """
     if variant not in ("strict", "weak"):
         raise ParseError(f"unknown variant {variant!r}")
     c = inst.validate_coloring(col)
+    # on default menus, one shared pair, every colouring is a transition
+    if inst.colors is not None and any(x not in p for x, p in zip(c, inst._played)):
+        return False
     adj = inst.neighbors()
     for i in range(inst.n_nodes):
         best_i = best_colour_set(inst, c, i)

@@ -17,6 +17,7 @@ keyed by profile), a view built from U on first read, serve the oracle.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -102,24 +103,35 @@ def _exact_values(values: Sequence[object]) -> tuple[int, np.ndarray]:
     `values`, and x[k] is values[k] times d, as an int64 or object array.
 
     Payoff tables repeat a few values many times, so each distinct scalar is
-    parsed once.  When the values mix types, the type is part of the key, so
-    that true never aliases 1 nor a float the exact rational it equals; when
-    they share one type, as the strings of a written game do, the values are
-    their own keys, which halves the time of this pass.  A value that does
-    not parse raises at its first occurrence, so the error names the first
-    bad value.
+    parsed once, the values being their own keys.  When they mix types, the
+    type joins the key, so that true never aliases 1 nor a float the exact
+    rational it equals; only a str equals a str, so the types go unread
+    when every distinct value is one, as in a written game.  When every one
+    is also a plain ASCII integer, d is 1 and `int` reads each, with no
+    `Fraction` made.  A value that does not parse raises at its first
+    occurrence, so the error names the first bad value.
     """
-    typed = len(set(map(type, values))) > 1
-    keys = list(zip(map(type, values), values)) if typed else values
     try:
-        distinct = dict.fromkeys(keys)
+        distinct = dict.fromkeys(values)
     except TypeError:  # an unhashable value, which as_exact rejects
         for v in values:
             as_exact(v)
         raise
-    exact = [as_exact(key[1] if typed else key) for key in distinct]
-    scale = math.lcm(*(v.denominator for v in exact))
-    scaled = [v.numerator * (scale // v.denominator) for v in exact]
+    keys, scaled = values, None
+    if all(type(key) is str for key in distinct):
+        text = "".join(distinct)
+        if text.isascii() and text.replace("-", "").isdigit():
+            # digits and minus signs only: int reads each as as_exact does,
+            # or refuses it, and then as_exact names the fault
+            with contextlib.suppress(ValueError):
+                scale, scaled = 1, list(map(int, distinct))
+    elif len(set(map(type, values))) > 1:
+        keys = list(zip(map(type, values), values))
+        distinct = dict.fromkeys(keys)
+    if scaled is None:
+        exact = [as_exact(key if keys is values else key[1]) for key in distinct]
+        scale = math.lcm(*(v.denominator for v in exact))
+        scaled = [v.numerator * (scale // v.denominator) for v in exact]
     code = dict(zip(distinct, scaled))
     dtype = np.int64 if max(map(abs, scaled)) < 2**62 else object
     return scale, np.fromiter(map(code.__getitem__, keys), dtype=dtype, count=len(keys))

@@ -3,17 +3,21 @@
 import copy
 import fnmatch
 import functools
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import transit
-from transit import cli, polymatrix
+from transit import cli, oracle, polymatrix
+from transit import io as tio
 from transit.cli import main
 from transit.fixtures import fixture_path
 
@@ -77,6 +81,67 @@ def test_bounds_command(capsys):
     names = {row["name"] for row in doc["results"]["rows"]}
     assert "player-dependence-anarchy" in names
     assert doc["results"]["two_player_condition"] is not None
+
+
+# the smoothness certificate's derivation needs every solution to be a pure
+# equilibrium; this game's 1-equilibria are (1, 1) and (0, 1), and at (0, 1)
+# player 0 has regret 1, so with --eps 1 the certified bound 1 passes the
+# true price 9/10
+EPS_GAME = {
+    "convention": "max", "players": ["p0", "p1"],
+    "strategies": [["s0", "s1"], ["s0", "s1"]],
+    "payoffs": [[["5", "4"], ["3", "6"]], [["5", "1"], ["4", "6"]]],
+}
+
+OFF_EQUILIBRIUM = {"skipped": "a solution is not a pure equilibrium"}
+
+
+def test_bounds_skips_the_smoothness_certificate_off_pure_equilibria(capsys, tmp_path):
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps(EPS_GAME))
+    code, out, _ = run_cli(capsys, "bounds", str(path), "--eps", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["findings"] == []
+    assert doc["results"]["smoothness"] == OFF_EQUILIBRIUM
+    code, out, _ = run_cli(capsys, "bounds", str(path), "--ne")
+    assert code == 0 and json.loads(out)["results"]["smoothness"]["holds"] is True
+
+
+def test_bounds_certifies_smoothness_exactly_on_pure_equilibrium_sets(capsys, tmp_path):
+    # random nonnegative games with their pure and epsilon equilibria: the
+    # block is skipped exactly when a solution has positive regret (oracle),
+    # and the certificate, a theorem on pure equilibria, never fails
+    rng = random.Random(4)
+    path = tmp_path / "game.json"
+    skipped = 0
+    for _ in range(120):
+        shape = [rng.randint(2, 3) for _ in range(rng.randint(1, 3))]
+        n = len(shape)
+        cells = itertools.product(*(range(k) for k in shape))
+        payoffs = {s: [str(rng.randint(0, 6)) for _ in range(n)] for s in cells}
+
+        def nest(prefix):
+            if len(prefix) == n:
+                return payoffs[prefix]
+            return [nest(prefix + (x,)) for x in range(shape[len(prefix)])]
+
+        doc = {"convention": "max", "players": [f"p{i}" for i in range(n)],
+               "strategies": [[str(x) for x in range(k)] for k in shape], "payoffs": nest(())}
+        path.write_text(json.dumps(doc))
+        game = tio.load_game(path)
+        pure = set(oracle.ne_profiles(game))
+        for eps in ("0", "1", "2"):
+            members = oracle.ne_profiles(game, Fraction(eps))
+            code, out, _ = run_cli(capsys, "bounds", str(path), "--eps", eps)
+            if code in (3, 4):  # no solution, or an undefined price
+                assert (code == 3) == (not members)
+                continue
+            report = json.loads(out)
+            assert not any(f.startswith("smoothness-certificate") for f in report["findings"])
+            off = not set(members) <= pure
+            assert (report["results"].get("smoothness") == OFF_EQUILIBRIUM) == off, (doc, eps)
+            skipped += off
+    assert skipped > 100
 
 
 def test_degree_profile_and_saturate(capsys, tmp_path):
@@ -187,6 +252,21 @@ def test_theorem2_n6_report_is_pinned(capsys):
         "  FAILED single-pile-value(m=2): stated closed form 4/3 vs measured 2\n"
         "  FAILED single-pile-value(m=3): stated closed form 2 vs measured 3\n"
         "  FAILED single-pile-value(m=4): stated closed form 3 vs measured 10/3\n"
+    )
+
+
+def test_theorem2_n7_report_is_pinned(capsys):
+    # stdout captured while the keyed map still built every degree: 5,040
+    # equilibria over a box of 7**7 profiles, which the subset DP now maps
+    code, out, err = run_cli(capsys, "theorem", "2", "--n", "7")
+    assert code == 1
+    assert out == (Path(__file__).parent / "theorem_reports" / "theorem2-n7.json").read_text()
+    assert err == (
+        "findings:\n"
+        "  FAILED single-pile-value(m=2): stated closed form 9/7 vs measured 13/7\n"
+        "  FAILED single-pile-value(m=3): stated closed form 13/7 vs measured 19/7\n"
+        "  FAILED single-pile-value(m=4): stated closed form 19/7 vs measured 25/7\n"
+        "  FAILED single-pile-value(m=5): stated closed form 27/7 vs measured 29/7\n"
     )
 
 

@@ -157,9 +157,11 @@ def _small_graphs():
 
 
 def test_exact_matches_strategic_form_on_small_graphs():
-    # the graph check evaluates the stability condition alone; on default
-    # menus every colouring is a transition of the equilibria (both
-    # monochromatic colourings are ones), on other menus not always
+    # on default menus every colouring is a transition of the equilibria
+    # (both monochromatic colourings are ones), on other menus not always;
+    # the graph check must agree with the strategic-form membership test on
+    # every colouring, and with the stable grid on the transitions
+    disagreements = 0
     for inst in _small_graphs():
         game = coordination_to_game(inst)
         ne = enumerate_pure_ne(game)
@@ -172,9 +174,28 @@ def test_exact_matches_strategic_form_on_small_graphs():
             assert inst.colors is not None or is_transition(ne, s), where
             for variant in ("strict", "weak"):
                 exact = check_stable_transition_exact(inst, col, variant)
-                assert exact == bool(game.stable_grid(variant)[s]), (*where, variant)
-                assert is_stable_transition(ne, s, variant) == \
-                    (exact and is_transition(ne, s)), (*where, variant)
+                assert exact == is_stable_transition(ne, s, variant), (*where, variant)
+                grid = bool(game.stable_grid(variant)[s])
+                if is_transition(ne, s):
+                    assert exact == grid, (*where, variant)
+                else:
+                    disagreements += grid
+    # the stability condition alone holds on 35 pairs that are no transition
+    assert disagreements == 35
+
+
+@pytest.mark.parametrize("block", [7, coordination._SWEEP_BLOCK])
+def test_equilibrium_colours_are_the_projections_of_the_equilibria(monkeypatch, block):
+    # the block sweep against the strategic-form equilibria, with blocks of
+    # 7 colourings carrying the colours seen across blocks; on one shared
+    # pair the menus are read without a sweep
+    monkeypatch.setattr(coordination, "_SWEEP_BLOCK", block)
+    for inst in _small_graphs():
+        menus = inst.menus()
+        ne = enumerate_pure_ne(coordination_to_game(inst)).members
+        want = tuple(tuple(sorted({menu[s[i]] for s in ne})) for i, menu in enumerate(menus))
+        assert coordination._equilibrium_colours(inst) == want, (inst.edges, inst.colors)
+        assert inst._played == want
 
 
 def test_star5_balanced_leaves_split_by_variant():

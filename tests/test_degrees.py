@@ -195,11 +195,12 @@ def test_degree_map_of_one_player_games():
         assert got.tolist() == [1] * len(set(values))
 
 
-def test_degree_map_on_many_live_players():
-    # 7 to 10 binary players, every one live: the packed bitmap key (2^n'
-    # under 32 solutions' worth for one-byte masks, 4 for wider) and the
-    # sorted-mask key (fewer solutions), with masks past a byte from 9
-    # players on
+def test_degree_map_on_many_live_players(monkeypatch):
+    # 7 to 10 binary players, every one live: the keyed map's packed bitmap
+    # key (2^n' under 32 solutions' worth for one-byte masks, 4 for wider)
+    # and its sorted-mask key (fewer solutions), with masks past a byte
+    # from 9 players on
+    monkeypatch.setattr(degrees, "_prefers_dp", lambda *_: False)
     rng = random.Random(16)
     for n, count in ((7, 16), (7, 6), (8, 6), (9, 5), (9, 70), (9, 150), (10, 7)):
         for _ in range(2):
@@ -245,12 +246,82 @@ def test_mask_set_keys_are_canonical(keyed, sets, width):
 @pytest.mark.parametrize("cells", [1, 5, 40, 300])
 def test_degree_map_across_blocks(monkeypatch, cells):
     # a small budget splits the box into blocks of one to a few dozen
-    # entries; the memo and the C-order layout must carry across them
+    # entries; the keyed map's memo and C-order layout must carry across them
     monkeypatch.setattr(degrees, "_CELLS", cells)
+    monkeypatch.setattr(degrees, "_prefers_dp", lambda *_: False)
     rng = random.Random(cells)
     for n, k, count in ((3, 3, 4), (4, 3, 6), (5, 2, 5), (8, 2, 4), (7, 2, 30)):
         members = [tuple(rng.randrange(k) for _ in range(n)) for _ in range(count)]
         assert_matches_oracle(members)
+
+
+def cover_reference(members):
+    """exact_cover(reduce_to_cover(...)) at every entry of the box."""
+    projs = [sorted({d[i] for d in members}) for i in range(len(members[0]))]
+    degs = [len(exact_cover(reduce_to_cover(members, t))) for t in itertools.product(*projs)]
+    return np.array(degs, dtype=np.int64).reshape([len(p) for p in projs])
+
+
+def test_both_methods_match_the_per_entry_cover_search(monkeypatch):
+    # random lists of two kinds, few players on many values with many
+    # solutions and many players on few values with few, which the rule
+    # sends mostly to the DP and to the keyed map; no and one live player
+    # occur among the second kind.  Every list runs under both methods
+    rule = degrees._prefers_dp
+    rng = random.Random(31)
+    picked = {True: 0, False: 0}
+    live = set()
+    for trial in range(240):
+        if trial % 2:
+            n = rng.randint(2, 4)
+            k, count = {2: 10, 3: 6, 4: 5}[n], rng.randint(20, 150)
+        else:
+            n, k, count = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 12)
+        members = [tuple(rng.randrange(k) for _ in range(n)) for _ in range(count)]
+        sizes = [s for s in (len({d[i] for d in members}) for i in range(n)) if s > 1]
+        live.add(len(sizes))
+        if sizes:
+            picked[rule(sizes, len(members))] += 1
+        want = cover_reference(members)
+        for dp in (True, False):
+            monkeypatch.setattr(degrees, "_prefers_dp", lambda *_, dp=dp: dp)
+            got = degree_map(members)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+    assert {0, 1} <= live
+    assert min(picked.values()) > 60, picked
+
+
+def test_subset_dp_matches_the_keyed_map_on_permutation_sets(monkeypatch):
+    # the equilibria of n players on n parallel links: n! solutions over a
+    # box of n^n entries, which the rule sends to the DP from n = 5 on
+    rule = degrees._prefers_dp
+    for n in range(2, 7):
+        members = list(itertools.permutations(range(n)))
+        assert rule([n] * n, len(members)) == (n >= 5)
+        maps = []
+        for dp in (True, False):
+            monkeypatch.setattr(degrees, "_prefers_dp", lambda *_, dp=dp: dp)
+            maps.append(degree_map(members))
+        np.testing.assert_array_equal(*maps)
+
+
+@pytest.mark.parametrize(
+    "sizes, solutions, dp",
+    [
+        ([7] * 7, 5040, True),  # theorem 2 --n 7
+        ([5] * 4, 120, True),  # a links game's 120 equilibria
+        ([2] * 8, 6, False),  # many players, few solutions
+        ([2] * 12, 8, False),
+        ([2, 2], 2, False),  # matrix6's two equilibria
+        ([4] * 3, 4, False),  # 3-player planted games
+        ([5] * 3, 5, False),
+        ([3] * 3, 9, False),
+        ([2] * 16, 10**6, False),  # 3^16 cells: over the DP's table budget
+    ],
+)
+def test_cost_rule_regimes(sizes, solutions, dp):
+    assert degrees._prefers_dp(sizes, solutions) == dp
 
 
 def test_independence_oracle():

@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,10 +265,13 @@ def test_solution_set_check_agrees_with_the_member_loop(members):
         assert SolutionSet(game, members).members == members
 
 
-@pytest.mark.parametrize("text", [
+INTEGER_LIKE = [
     "0", "7", "-12", "007", "-0", "+5", " 5", "5 ", "1_0", "\u0663", "\u00b2", "-", "",
-    "--5", "-" + "9" * 30, "3/4", "-1.25", "1e3", "9" * 5000,
-])
+    "--5", "5-3", "-" + "9" * 30, "3/4", "-1.25", "1e3", "9" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", INTEGER_LIKE)
 def test_integer_strings_parse_as_fraction_parses_them(text):
     try:
         want = Fraction(text)
@@ -277,3 +281,18 @@ def test_integer_strings_parse_as_fraction_parses_them(text):
     else:
         got = as_exact(text)
         assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("text", INTEGER_LIKE)
+def test_payoff_strings_read_as_as_exact_reads_them(text):
+    # a written game's strings, where every one may take the int path: the
+    # scaled grid and every refusal are those of as_exact, value by value
+    values = ["3", text, "-2", text]
+    try:
+        exact = [as_exact(v) for v in values]
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=re.escape(str(exc))):
+            Game.from_values(("a", "b"), (("x", "y"), ("z",)), values)
+        return
+    scale, grid = Game.from_values(("a", "b"), (("x", "y"), ("z",)), values).ints
+    assert [Fraction(int(u), scale) for u in np.moveaxis(grid, 0, -1).ravel()] == exact
