@@ -987,6 +987,24 @@ def test_prices_reports_are_pinned(fixture, stable, capsys):
     assert out == (PRICES / f"{fixture}{suffix}.json").read_text()
 
 
+PLANTED_4 = "planted-3x3x3x3"
+
+
+@pytest.mark.parametrize("verb, pins", [("bounds", REPORTS), ("prices", PRICES)])
+def test_four_player_reports_are_pinned(verb, pins, tmp_path, monkeypatch, capsys):
+    # a seeded planted (3, 3, 3, 3) utility game with 3 equilibria: its m = 3
+    # and m = 4 rows and prices are what the fixtures, of at most 3 players,
+    # leave unpinned
+    game, planted = _planted_game(random.Random(4), (3, 3, 3, 3), 3)
+    assert sorted(enumerate_pure_ne(game).members) == sorted(planted)
+    monkeypatch.chdir(tmp_path)
+    Path(f"{PLANTED_4}.json").write_text(json.dumps(game_to_dict(game)))
+    assert main([verb, f"{PLANTED_4}.json", "--ne"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (pins / f"{PLANTED_4}.json").read_text()
+
+
 # -- identical utility -------------------------------------------------------------
 
 
