@@ -137,8 +137,7 @@ def cmd_bounds(args) -> Report:
     if game.convention != "max":
         return report
     # the certificate's derivation needs u_i(d) >= u_i(x, d_-i) at every d
-    members = np.array(D.members, dtype=np.intp).reshape(len(D.members), game.n).T
-    if game.regret[1][(slice(None), *members)].any():
+    if game.regret[1][(slice(None), *D.array.T)].any():
         report.results["smoothness"] = {"skipped": "a solution is not a pure equilibrium"}
         return report
     try:

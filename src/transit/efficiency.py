@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import Infeasible, NotIdenticalUtility, UndefinedPrice, WrongArity, WrongConvention
 from .games import Game, Profile, SolutionSet, enumerate_pure_ne, identical_utilities
-from .transitions import box_profiles, degree_map, transition_set
+from .transitions import box_profiles, degree_extremes, degree_map, transition_set
 
 ONE = Fraction(1)
 
@@ -33,7 +34,7 @@ def _optimum(game: Game) -> tuple[Profile, int, Fraction]:
     Raises UndefinedPrice when the optimum is not strictly positive.
     """
     welfare = game.welfare
-    k = int(np.argmax(welfare))
+    k = int(welfare.argmax())
     top = int(welfare.flat[k])
     name = "maximum social welfare" if game.convention == "max" else "minimum social cost"
     opt = Fraction(top if game.convention == "max" else -top, game.ints[0])
@@ -149,34 +150,35 @@ def price_report(
     def prices(keys, values, profiles):
         """Anarchy then stability ratio over values, with the first extreme
         of each as its witness; profiles(picks) names the picked entries."""
-        picks = [int(np.argmin(values)), int(np.argmax(values))]
+        picks = [int(values.argmin()), int(values.argmax())]
         wit.update(zip(keys, profiles(picks)))
         return [Fraction(int(values[k]), top) for k in picks]
 
-    # W over the box as one flat vector in lexicographic order; each mask
-    # selects flat indices, and only the picked ones become profiles
-    flat = game.welfare[ts.box].ravel()
-
-    def over_box(keys, at):
-        return prices(keys, flat[at], lambda picks: box_profiles(ts, at[picks]))
-
-    members = np.array(D.members)
+    members = D.array
     poa, pos = prices(("poa", "pos"), game.welfare[tuple(members.T)],
                       lambda picks: [tuple(members[k].tolist()) for k in picks])
-    pota, pots = prices(("pota", "pots"), flat, lambda picks: box_profiles(ts, picks))
-    posta, posts = over_box(("posta", "posts"), np.flatnonzero(stable_box))
-    degree = degree_map(D)
-    m_pota, m_pots = zip(*(
-        over_box((f"m_pota[{m}]", f"m_pots[{m}]"), np.flatnonzero(degree <= m))
-        for m in range(1, game.n + 1)
-    ))
+    # the m-prices and their witnesses are the table's W row; degree <= n
+    # is the whole box, so pota and pots are its last entries
+    table = degree_extremes(D)
+    m_pota = tuple(Fraction(v, top) for v in table.least[0])
+    m_pots = tuple(Fraction(v, top) for v in table.greatest[0])
+    n = game.n
+    named = box_profiles(ts, table.least_at + table.greatest_at)
+    wit["pota"], wit["pots"] = named[n - 1], named[2 * n - 1]
+    # W over the box as one flat vector in lexicographic order; the stable
+    # mask selects flat indices, and only the picked ones become profiles
+    at = np.flatnonzero(stable_box)
+    posta, posts = prices(("posta", "posts"), game.welfare[ts.box].ravel()[at],
+                          lambda picks: box_profiles(ts, at[picks]))
+    for m in range(1, n + 1):
+        wit[f"m_pota[{m}]"], wit[f"m_pots[{m}]"] = named[m - 1], named[n + m - 1]
 
     return PriceReport(
         convention=game.convention,
         poa=poa,
         pos=pos,
-        pota=pota,
-        pots=pots,
+        pota=m_pota[-1],
+        pots=m_pots[-1],
         posta=posta,
         posts=posts,
         m_pota=m_pota,
@@ -190,24 +192,18 @@ def price_report(
 # -- tightest regularity constants -----------------------------------------
 
 
-def _tightest(num, den) -> Fraction | None:
+def _tightest(num: int, den: int) -> Fraction | None:
     """Smallest constant a >= 1 with den >= num / a (equivalently num <= a*den).
 
-    num and den are integers in one unit.  Over a nonpositive denominator
-    a*den only falls as a grows, so a = 1 is the answer when num <= den and
-    no a >= 1 exists otherwise (None): a 0/0 constraint binds nothing, while
-    den < num <= 0, say num = -2 over den = -10, admits no constant.
+    num and den are integers in one unit; a Fraction is made only for a
+    constant above 1.  Over a nonpositive denominator a*den only falls as a
+    grows, so a = 1 is the answer when num <= den and no a >= 1 exists
+    otherwise (None): a 0/0 constraint binds nothing, while den < num <= 0,
+    say num = -2 over den = -10, admits no constant.
     """
     if den > 0:
-        return max(Fraction(int(num), int(den)), ONE)
+        return Fraction(num, den) if num > den else ONE
     return ONE if num <= den else None
-
-
-def _dependence(small: np.ndarray, large: np.ndarray) -> tuple[tuple, tuple]:
-    """Row by row, the tightest constants from the columns of small to those
-    of large: min(small) >= min(large) / a and max(large) <= a * max(small)."""
-    return (tuple(map(_tightest, small.min(axis=1), large.min(axis=1))),
-            tuple(map(_tightest, large.max(axis=1), small.max(axis=1))))
 
 
 @dataclass(frozen=True)
@@ -239,70 +235,72 @@ def coordination_dependence(game: Game, D: SolutionSet) -> CoordinationDependenc
     """Exhaustive tightest-constant search; utility convention only.
 
     Every constant compares extremes of the welfare W or a utility U_i, in
-    the game's unit 1/L, over the solutions, the box or its degree stages.
+    the game's unit 1/L.  The alphas and every degree step read them from
+    D's table of extremes by degree (`transitions.degree_extremes`): the
+    degree-1 entries of the box are the solutions, and degree n takes in
+    the whole box.  Beta reads W and U_i at the solutions themselves.
     """
     if game.convention != "max":
         raise WrongConvention("dependence constants are defined for utility games")
     D = D.on(game)
-    box = transition_set(D).box
-    payoff, welfare = game.ints[1], game.welfare
-    members = tuple(np.array(D.members).T)
-    # rows: the welfare, then each player's utility; columns: the solutions,
-    # or the box entries with their degrees
-    solutions = np.vstack([welfare[members], payoff[(slice(None),) + members]])
-    box_rows = np.vstack([welfare[box].ravel(),
-                          payoff[(slice(None),) + box].reshape(game.n, -1)])
-    degree = degree_map(D).ravel()
-
-    wit: dict = {}
-    beta = []
-    for i, u in enumerate(solutions[1:]):
-        b, pair = _beta(u, solutions[0])
-        if pair is not None:
-            wit[f"beta[{i}]"] = tuple(D.members[k] for k in pair)
-        beta.append(b)
-    lower, upper = _dependence(solutions, box_rows)
-    # from the m-transitions to the (m + 1)-transitions, m = 1..n-1
-    steps = [_dependence(box_rows[:, degree <= m], box_rows[:, degree <= m + 1])
-             for m in range(1, game.n)]
+    table = degree_extremes(D)
+    members = tuple(D.array.T)
+    betas = _betas(game.ints[1][(slice(None),) + members], game.welfare[members])
+    wit = {f"beta[{i}]": tuple(D.members[k] for k in pair)
+           for i, (_, pair) in enumerate(betas) if pair is not None}
+    # rows W, U_1, ..., U_n; min(small) >= min(large) / a and max(large) <=
+    # a * max(small), from the solutions to the box and from the m- to the
+    # (m + 1)-transitions, m = 1..n-1
+    lower = [_tightest(row[0], row[-1]) for row in table.least]
+    upper = [_tightest(row[-1], row[0]) for row in table.greatest]
+    steps = range(1, game.n)
+    step_lower = [tuple(_tightest(row[m - 1], row[m]) for row in table.least) for m in steps]
+    step_upper = [tuple(_tightest(row[m], row[m - 1]) for row in table.greatest) for m in steps]
 
     return CoordinationDependence(
-        alpha_lower=lower[1:],
-        alpha_upper=upper[1:],
-        beta=tuple(beta),
+        alpha_lower=tuple(lower[1:]),
+        alpha_upper=tuple(upper[1:]),
+        beta=tuple(b for b, _ in betas),
         sw_alpha_lower=lower[0],
         sw_alpha_upper=upper[0],
-        sw_degree_alpha_lower=tuple(lo[0] for lo, _ in steps),
-        sw_degree_alpha_upper=tuple(up[0] for _, up in steps),
-        player_degree_alpha_lower=tuple(lo[1:] for lo, _ in steps),
-        player_degree_alpha_upper=tuple(up[1:] for _, up in steps),
+        sw_degree_alpha_lower=tuple(lo[0] for lo in step_lower),
+        sw_degree_alpha_upper=tuple(up[0] for up in step_upper),
+        player_degree_alpha_lower=tuple(lo[1:] for lo in step_lower),
+        player_degree_alpha_upper=tuple(up[1:] for up in step_upper),
         witnesses=wit,
     )
 
 
-def _beta(u: np.ndarray, w: np.ndarray) -> tuple[Fraction | None, tuple[int, int] | None]:
-    """One player's tightest variation constant over solution pairs, and the
+def _betas(us: np.ndarray, w: np.ndarray) -> list[tuple[Fraction | None, tuple[int, int] | None]]:
+    """Each player's tightest variation constant over solution pairs, and the
     first pair (s, t) that sets it, as member indices (None while beta is 1).
 
+    us[i] holds player i's utilities at the solutions, w their welfare.
     Each pair with sw(s) >= sw(t) asks u(s) * beta >= u(t).  In scan order,
     pairs with u(t) > 0 raise beta to u(t) / u(s) up to the first with
     u(s) <= 0, which leaves it undefined (the pair found so far stays).
     Negative utilities make other pairs upper bounds, so the constant is
-    then checked against every pair.
+    then checked against every pair.  One array pass reads the largest u(t)
+    over each s's pairs for every player; beta stays an integer pair p / q
+    until it is returned.
     """
     ordered = w[:, None] >= w[None, :]
     # the largest u(t) over the pairs of each s; (s, s) is always one
-    top = np.where(ordered, u[None, :], u.min()).max(axis=1)
-    infinite = (top > 0) & (u <= 0)
-    stop = int(np.argmax(infinite)) if infinite.any() else len(u)
-    b, pair = ONE, None
-    for s in np.flatnonzero(top[:stop] > 0):
-        r = Fraction(int(top[s]), int(u[s]))
-        if r > b:
-            b, pair = r, (int(s), int(np.flatnonzero(ordered[s] & (u == top[s]))[0]))
-    if infinite.any() or any(int(us) * b < int(ts) for us, ts in zip(u, top)):
-        return None, pair
-    return b, pair
+    tops = np.where(ordered, us[:, None, :], us.min(axis=1)[:, None, None]).max(axis=2)
+    out = []
+    for u, top, row in zip(us.tolist(), tops.tolist(), us):
+        p, q, pair, defined = 1, 1, None, True
+        for s, (u_s, top_s) in enumerate(zip(u, top)):
+            if top_s > 0 and u_s <= 0:
+                defined = False
+                break
+            if top_s > 0 and top_s * q > p * u_s:
+                p, q = top_s, u_s
+                pair = (s, int(np.flatnonzero(ordered[s] & (row == top_s))[0]))
+        if defined and any(u_s * p < top_s * q for u_s, top_s in zip(u, top)):
+            defined = False
+        out.append((Fraction(p, q) if defined else None, pair))
+    return out
 
 
 # -- condition-based bounds -------------------------------------------------
@@ -338,12 +336,20 @@ class BoundRow:
         }
 
 
+def _verdict(lhs: Fraction, p: int, q: int, ge: bool) -> tuple[bool, Fraction]:
+    """Whether lhs >= p / q (lhs <= p / q when not ge), q > 0, and the slack:
+    decided on integers, the slack the one Fraction made."""
+    gap = lhs.numerator * q - p * lhs.denominator
+    if not ge:
+        gap = -gap
+    return gap >= 0, Fraction(gap, lhs.denominator * q)
+
+
 def _row(name, anchor, constants, inequality, lhs, rhs, ge=True) -> BoundRow:
     if lhs is None or rhs is None:
         return BoundRow(name, anchor, constants, inequality, None, None, None, None,
                         skipped="constant undefined")
-    holds = lhs >= rhs if ge else lhs <= rhs
-    slack = lhs - rhs if ge else rhs - lhs
+    holds, slack = _verdict(lhs, rhs.numerator, rhs.denominator, ge)
     return BoundRow(name, anchor, constants, inequality, lhs, rhs, holds, slack)
 
 
@@ -436,47 +442,62 @@ def check_bound_observations(game: Game, D: SolutionSet) -> list[BoundRow]:
     D = D.on(game)
     report = price_report(game, D)
     dep = coordination_dependence(game, D)
-    beta_undefined = any(v is None for v in dep.beta)
+    beta = None if any(v is None for v in dep.beta) else max(dep.beta)
     # the per-player proofs divide u_i(s) / alpha_i >= u_i(s) / alpha, which
     # needs every utility at the solutions to be nonnegative
-    members = tuple(np.array(D.members).T)
+    members = tuple(D.array.T)
     negative = bool((game.ints[1][(slice(None),) + members] < 0).any())
     rows: list[BoundRow] = []
     for fam in _BOUND_FAMILIES:
+        # each side's alpha at every stage, the largest over the players of a
+        # per-player family; None where a constant it takes is undefined
+        alphas = []
+        for side in (0, 1):
+            value = getattr(dep, fam.constants[side])
+            stages = value if fam.per_degree else (value,)
+            if fam.per_player:
+                stages = [None if any(c is None for c in st) else max(st) for st in stages]
+            alphas.append(list(stages))
         for m in range(2, game.n + 1) if fam.per_degree else (None,):
             for side in (0, 1):
                 name = fam.names[side] if m is None else f"{fam.names[side]}(m={m})"
-                value = getattr(dep, fam.constants[side])
-                stages = value[: m - 1] if fam.per_degree else (value,)
-                if not fam.per_player:
-                    stages = tuple((c,) for c in stages)
                 if fam.per_player and negative:
                     rows.append(_skip(name, fam.anchor, "a utility is negative at a solution"))
                     continue
-                if fam.skip and (
-                    any(c is None for stage in stages for c in stage)
-                    or (fam.per_player and beta_undefined)
-                ):
+                factors = alphas[side][: m - 1] if fam.per_degree else alphas[side]
+                if fam.skip and (any(c is None for c in factors)
+                                 or (fam.per_player and beta is None)):
                     rows.append(_skip(name, fam.anchor, fam.skip))
                     continue
-                alphas = tuple(max(stage) for stage in stages)
-                constants = {"alphas": alphas} if fam.per_degree else {"alpha": alphas[0]}
-                factors = list(alphas)
+                constants = ({"alphas": tuple(factors)} if fam.per_degree
+                             else {"alpha": factors[0]})
                 if fam.per_player:
-                    constants["beta"] = max(dep.beta)
-                    factors.append(constants["beta"])
-                k = None if any(c is None for c in factors) else math.prod(factors)
+                    constants["beta"] = beta
+                    factors = factors + [beta]
                 if side == 0:
-                    lhs = report.pota if m is None else report.m_pota_at(m)
-                    rhs = None if k is None else report.poa / k
+                    lhs, bound = (report.pota if m is None else report.m_pota_at(m)), report.poa
                 else:
-                    lhs = report.pots if m is None else report.m_pots_at(m)
-                    rhs = None if k is None else k * report.pos
-                rows.append(
-                    _row(name, fam.anchor, constants, fam.inequalities[side], lhs, rhs,
-                         ge=side == 0)
-                )
+                    lhs, bound = (report.pots if m is None else report.m_pots_at(m)), report.pos
+                rows.append(_bound_row(name, fam.anchor, constants, fam.inequalities[side],
+                                       lhs, factors, bound, side == 0))
     return rows
+
+
+def _bound_row(name, anchor, constants, inequality, lhs, factors, bound, anarchy) -> BoundRow:
+    """The row asserting lhs >= bound / K (anarchy) or lhs <= K * bound, K
+    the product of the factors: K, the right side, the verdict and the slack
+    come from integer numerators and denominators, and only the right side
+    and the slack become Fractions."""
+    if any(c is None for c in factors):
+        return _row(name, anchor, constants, inequality, lhs, None)
+    num = math.prod(c.numerator for c in factors)
+    den = math.prod(c.denominator for c in factors)
+    if anarchy:
+        p, q = bound.numerator * den, bound.denominator * num
+    else:
+        p, q = bound.numerator * num, bound.denominator * den
+    holds, slack = _verdict(lhs, p, q, anarchy)
+    return BoundRow(name, anchor, constants, inequality, lhs, Fraction(p, q), holds, slack)
 
 
 def two_player_pots_condition(game: Game) -> bool:
@@ -507,11 +528,46 @@ _SHIFT = 62
 _LAMBDA_GRID = tuple(Fraction(2) ** k for k in range(-_SHIFT, 2))
 
 
+class _Grid(Sequence):
+    """A certificate's feasible grid rows (lambda, mu, bound), held as the
+    integers (k, mu_num, mu_den, bound_num, bound_den), lambda the k-th
+    point of `_LAMBDA_GRID`, and made Fractions when first read.  It equals
+    the tuple of those rows, as a tuple of them would."""
+
+    def __init__(self, rows: list[tuple[int, int, int, int, int]]) -> None:
+        self._rows = rows
+
+    @functools.cached_property
+    def _fractions(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        return tuple((_LAMBDA_GRID[k], Fraction(mu_num, mu_den), Fraction(num, den))
+                     for k, mu_num, mu_den, num, den in self._rows)
+
+    def __getitem__(self, i):
+        return self._fractions[i]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __eq__(self, other) -> bool:
+        return self._fractions == (other._fractions if isinstance(other, _Grid) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._fractions)
+
+    def __repr__(self) -> str:
+        return repr(self._fractions)
+
+
 @dataclass(frozen=True)
 class SmoothnessResult:
+    """alpha, beta, the feasible grid rows (lambda, mu, bound) in rising
+    lambda, the best bound over them, the exhaustive pota, and whether the
+    bound holds.  `extensive_smoothness` makes the grid's Fractions when it
+    is first read (`_Grid`); only best_bound is made up front."""
+
     alpha: Fraction
     beta: Fraction
-    grid: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (lambda, mu, bound)
+    grid: Sequence[tuple[Fraction, Fraction, Fraction]]
     best_bound: Fraction
     pota: Fraction
     holds: bool
@@ -532,7 +588,8 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     No constant loops over pairs or profiles; every pass reduces the
     integers U and W (`Game.ints`, `Game.welfare`) over D's transition box.
     The pairs behind alpha and beta form product sets, one per player and
-    strategy, whose extremes decide the constant (`_ratio_floor`).  Every
+    strategy, whose extremes decide the constant; each constant reduces all
+    its groups, of every player, in one array pass (`_ratio_floor`).  Every
     optimum has welfare opt, so mu reads each transition t only through
     sw(t) and m_t, the least sum_i u_i(s*_i, t_-i) over optima s*: each
     welfare value w != 0 gives the line lambda -> (lambda*opt - m) / |w|,
@@ -540,8 +597,9 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     (`_grid_envelope`) reads the top line for w > 0 (the floor of mu) and
     for w < 0 (minus its ceiling).  Every grid lambda is an integer over
     2^62, and each row's feasibility and the best bound are decided by
-    integer cross-multiplication, so a row's mu and bound are each one
-    `Fraction` formed from integers.
+    integer cross-multiplication.  The rows stay integer pairs: the best
+    bound is the one Fraction made here, and the grid's Fractions are made
+    when `SmoothnessResult.grid` is first read.
     """
     if game.convention != "max":
         raise WrongConvention("smoothness certificates require utility games")
@@ -558,41 +616,43 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     box_w = welfare[box]
     n = game.n
 
-    # condition 1 constant: u_i(s) >= alpha * u_i(d) whenever s_i = d_i.
-    members = np.array(D.members).T
-    alpha_groups = []
-    for i in range(n):
-        least = payoff[i][box].min(axis=tuple(j for j in range(n) if j != i))
-        dens = payoff[i][tuple(members)]
-        alpha_groups += [(lo, dens[members[i] == x]) for x, lo in zip(projs[i], least)]
-    alpha = _ratio_floor(alpha_groups)
+    # condition 1 constant: u_i(s) >= alpha * u_i(d) whenever s_i = d_i;
+    # one group per player i and value x of projs[i], its denominators the
+    # u_i(d) of the members with d_i = x
+    members = D.array.T
+    player = np.repeat(np.arange(n), [len(p) for p in projs])
+    value = np.array([x for p in projs for x in p])
+    lowest = np.concatenate([payoff[i][box].min(axis=tuple(j for j in range(n) if j != i))
+                             for i in range(n)])
+    alpha = _ratio_floor([(lowest, payoff[(slice(None),) + tuple(members)][player],
+                           members[player] == value[:, None])])
 
     # condition 2 constant: completing an optimal strategy with one
     # transition versus another moves the utility by at most 1/beta.
-    # completed[i][..., x, ...] = u_i(x, t_-i) over the box, x on axis i
-    completed = [
-        payoff[i][np.ix_(*(range(k) if j == i else p
-                           for j, (k, p) in enumerate(zip(game.shape, projs))))]
+    # completed[i, x] = u_i(x, t_-i) over the box, x an optimum's strategy
+    optima = list(zip(*(ix.tolist() for ix in (welfare == opt).nonzero())))
+    strategies = [sorted({star[i] for star in optima}) for i in range(n)]
+    completed = {
+        (i, x): payoff[i][tuple(x if j == i else b for j, b in enumerate(box))]
         .astype(welfare.dtype, copy=False)
         for i in range(n)
-    ]
-    optima = np.argwhere(welfare == opt)
-    beta = _ratio_floor(
-        (vals.min(), vals.ravel())
-        for i in range(n)
-        for vals in (np.take(completed[i], [x], axis=i) for x in np.unique(optima[:, i]))
-    )
+        for x in strategies[i]
+    }
+    # one block per player, a row per strategy x: each pair of completions
+    # is a numerator and a denominator
+    blocks = [np.stack([completed[i, x].ravel() for x in strategies[i]]) for i in range(n)]
+    beta = _ratio_floor((rows.min(axis=1), rows, None) for rows in blocks)
 
     # condition 3: mu >= (lambda*opt - m_t) / sw(t) when sw(t) > 0, mu <= it
     # when sw(t) < 0, and lambda*opt <= m_t when sw(t) = 0.
-    totals = (
-        sum(np.take(completed[i], [star[i]], axis=i) for i in range(n)) for star in optima
-    )
+    totals = (sum(completed[i, star[i]] for i in range(n)) for star in optima)
     least = np.broadcast_to(functools.reduce(np.minimum, totals), box_w.shape)
-    values, index = np.unique(box_w, return_inverse=True)
-    least_m = np.full(len(values), least.max(), dtype=least.dtype)
-    np.minimum.at(least_m, index.ravel(), least.ravel())
-    lines = list(zip(values.tolist(), least_m.tolist()))
+    # each distinct welfare value with the least m_t at it, by one sort
+    order = box_w.ravel().argsort()
+    ranked = box_w.ravel()[order]
+    starts = [0] + (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    lines = list(zip(ranked[starts].tolist(),
+                     np.minimum.reduceat(least.ravel()[order], starts).tolist()))
     # mu >= the top rising line; mu <= minus the top falling line
     rising = _grid_envelope([(w, m) for w, m in lines if w > 0], opt)
     falling = _grid_envelope([(-w, m) for w, m in lines if w < 0], opt)
@@ -603,7 +663,7 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
     a, b = ab.numerator, ab.denominator
     rows = []
     best = None
-    for k, lam in enumerate(_LAMBDA_GRID):
+    for k in range(len(_LAMBDA_GRID)):
         if flat_least is not None and opt << k > flat_least << _SHIFT:
             continue
         mu_num, mu_den = rising[k] if rising else (0, 1)
@@ -618,51 +678,65 @@ def extensive_smoothness(game: Game, D: SolutionSet | None = None) -> Smoothness
         bound = (a * mu_den << k, denom << _SHIFT)
         if best is None or bound[0] * best[1] > best[0] * bound[1]:
             best = bound
-            best_row = len(rows)
-        rows.append((lam, Fraction(mu_num, mu_den), Fraction(*bound)))
+        rows.append((k, mu_num, mu_den) + bound)
     if best is None:
         raise Infeasible("no (lambda, mu) pair with mu >= 0 is feasible on the grid")
 
     pota = Fraction(int(box_w.min()), opt)
-    best_bound = rows[best_row][2]
+    best_bound = Fraction(*best)
     return SmoothnessResult(
         alpha=alpha,
         beta=beta,
-        grid=tuple(rows),
+        grid=_Grid(rows),
         best_bound=best_bound,
         pota=pota,
         holds=best_bound <= pota,
     )
 
 
-def _ratio_floor(groups) -> Fraction:
+def _ratio_floor(blocks) -> Fraction:
     """Largest a with num >= a * den for every pair with a positive denominator.
 
-    Each group (least, dens) stands for every pair in nums x dens, where
-    least is min(nums) and dens an integer array in the same unit, so only
-    least and the extremes of the positive and negative dens are read.
-    Zero denominators with nonnegative numerators bind nothing; a negative
-    numerator over a zero denominator, a lack of positive denominators, or a
-    negative denominator asking for more than the positive ones allow leaves
-    no feasible constant, and the first of these reasons wins.  Candidate
-    ratios are integer pairs (num, den > 0) compared by cross-multiplication.
+    Each block (least, dens, valid) holds groups of pairs: row g of the
+    integer array dens holds the denominators of group g, those that valid
+    marks (every one when valid is None), and least[g] the least of its
+    numerators, in the same unit.  A group stands for every pair in nums x
+    dens, so only least and the denominators that bind are read: a positive
+    den binds most as the largest when least >= 0 and as the smallest
+    otherwise, a negative one as the smallest when least >= 0 and as the
+    largest otherwise, and one array pass finds them for every group of a
+    block.  Zero denominators with nonnegative numerators bind nothing; a
+    negative numerator over a zero denominator, a lack of positive
+    denominators, or a negative denominator asking for more than the
+    positive ones allow leaves no feasible constant, and the first of these
+    reasons wins.  Candidate ratios are integer pairs (num, den > 0)
+    compared by cross-multiplication.
     """
     hi = None
     lo = None
-    for least, dens in groups:
-        least = int(least)
-        pos = dens[dens > 0]
-        neg = dens[dens < 0]
-        if least < 0 and pos.size + neg.size < dens.size:
+    for least, dens, valid in blocks:
+        up = least >= 0
+        flip = np.where(up, 1, -1)
+        key = dens * flip[:, None]
+        pos, neg, zero = dens > 0, dens < 0, dens == 0
+        if valid is not None:
+            pos, neg, zero = pos & valid, neg & valid, zero & valid
+        if (zero.any(axis=1) & ~up).any():
             raise Infeasible("smoothness constant infeasible: u >= a*0 fails")
-        if pos.size:
-            den = int(pos.max() if least >= 0 else pos.min())
-            if hi is None or least * hi[1] < hi[0] * den:
-                hi = (least, den)
-        if neg.size:
-            den = -int(neg.min() if least >= 0 else neg.max())
-            if lo is None or -least * lo[1] > lo[0] * den:
-                lo = (-least, den)
+        # past every key: a side's binding den has the greatest key among
+        # the positive dens and the least among the negative ones
+        big = int(abs(dens).max()) + 1
+        top = np.where(pos, key, -big).max(axis=1).tolist()
+        bottom = np.where(neg, key, big).min(axis=1).tolist()
+        for num, f, t, b in zip(least.tolist(), flip.tolist(), top, bottom):
+            if t != -big:
+                den = t * f
+                if hi is None or num * hi[1] < hi[0] * den:
+                    hi = (num, den)
+            if b != big:
+                den = -b * f
+                if lo is None or -num * lo[1] > lo[0] * den:
+                    lo = (-num, den)
     if hi is None:
         raise Infeasible("no positive-denominator ratio to pin the constant")
     if lo is not None and lo[0] * hi[1] > hi[0] * lo[1]:
@@ -701,13 +775,14 @@ def _grid_envelope(lines, opt: int) -> list[tuple[int, int]]:
         hull.append((v, m))
     if not hull:
         return []
+    # hull[i] is on top from lambda = breaks[i - 1] up to breaks[i]
     tops = []
-    top = 0
-    for k in range(len(_LAMBDA_GRID)):
-        while top < len(breaks) and breaks[top][1] << k >= breaks[top][0] << _SHIFT:
-            top += 1
-        v, m = hull[top]
-        tops.append(((opt << k) - (m << _SHIFT), v << _SHIFT))
+    k, size = 0, len(_LAMBDA_GRID)
+    for (v, m), (p, q) in zip(hull, breaks + [(1, 0)]):
+        m, v, p = m << _SHIFT, v << _SHIFT, p << _SHIFT
+        while k < size and q << k < p:
+            tops.append(((opt << k) - m, v))
+            k += 1
     return tops
 
 

@@ -384,6 +384,9 @@ class SolutionSet:
             and ((grid >= 0) & (grid < self.game.shape)).all()
             and len(set(members)) == len(members)
         ):
+            grid = grid.astype(np.intp, copy=False)
+            grid.flags.writeable = False
+            self.__dict__["array"] = grid
             return
         seen = set()
         for s in members:
@@ -391,6 +394,14 @@ class SolutionSet:
             if s in seen:
                 raise ParseError(f"duplicate solution {s!r}")
             seen.add(s)
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The members as one read-only intp array of shape (|D|, n), in
+        member order; the check of a new set keeps the one it builds."""
+        grid = np.array(self.members, dtype=np.intp).reshape(len(self.members), self.game.n)
+        grid.flags.writeable = False
+        return grid
 
     def on(self, game: Game) -> "SolutionSet":
         """This set when it is one of `game`, else its members re-made as a

@@ -142,6 +142,87 @@ def degree_map(D: SolutionSet) -> np.ndarray:
     return transition_set(D).degree
 
 
+@dataclass(frozen=True)
+class DegreeExtremes:
+    """The extremes of D's game over its m-transitions, m = 1..n: entry m - 1
+    of each row is taken over the box entries of degree at most m, so entry
+    0 is over the solutions and entry n - 1 over the whole box.
+
+    least, greatest:       one row for each of W, U_1, ..., U_n
+                           (`Game.welfare`, `Game.ints`), Python ints in the
+                           game's unit 1/L.
+    least_at, greatest_at: the first C-order box index at which W takes that
+                           extreme, the first least (greatest) profile in
+                           lexicographic order.
+    """
+
+    least: tuple[tuple[int, ...], ...]
+    greatest: tuple[tuple[int, ...], ...]
+    least_at: tuple[int, ...]
+    greatest_at: tuple[int, ...]
+
+
+def degree_extremes(D: SolutionSet) -> DegreeExtremes:
+    """The extremes of W and every U_i over D's m-transitions for every m,
+    built on first read and kept on D's TransitionSet beside `degree`.
+
+    Every read goes through `degree_map`, which the table is taken over.
+    One stable sort orders the box by degree, each degree's entries in C
+    order; `reduceat` takes every U_i's extremes per degree and `accumulate`
+    carries them up the degrees, while W's extremes and witnesses come from
+    one slice per degree.  Object grids (some |U| at or past 2**62) take the
+    same path.
+    """
+    ts = transition_set(D)
+    degree = degree_map(D)
+    if "_extremes" not in ts.__dict__:
+        object.__setattr__(ts, "_extremes", _extremes(ts, degree.ravel()))
+    return ts._extremes
+
+
+def _extremes(ts: TransitionSet, degree: np.ndarray) -> DegreeExtremes:
+    game = ts.source.game
+    n = game.n
+    order = degree.argsort(kind="stable")
+    at = np.ravel_multi_index(ts.box, game.shape).ravel()[order]
+    w = game.welfare.ravel()[at]
+    u = game.ints[1].reshape(n, -1).take(at, axis=1)
+    # in this order the entries of degree m are [starts[m - 1], ends[m - 1]);
+    # degree 1 always occurs, another degree need not
+    ends = np.searchsorted(degree[order], np.arange(1, n + 1), side="right").tolist()
+    starts = [0] + ends[:-1]
+    present = [a for a, b in zip(starts, ends) if b > a]
+    # the degrees present up to m, less one: m's column of the U extremes
+    column = [c - 1 for c in itertools.accumulate(b > a for a, b in zip(starts, ends))]
+
+    def carried(extreme):
+        return extreme.accumulate(extreme.reduceat(u, present, axis=1), axis=1)[:, column]
+
+    # (W, C index) of the least and (-W, C index) of the greatest so far: a
+    # degree's first extreme is its slice's first, and among tied degrees
+    # the least C index wins
+    low_w, low_at, high_w, high_at = [], [], [], []
+    low = high = None
+    for a, b in zip(starts, ends):
+        if b > a:
+            part = w[a:b]
+            i, j = a + int(part.argmin()), a + int(part.argmax())
+            lo, hi = (w[i], order[i]), (-w[j], order[j])
+            low = lo if low is None else min(low, lo)
+            high = hi if high is None else min(high, hi)
+        low_w.append(int(low[0]))
+        low_at.append(int(low[1]))
+        high_w.append(-int(high[0]))
+        high_at.append(int(high[1]))
+
+    return DegreeExtremes(
+        least=tuple(map(tuple, [low_w] + carried(np.minimum).tolist())),
+        greatest=tuple(map(tuple, [high_w] + carried(np.maximum).tolist())),
+        least_at=tuple(low_at),
+        greatest_at=tuple(high_at),
+    )
+
+
 def box_profiles(ts: TransitionSet, flat: np.ndarray) -> list[Profile]:
     """The profiles at flat (C-order) indices of the transition box, in the
     order of `flat`: each index is unravelled on the box's axes and read

@@ -36,7 +36,7 @@ from transit.fixtures import (
 )
 from transit.games import Game, SolutionSet, enumerate_pure_ne
 from transit.io import game_to_dict
-from transit.transitions import degree_map, transition_set
+from transit.transitions import degree_extremes, degree_map, transition_set
 from transit import cli, efficiency, oracle
 
 F = Fraction
@@ -488,10 +488,14 @@ def _pairwise_ratio_floor(pairs):
     [(2, [1]), (-1, [-1]), (-3, [-1])],
 ])
 def test_negative_denominators_asking_too_much_are_contradictory(groups):
-    # each group (least, dens) stands for the pairs (least, d), d in dens
-    planted = [(least, np.array(dens, dtype=np.int64)) for least, dens in groups]
+    # each group (least, dens) stands for the pairs (least, d), d in dens;
+    # _ratio_floor takes the groups as rows, marking the dens each holds
+    width = max(len(dens) for _, dens in groups)
+    rows = np.array([dens + [0] * (width - len(dens)) for _, dens in groups], dtype=np.int64)
+    valid = np.array([[k < len(dens) for k in range(width)] for _, dens in groups])
+    least = np.array([least for least, _ in groups], dtype=np.int64)
     with pytest.raises(Infeasible, match="contradictory"):
-        _ratio_floor(planted)
+        _ratio_floor([(least, rows, valid)])
     with pytest.raises(Infeasible, match="contradictory"):
         _pairwise_ratio_floor(
             (F(least), F(d)) for least, dens in groups for d in dens)
@@ -634,12 +638,14 @@ SCALES = (F(1), F(2**62 + 1), F(1, 2**61 + 1))
 
 @functools.cache
 def _random_instances():
-    """420 (game, solution set) pairs of 2-3 players with 2-4 strategies each:
-    negative and zero payoffs, equilibrium and arbitrary solution sets."""
+    """About 500 (game, solution set) pairs: 420 of 2-3 players with 2-4
+    strategies each, then 4-player ones on 2x2x2x2 and 3x2x2x2 boxes, whose
+    transitions reach degrees 3 and 4; negative and zero payoffs, equilibrium
+    and arbitrary solution sets."""
     rng = random.Random(2015)
     instances = []
-    while len(instances) < 420:
-        shape = tuple(rng.randint(2, 4) for _ in range(rng.randint(2, 3)))
+
+    def draw(shape):
         low = rng.choice((-4, -1, 0))
         game = Game.from_function(
             shape, lambda s: tuple(F(rng.randint(low, 4)) for _ in shape)
@@ -649,6 +655,11 @@ def _random_instances():
             instances.append((game, ne))
         pair = rng.sample(list(game.profiles()), 2)
         instances.append((game, SolutionSet(game, tuple(pair))))
+
+    while len(instances) < 420:
+        draw(tuple(rng.randint(2, 4) for _ in range(rng.randint(2, 3))))
+    while len(instances) < 500:
+        draw(rng.choice(((2, 2, 2, 2), (3, 2, 2, 2))))
     return instances
 
 
@@ -666,7 +677,7 @@ def test_smoothness_matches_pairwise_on_random_games():
     for scale in SCALES:
         outcomes = [
             _assert_matches_pairwise(*_scaled(game, D, scale))
-            for game, D in _random_instances()
+            for game, D in _random_instances() if game.n < 4
         ]
         messages = {o for o in outcomes if isinstance(o, str)}
         assert messages >= {
@@ -676,6 +687,17 @@ def test_smoothness_matches_pairwise_on_random_games():
             f"maximum social welfare is {-scale}; prices are undefined",
         }
         assert sum(isinstance(o, SmoothnessResult) for o in outcomes) > len(outcomes) // 3
+
+
+def test_smoothness_matches_pairwise_on_four_player_games():
+    # the 4-player instances apart, so each test stays short
+    certified = 0
+    for scale in SCALES:
+        for game, D in _random_instances():
+            if game.n == 4:
+                outcome = _assert_matches_pairwise(*_scaled(game, D, scale))
+                certified += isinstance(outcome, SmoothnessResult)
+    assert certified > 30
 
 
 def test_smoothness_matches_pairwise_when_no_lambda_is_feasible():
@@ -1063,18 +1085,60 @@ def test_own_utility_games_have_unit_prices():
         assert r.pota == r.poa == r.pos == r.pots == 1
 
 
-def test_m_price_arrays_match_explicit_recomputation():
+def _assert_m_prices_recomputed(game, D):
     from transit.transitions import m_transition_set
 
-    game = example2_game()
-    D = enumerate_pure_ne(game)
     rep = price_report(game, D)
     opt = rep.optimum
     for m in range(1, game.n + 1):
+        # m_transition_set lists the pool in lexicographic order, so the
+        # first extreme in it is the witness
         pool = m_transition_set(D, m)
         sw = [sum(game.payoffs[t]) for t in pool]
         assert rep.m_pota_at(m) == min(sw) / opt
         assert rep.m_pots_at(m) == max(sw) / opt
+        assert rep.witnesses[f"m_pota[{m}]"] == pool[sw.index(min(sw))]
+        assert rep.witnesses[f"m_pots[{m}]"] == pool[sw.index(max(sw))]
+    assert rep.witnesses["pota"] == rep.witnesses[f"m_pota[{game.n}]"]
+    assert rep.witnesses["pots"] == rep.witnesses[f"m_pots[{game.n}]"]
+
+
+def test_m_price_arrays_match_explicit_recomputation():
+    game = example2_game()
+    _assert_m_prices_recomputed(game, enumerate_pure_ne(game))
+    checked = four = 0
+    for scale in SCALES:
+        for game, D in _random_instances():
+            try:
+                _assert_m_prices_recomputed(*_scaled(game, D, scale))
+            except UndefinedPrice:
+                continue
+            checked += 1
+            four += game.n == 4
+    assert checked > 900 and four > 100
+
+
+def test_degree_extremes_match_masked_box_rows():
+    # the table against a masked copy and reduction per m: every row's
+    # extremes and W's first extreme in C order, on int64 and object grids
+    object_grids = 0
+    for scale in SCALES:
+        for game, D in _random_instances():
+            game, D = _scaled(game, D, scale)
+            box = transition_set(D).box
+            rows = np.vstack([game.welfare[box].ravel(),
+                              game.ints[1][(slice(None),) + box].reshape(game.n, -1)])
+            degree = degree_map(D).ravel()
+            table = degree_extremes(D)
+            for m in range(1, game.n + 1):
+                at = np.flatnonzero(degree <= m)
+                part = rows[:, at]
+                assert [row[m - 1] for row in table.least] == part.min(axis=1).tolist()
+                assert [row[m - 1] for row in table.greatest] == part.max(axis=1).tolist()
+                assert table.least_at[m - 1] == at[part[0].argmin()]
+                assert table.greatest_at[m - 1] == at[part[0].argmax()]
+            object_grids += rows.dtype == object
+    assert object_grids > 0
 
 
 def test_tightest_constants_bind_with_equality():
